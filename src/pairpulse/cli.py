@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -49,8 +48,6 @@ FIGURE3_V_MIN = 4.0
 FIGURE3_V_MAX = 12.0
 FIGURE3_V_POINTS = 81
 
-WORKERS_ENV = "PAIRPULSE_WORKERS"
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -63,7 +60,6 @@ class ScenarioConfig:
     beta_min: float = FIGURE_BETA_MIN
     beta_max: float = FIGURE_BETA_MAX
     beta_points: int = FIGURE_BETA_POINTS
-    grid_points: int = 512
     rtol: float = 1e-10
     atol: float = 1e-12
     out: str | None = None
@@ -78,7 +74,6 @@ _CONFIG_KEYS = {
     "beta_min": ("beta_min", float),
     "beta_max": ("beta_max", float),
     "beta_points": ("beta_points", int),
-    "grid_points": ("grid_points", int),
     "rtol": ("rtol", float),
     "atol": ("atol", float),
     "out": ("out", str),
@@ -173,27 +168,12 @@ def _model(cfg: ScenarioConfig):
     return derive_modes(ModelParams(cfg.omega0, cfg.lam))
 
 
-def _pulse(cfg: ScenarioConfig, Lambda: float | None = None, beta: float | None = None) -> Pulse:
+def _pulse(cfg: ScenarioConfig, beta: float | None = None) -> Pulse:
     return Pulse(
-        Lambda=cfg.Lambda if Lambda is None else Lambda,
+        Lambda=cfg.Lambda,
         beta=cfg.beta if beta is None else beta,
         omega0=cfg.omega0,
     )
-
-
-def _sweep_row(task):
-    omega0, lam, Lambda, beta = task
-    modes = derive_modes(ModelParams(omega0, lam))
-    rep = energy_shift_report(modes, Pulse(Lambda=Lambda, beta=beta, omega0=omega0))
-    return (beta, rep.exact, rep.hf, rep.ks, rep.natural)
-
-
-def _map_rows(tasks):
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_row, tasks, chunksize=16))
-    return [_sweep_row(task) for task in tasks]
 
 
 def _beta_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -247,9 +227,10 @@ def _cmd_shift(cfg: ScenarioConfig) -> None:
 def _sweep_common(cfg: ScenarioConfig, command: str, Lambda: float, grid: np.ndarray) -> None:
     cfg = replace(cfg, Lambda=Lambda)  # echo the strength actually swept
     modes = _model(cfg)
-    check_admissible(modes, Pulse(Lambda=Lambda, beta=float(grid[0]), omega0=cfg.omega0))
-    tasks = [(cfg.omega0, cfg.lam, Lambda, float(b)) for b in grid]
-    rows = _map_rows(tasks)
+    rows = []
+    for beta in grid:
+        rep = energy_shift_report(modes, _pulse(cfg, beta=float(beta)))
+        rows.append((rep.beta, rep.exact, rep.hf, rep.ks, rep.natural))
     _emit(cfg, command, ["beta", "exact", "hf", "ks", "natural"], rows)
 
 
@@ -293,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--beta-min", type=float, dest="beta_min", help="sweep grid lower edge")
     common.add_argument("--beta-max", type=float, dest="beta_max", help="sweep grid upper edge")
     common.add_argument("--beta-points", type=int, dest="beta_points", help="sweep grid size")
-    common.add_argument("--grid-points", type=int, dest="grid_points", help="spatial grid size")
     common.add_argument("--rtol", type=float, dest="rtol", help="integrator relative tolerance")
     common.add_argument("--atol", type=float, dest="atol", help="integrator absolute tolerance")
     common.add_argument("--out", dest="out", help="output path (default: stdout)")

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Pulse, check_admissible, reflection
+from .dynamics import Pulse
 from .model import ModeSet
-from .observables import energy_shift
+from .observables import total_shift
 
 __all__ = [
     "CollisionParams",
@@ -129,15 +129,10 @@ def sign_effect_ratio(
         if Lambda_mag == 0.0:
             rows.append((float(v), 0.0))
             continue
-        totals = []
-        for sign in (-1.0, 1.0):
-            pulse = Pulse(Lambda=sign * Lambda_mag, beta=float(v), omega0=omega0)
-            check_admissible(modes, pulse)
-            totals.append(
-                sum(
-                    energy_shift(om, reflection(om, pulse, method=method).R)
-                    for om in (modes.omega1, modes.omega2)
-                )
-            )
-        rows.append((float(v), totals[0] / totals[1] - 1.0))
+        minus, plus = (
+            total_shift(modes, Pulse(Lambda=sign * Lambda_mag, beta=float(v), omega0=omega0),
+                        "exact", method=method)
+            for sign in (-1.0, 1.0)
+        )
+        rows.append((float(v), minus / plus - 1.0))
     return np.asarray(rows)

@@ -48,11 +48,21 @@ __all__ = [
     "trajectory_table",
 ]
 
-PULSE_SHAPES = ("sech2",)
-
 # Envelope value below which the pulse counts as "off" for initial
 # conditions and asymptotic extraction.
 PULSE_OFF = 1e-10
+
+# Integration window: WINDOW/beta on either side of the pulse center, where
+# the envelope is sech^2(30) ~ 4e-26 < PULSE_OFF for every beta, then
+# SETTLE_PERIODS width oscillation periods (pi/Omega0 each) of pulse-free
+# data for the asymptotic fit.
+WINDOW = 15.0
+SETTLE_PERIODS = 6.0
+
+# The asymptotic phase fit samples FIT_SAMPLES points over the last
+# FIT_PERIODS width oscillation periods of a trajectory.
+FIT_PERIODS = 5.0
+FIT_SAMPLES = 512
 
 _LN2 = math.log(2.0)
 
@@ -75,9 +85,6 @@ class Pulse:
     omega0 : float
         Confinement frequency of the owning model; sets the coupling
         scale ``Lambda * omega0**2``.
-    shape : str
-        Envelope shape; only ``sech2`` with F(t) = 1/cosh^2(2 beta t)
-        in this version.
     t0 : float
         Envelope center (F is maximal at t = t0).
     """
@@ -85,7 +92,6 @@ class Pulse:
     Lambda: float
     beta: float
     omega0: float
-    shape: str = "sech2"
     t0: float = 0.0
 
     def __post_init__(self):
@@ -93,8 +99,6 @@ class Pulse:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not math.isfinite(self.Lambda):
             raise ValueError(f"Lambda must be finite, got {self.Lambda}")
-        if self.shape not in PULSE_SHAPES:
-            raise ValueError(f"shape must be one of {PULSE_SHAPES}, got {self.shape!r}")
         if not (math.isfinite(self.omega0) and self.omega0 > 0):
             raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
 
@@ -173,15 +177,6 @@ class Trajectory:
         Bdot = (y[0] * y[2] + y[1] * y[3]) / B
         return B, Bdot, y[4]
 
-    def B_at(self, t):
-        return self.state_at(t)[0]
-
-    def Bdot_at(self, t):
-        return self.state_at(t)[1]
-
-    def gamma_at(self, t):
-        return self.state_at(t)[2]
-
     def invariant_at(self, t):
         """K(t) = (1/4 B^2) [1 + (B Bdot / Omega0)^2 + B^4].
 
@@ -196,13 +191,11 @@ def integrate_mode(
     pulse: Pulse,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    window: float = 15.0,
-    settle_periods: float = 6.0,
 ) -> Trajectory:
     """Integrate the linear complex oscillator for one mode frequency.
 
-    The window runs from ``t0 - window/beta`` (where the envelope is below
-    PULSE_OFF) to ``t0 + window/beta + settle_periods`` width oscillation
+    The window runs from ``t0 - WINDOW/beta`` (where the envelope is below
+    PULSE_OFF) to ``t0 + WINDOW/beta + SETTLE_PERIODS`` width oscillation
     periods, so that asymptotic fits always have pulse-free data.
 
     Parameters
@@ -228,13 +221,8 @@ def integrate_mode(
             f"Omega0^2 + Lambda*omega0^2 = {om**2 + pulse.coupling} <= 0: "
             "ionization-like regime is excluded"
         )
-    t_start = pulse.t0 - window / pulse.beta
-    t_end = pulse.t0 + window / pulse.beta + settle_periods * math.pi / om
-    if pulse.envelope(t_start) > PULSE_OFF:
-        raise ValueError(
-            f"window too short: envelope at start is {pulse.envelope(t_start):.3e} "
-            f"> {PULSE_OFF}"
-        )
+    t_start = pulse.t0 - WINDOW / pulse.beta
+    t_end = pulse.t0 + WINDOW / pulse.beta + SETTLE_PERIODS * math.pi / om
     coupling = pulse.coupling
 
     def rhs(t, y):
@@ -292,15 +280,13 @@ class ReflectionResult:
 def extract_reflection(
     traj: Trajectory,
     method: str = "invariant",
-    fit_periods: float = 5.0,
-    fit_samples: int = 512,
 ) -> ReflectionResult:
     """Reflection coefficient and asymptotic phase from a trajectory.
 
     R comes from the post-pulse invariant K (exact once the envelope is
     off); the phase delta comes from a linear least-squares fit of
     ``B^2(t) = a - b cos(2 Omega0 t + delta)`` over the last
-    ``fit_periods`` oscillation periods.  ``method="fit"`` instead
+    FIT_PERIODS oscillation periods.  ``method="fit"`` instead
     recovers R from the fitted mean level a = (1+R)/(1-R).
     """
     if method not in ("invariant", "fit"):
@@ -308,10 +294,10 @@ def extract_reflection(
     om = traj.mode_frequency
     if traj.pulse.envelope(traj.t_end) > PULSE_OFF:
         raise ValueError("trajectory does not extend beyond the pulse support")
-    t_lo = traj.t_end - fit_periods * math.pi / om
+    t_lo = traj.t_end - FIT_PERIODS * math.pi / om
     if t_lo < traj.t_start or traj.pulse.envelope(t_lo) > PULSE_OFF:
         raise ValueError(
-            f"trajectory too short to fit {fit_periods} pulse-free oscillation periods"
+            f"trajectory too short to fit {FIT_PERIODS} pulse-free oscillation periods"
         )
 
     K = float(traj.invariant_at(traj.t_end))
@@ -321,7 +307,7 @@ def extract_reflection(
         )
     R_inv = max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0))
 
-    ts = np.linspace(t_lo, traj.t_end, fit_samples)
+    ts = np.linspace(t_lo, traj.t_end, FIT_SAMPLES)
     B, _, _ = traj.state_at(ts)
     design = np.column_stack([np.ones_like(ts), np.cos(2 * om * ts), np.sin(2 * om * ts)])
     (a, c1, c2), *_ = np.linalg.lstsq(design, B * B, rcond=None)
@@ -352,8 +338,6 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
     R = rho / (1 + rho).  Evaluated in log space so that extreme adiabatic
     or sudden parameters neither overflow nor lose the tiny result.
     """
-    if pulse.shape != "sech2":
-        raise ValueError(f"analytic form requires the sech2 shape, got {pulse.shape!r}")
     if mode_frequency <= 0:
         raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
     if pulse.coupling == 0.0:
@@ -497,15 +481,13 @@ def snapshot_series(
     traj2: Trajectory,
     t_min: float,
     t_max: float,
-    spacing: float | None = None,
 ) -> SnapshotSeries:
     """Build a uniformly spaced snapshot series on [t_min, t_max].
 
-    Default spacing min(0.01/omega1, 0.02/beta) keeps the 5-point stencil
+    The spacing min(0.01/omega1, 0.02/beta) keeps the 5-point stencil
     truncation error far below the asymptotic observables.
     """
-    if spacing is None:
-        spacing = min(0.01 / modes.omega1, 0.02 / traj1.pulse.beta)
+    spacing = min(0.01 / modes.omega1, 0.02 / traj1.pulse.beta)
     if t_max <= t_min:
         raise ValueError("empty snapshot window")
     n = int(math.floor((t_max - t_min) / spacing)) + 1

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "KINDS",
     "LAMBDA_MAX",
     "MAX_ORBITAL_INDEX",
     "ModelParams",
@@ -32,6 +33,7 @@ __all__ = [
     "natural_orbital",
     "hermite_function",
     "entropies",
+    "mode_frequencies",
     "model_wavefunction",
     "normal_coordinates",
     "mehler_coefficients",
@@ -45,7 +47,8 @@ LAMBDA_MAX = 0.5
 # The contract is validated up to this bound; larger requests are rejected.
 MAX_ORBITAL_INDEX = 1000
 
-WAVEFUNCTION_KINDS = ("exact", "hf", "ks", "natural")
+# The exact two-mode model and its three independent-particle references.
+KINDS = ("exact", "hf", "ks", "natural")
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -297,22 +300,33 @@ def normal_coordinates(x1, x2):
     return (x1 + x2) / _SQRT2, (x1 - x2) / _SQRT2
 
 
-def model_wavefunction(kind: str, modes: ModeSet, x1, x2):
-    """Ground-state wavefunction of the exact model or one reference model.
+def mode_frequencies(modes: ModeSet, kind: str) -> tuple[float, float]:
+    """The two mode frequencies of the exact model or one reference model.
 
-    ``exact`` evaluates the two-mode product in normal coordinates; ``hf``,
-    ``ks`` and ``natural`` are Gaussian products at omega_e, omega_d and
-    omega_w respectively.
+    ``exact`` has the center-of-mass and relative modes (omega1, omega2);
+    ``hf``, ``ks`` and ``natural`` put both particles at omega_e, omega_d
+    and omega_w respectively.
     """
     if kind == "exact":
-        X1, X2 = normal_coordinates(x1, x2)
-        return _gaussian_orbital(modes.omega1, X1) * _gaussian_orbital(modes.omega2, X2)
+        return (modes.omega1, modes.omega2)
     try:
         freq = {"hf": modes.omega_e, "ks": modes.omega_d, "natural": modes.omega_w}[kind]
     except KeyError:
-        raise ValueError(f"kind must be one of {WAVEFUNCTION_KINDS}, got {kind!r}") from None
-    return _gaussian_orbital(freq, np.asarray(x1, dtype=float)) * _gaussian_orbital(
-        freq, np.asarray(x2, dtype=float)
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}") from None
+    return (freq, freq)
+
+
+def model_wavefunction(kind: str, modes: ModeSet, x1, x2):
+    """Ground-state wavefunction of the exact model or one reference model.
+
+    A product of two Gaussians at ``mode_frequencies(modes, kind)``, in
+    normal coordinates for ``exact`` and in particle coordinates otherwise.
+    """
+    f1, f2 = mode_frequencies(modes, kind)
+    if kind == "exact":
+        x1, x2 = normal_coordinates(x1, x2)
+    return _gaussian_orbital(f1, np.asarray(x1, dtype=float)) * _gaussian_orbital(
+        f2, np.asarray(x2, dtype=float)
     )
 
 

@@ -24,7 +24,7 @@ from .dynamics import (
     reflection,
     _log_sinh,
 )
-from .model import ModeSet
+from .model import ModeSet, mode_frequencies
 
 __all__ = [
     "EnergyShiftReport",
@@ -42,8 +42,6 @@ __all__ = [
     "berry_connection",
 ]
 
-SHIFT_KINDS = ("exact", "hf", "ks", "natural")
-
 
 def energy_shift(mode_frequency: float, R: float) -> float:
     """One-mode time-independent energy shift Omega0 * R / (1 - R)."""
@@ -52,14 +50,8 @@ def energy_shift(mode_frequency: float, R: float) -> float:
     return mode_frequency * R / (1.0 - R)
 
 
-def _mode_frequencies(modes: ModeSet, kind: str):
-    if kind == "exact":
-        return (modes.omega1, modes.omega2)
-    try:
-        freq = {"hf": modes.omega_e, "ks": modes.omega_d, "natural": modes.omega_w}[kind]
-    except KeyError:
-        raise ValueError(f"kind must be one of {SHIFT_KINDS}, got {kind!r}") from None
-    return (freq, freq)
+def _mode_shift(mode_frequency: float, pulse: Pulse, method: str) -> float:
+    return energy_shift(mode_frequency, reflection(mode_frequency, pulse, method=method).R)
 
 
 def total_shift(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic") -> float:
@@ -69,10 +61,7 @@ def total_shift(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic
     kinds count one independent-particle frequency twice.
     """
     check_admissible(modes, pulse)
-    return sum(
-        energy_shift(om, reflection(om, pulse, method=method).R)
-        for om in _mode_frequencies(modes, kind)
-    )
+    return sum(_mode_shift(om, pulse, method) for om in mode_frequencies(modes, kind))
 
 
 @dataclass(frozen=True)
@@ -109,11 +98,8 @@ class EnergyShiftReport:
 def energy_shift_report(modes: ModeSet, pulse: Pulse, method: str = "analytic") -> EnergyShiftReport:
     """All shift observables for one (model, pulse) combination."""
     check_admissible(modes, pulse)
-
-    def shift(om):
-        return energy_shift(om, reflection(om, pulse, method=method).R)
-
-    d1, d2 = shift(modes.omega1), shift(modes.omega2)
+    d1 = _mode_shift(modes.omega1, pulse, method)
+    d2 = _mode_shift(modes.omega2, pulse, method)
     return EnergyShiftReport(
         omega0=modes.params.omega0,
         lam=modes.params.lam,
@@ -122,9 +108,9 @@ def energy_shift_report(modes: ModeSet, pulse: Pulse, method: str = "analytic") 
         shift_mode1=d1,
         shift_mode2=d2,
         exact=d1 + d2,
-        hf=2.0 * shift(modes.omega_e),
-        ks=2.0 * shift(modes.omega_d),
-        natural=2.0 * shift(modes.omega_w),
+        hf=2.0 * _mode_shift(modes.omega_e, pulse, method),
+        ks=2.0 * _mode_shift(modes.omega_d, pulse, method),
+        natural=2.0 * _mode_shift(modes.omega_w, pulse, method),
         method=method,
     )
 
@@ -205,12 +191,15 @@ def transition_weights(R: float, n_max: int = 200) -> TransitionWeights:
 
 
 def statistical_shift(weights: TransitionWeights, mode_frequency: float) -> float:
-    """Energy shift as the weighted ladder sum Omega0 [sum (2n+1/2) W - 1/2].
+    """Energy shift as the weighted ladder sum 2 Omega0 sum n W_n.
 
-    Equals the closed form Omega0*R/(1-R) up to the truncation tail.
+    This is Omega0 [sum (2n+1/2) W_n - 1/2] with the normalization
+    sum W_n = 1 applied analytically, so the 1/2 terms cannot cancel to a
+    negative residue at tiny R.  Equals the closed form Omega0*R/(1-R) up
+    to the truncation tail.
     """
     n = np.arange(len(weights.weights))
-    return mode_frequency * (float(np.sum((2.0 * n + 0.5) * weights.weights)) - 0.5)
+    return mode_frequency * 2.0 * float(np.sum(n * weights.weights))
 
 
 def overlap(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic") -> float:

@@ -124,14 +124,6 @@ class TestFigureCommands:
         assert run_cli(["figure", "1", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_pool_preserves_bytes(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        pooled = tmp_path / "pooled.csv"
-        assert run_cli(["figure", "1", "--out", str(serial)]) == 0
-        monkeypatch.setenv("PAIRPULSE_WORKERS", "3")
-        assert run_cli(["figure", "1", "--out", str(pooled)]) == 0
-        assert serial.read_bytes() == pooled.read_bytes()
-
     def test_exact_ks_crossing_near_reference_rate(self, tmp_path):
         for which in ("1", "2"):
             out = tmp_path / f"fig{which}.csv"
@@ -171,8 +163,12 @@ class TestConfigPrecedence:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("omega_nought = 3\n")
-        assert run_cli(["shift", "--config", str(cfg)]) == 2
+        for text in ("omega_nought = 3\n", "grid_points = 512\n"):
+            cfg.write_text(text)
+            assert run_cli(["shift", "--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["shift", "--grid-points", "512"])
+        assert exc.value.code == 2
 
     def test_missing_file_rejected(self, tmp_path):
         assert run_cli(["shift", "--config", str(tmp_path / "absent.cfg")]) == 2

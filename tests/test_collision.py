@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pairpulse import ModelParams, derive_modes
+from pairpulse import ModelParams, Pulse, derive_modes, total_shift
 from pairpulse.collision import (
     CollisionParams,
     alpha_timing,
@@ -139,6 +139,13 @@ class TestSignEffectRatio:
         assert table[0, 1] == pytest.approx(0.13315446620175653, rel=1e-10)
         assert table[1, 1] == pytest.approx(0.08328857449227511, rel=1e-10)
         assert table[2, 1] == pytest.approx(0.013985794971596466, rel=1e-10)
+        w0 = modes_ref.params.omega0
+        for v, ratio in table:
+            minus, plus = (
+                total_shift(modes_ref, Pulse(Lambda=s * 2.0 / 9.0, beta=v, omega0=w0), "exact")
+                for s in (-1.0, 1.0)
+            )
+            assert ratio == minus / plus - 1.0
 
     def test_weak_drive_symmetry(self, modes_ref):
         table = sign_effect_ratio(modes_ref, 1e-6, [4.0, 8.0, 12.0])

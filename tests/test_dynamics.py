@@ -44,8 +44,6 @@ class TestPulse:
         with pytest.raises(ValueError):
             Pulse(Lambda=float("nan"), beta=1.0, omega0=3.0)
         with pytest.raises(ValueError):
-            Pulse(Lambda=0.1, beta=1.0, omega0=3.0, shape="gauss")
-        with pytest.raises(ValueError):
             Pulse(Lambda=0.1, beta=1.0, omega0=-3.0)
 
 
@@ -113,10 +111,6 @@ class TestIntegrateMode:
         p = Pulse(Lambda=-2.0 / 9.0, beta=3.0, omega0=3.0)
         with pytest.raises(IonizationRegimeError):
             integrate_mode(1.0, p)
-
-    def test_rejects_too_short_window(self, pulse_ref):
-        with pytest.raises(ValueError, match="window too short"):
-            integrate_mode(2.0, pulse_ref, window=2.0)
 
     def test_state_at_outside_range(self, traj_pair_ref):
         traj = traj_pair_ref[0]
@@ -221,12 +215,6 @@ class TestAnalyticReflection:
                 p = Pulse(Lambda=Lam, beta=beta, omega0=3.0)
                 r = analytic_reflection(1.5, p).R
                 assert 0.0 <= r < 1e-8
-
-    def test_requires_sech2(self):
-        p = Pulse(Lambda=0.1, beta=1.0, omega0=3.0)
-        object.__setattr__(p, "shape", "other")
-        with pytest.raises(ValueError):
-            analytic_reflection(2.0, p)
 
     def test_reflection_dispatcher(self, pulse_ref):
         r_an = reflection(2.0, pulse_ref, method="analytic").R
@@ -361,8 +349,8 @@ class TestEffectivePotential:
         x = 1.1
         h = 1e-4
         for t in (-0.8, -0.2, 0.0, 0.4, 1.6):
-            B0 = float(traj_d.B_at(t))
-            bdd = float((traj_d.B_at(t + h) - 2 * B0 + traj_d.B_at(t - h)) / h**2)
+            B0 = float(traj_d.state_at(t)[0])
+            bdd = float((traj_d.state_at(t + h)[0] - 2 * B0 + traj_d.state_at(t - h)[0]) / h**2)
             lhs = 0.5 * x**2 * (modes_ref.omega_d**2 / B0**4 - bdd / B0)
             rhs = float(effective_potential(series, x, t, "preoptimized"))
             assert lhs == pytest.approx(rhs, abs=1e-6)
