@@ -249,6 +249,12 @@ def _cmd_figure(cfg: ScenarioConfig, which: int) -> None:
     modes = _model(cfg)
     v_grid = np.linspace(FIGURE3_V_MIN, FIGURE3_V_MAX, FIGURE3_V_POINTS)
     table = sign_effect_ratio(modes, FIGURE_LAMBDA, v_grid)
+    zeros = table[np.isnan(table[:, 1]), 0]
+    if zeros.size:
+        raise ValueError(
+            f"sign-effect ratio undefined at v = {', '.join(_fmt(float(v)) for v in zeros)}: "
+            "the +|Lambda| shift vanishes there (shift zero)"
+        )
     _emit(cfg, "figure3", ["v", "ratio"], [tuple(row) for row in table])
 
 

@@ -120,6 +120,9 @@ def sign_effect_ratio(
     For each velocity the pulse rate is set to beta = v and the exact
     two-mode totals at -|Lambda| and +|Lambda| are compared:
     ratio = dE_total(-|Lambda|) / dE_total(+|Lambda|) - 1.
+
+    The ratio is NaN at a velocity where the +|Lambda| total is exactly 0,
+    a shift zero at which both modes stop reflecting.
     """
     if Lambda_mag < 0:
         raise ValueError(f"Lambda magnitude must be >= 0, got {Lambda_mag}")
@@ -134,5 +137,5 @@ def sign_effect_ratio(
                         "exact", method=method)
             for sign in (-1.0, 1.0)
         )
-        rows.append((float(v), minus / plus - 1.0))
+        rows.append((float(v), minus / plus - 1.0 if plus != 0.0 else math.nan))
     return np.asarray(rows)

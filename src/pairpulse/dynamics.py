@@ -14,6 +14,10 @@ along as an extra quadrature.  After the pulse, a single invariant built
 from ``B`` and ``B'`` encodes the reflection coefficient ``R`` of the
 associated one-dimensional scattering problem, which in turn fixes every
 asymptotic observable.
+
+Only the ODE path needs scipy: ``integrate_mode`` imports ``solve_ivp`` on
+its first call, so the closed-form reflection and everything built on it
+(shifts, sweeps, figures) load numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import ModeSet
 
@@ -63,6 +66,12 @@ SETTLE_PERIODS = 6.0
 # FIT_PERIODS width oscillation periods of a trajectory.
 FIT_PERIODS = 5.0
 FIT_SAMPLES = 512
+
+# Relative rounding error of the closed-form reflection's cosine argument
+# (pi/2) sqrt(radicand), with a factor 2 of margin: the coupling, the
+# radicand, its square root and the pi/2 product leave up to about 4 eps.
+# Near a zero of the cosine that error passes one-to-one into its value.
+ZERO_COS_RTOL = 8.0 * 2.0**-52
 
 _LN2 = math.log(2.0)
 
@@ -212,6 +221,8 @@ def integrate_mode(
     -------
     Trajectory
     """
+    from scipy.integrate import solve_ivp  # deferred: the closed-form path never needs scipy
+
     if mode_frequency <= 0:
         raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
     om = float(mode_frequency)
@@ -337,6 +348,11 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
     with cos -> cosh of the real root when the radicand is negative, and
     R = rho / (1 + rho).  Evaluated in log space so that extreme adiabatic
     or sudden parameters neither overflow nor lose the tiny result.
+
+    At a zero of the cosine, ``sqrt(radicand)`` an odd integer, the
+    computed cosine is rounding residue of its argument (cos(3 pi/2)
+    evaluates to -1.8e-16), so any |cos| at or below ZERO_COS_RTOL times
+    the argument counts as an exact zero and gives R = 0.
     """
     if mode_frequency <= 0:
         raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
@@ -345,10 +361,11 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
     radicand = 1.0 + pulse.coupling / pulse.beta**2
     v = 0.5 * math.pi * mode_frequency / pulse.beta
     if radicand >= 0.0:
-        c = math.cos(0.5 * math.pi * math.sqrt(radicand))
-        if c == 0.0:
+        arg = 0.5 * math.pi * math.sqrt(radicand)
+        c = abs(math.cos(arg))
+        if c <= ZERO_COS_RTOL * arg:
             return ReflectionResult(R=0.0, delta=None, method="analytic")
-        log_rho = 2.0 * math.log(abs(c)) - 2.0 * _log_sinh(v)
+        log_rho = 2.0 * math.log(c) - 2.0 * _log_sinh(v)
     else:
         u = 0.5 * math.pi * math.sqrt(-radicand)
         log_rho = 2.0 * (_log_cosh(u) - _log_sinh(v))

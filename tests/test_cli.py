@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairpulse
 from pairpulse.cli import main
 
 
@@ -136,6 +141,14 @@ class TestFigureCommands:
             lo, hi = arr[flips[0], 0], arr[flips[0] + 1, 0]
             assert 2.81 <= lo <= hi <= 2.91
 
+    @pytest.mark.parametrize("omega0, v_zero", [("24", "4"), ("36", "6")])
+    def test_figure3_shift_zero_rejected(self, tmp_path, capsys, omega0, v_zero):
+        # 1 + (2/9) omega0^2 / v^2 = 9 lands on the velocity grid
+        out = tmp_path / "fig3.csv"
+        assert run_cli(["figure", "3", "--omega0", omega0, "--out", str(out)]) == 2
+        assert f"v = {v_zero}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_figure3_ratio_window(self, tmp_path):
         out = tmp_path / "fig3.csv"
         assert run_cli(["figure", "3", "--out", str(out)]) == 0
@@ -208,3 +221,43 @@ class TestDeterministicFormatting:
         assert float(val) == float(format(float(val), ".17g"))
         # round-trips exactly through the printed representation
         assert format(float(val), ".17g") == val
+
+
+# Run in a fresh interpreter: this test process has already imported scipy.
+_IMPORT_PROBE = """
+import json, sys
+from pairpulse.cli import main
+code = main(["figure", "1", "--out", sys.argv[1]])
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from pairpulse import Pulse, analytic_reflection, extract_reflection, integrate_mode
+pulse = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
+traj = integrate_mode(2.0, pulse)
+print(json.dumps({
+    "code": code,
+    "scipy_before": before,
+    "scipy_after": "scipy.integrate" in sys.modules,
+    "B_start": float(traj.B[0]),
+    "R_ode": extract_reflection(traj).R,
+    "R_analytic": analytic_reflection(2.0, pulse).R,
+}))
+"""
+
+
+class TestImportCost:
+    def test_closed_form_commands_do_not_load_scipy(self, tmp_path):
+        src = str(Path(pairpulse.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "fig1.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)
+        assert res["code"] == 0 and out.exists()
+        assert res["scipy_before"] == []
+        # the ODE path loads scipy on first use and still integrates correctly
+        assert res["scipy_after"]
+        assert res["B_start"] == pytest.approx(1.0, abs=1e-12)
+        assert res["R_ode"] == pytest.approx(res["R_analytic"], abs=1e-8)

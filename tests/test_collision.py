@@ -166,6 +166,13 @@ class TestSignEffectRatio:
         with pytest.raises(ValueError):
             sign_effect_ratio(modes_ref, -0.1, [5.0])
 
+    def test_nan_at_shift_zero(self, modes_ref):
+        # 1 + Lambda*omega0^2/v^2 = 9 at v = 0.5: both modes stop reflecting
+        # at +|Lambda|, so the ratio has no denominator
+        table = sign_effect_ratio(modes_ref, 2.0 / 9.0, [0.5, 0.5000001])
+        assert math.isnan(table[0, 1])
+        assert table[1, 1] == pytest.approx(1.45e15, rel=0.01)
+
     def test_ode_method_agrees(self, modes_ref):
         an = sign_effect_ratio(modes_ref, 2.0 / 9.0, [5.0])
         ode = sign_effect_ratio(modes_ref, 2.0 / 9.0, [5.0], method="ode")

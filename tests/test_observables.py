@@ -153,6 +153,30 @@ class TestTransitionWeights:
         tw = transition_weights(0.999, 2000)
         assert np.all(np.isfinite(tw.weights))
 
+    @pytest.mark.parametrize("R", [0.01, 0.5, 0.9, 0.999])
+    def test_against_exact_binomial_oracle(self, R):
+        # exact integer oracle, no floating-point logs:
+        # Gamma(n+1/2) / (sqrt(pi) n!) R^n = C(2n, n) R^n / 4^n.  With the
+        # float R = num / 2^k taken exactly, top = C(2n, n) num^n is an
+        # integer (C(2n, n) = C(2n-2, n-1) (2n)(2n-1) / n^2), and the weight
+        # is top / 2^((2 + k) n) rounded to a float once
+        n_max = 2000
+        num, den = R.as_integer_ratio()
+        k = den.bit_length() - 1
+        top = 1
+        exact = np.empty(n_max + 1)
+        for n in range(n_max + 1):
+            if n:
+                top = top * (2 * n) * (2 * n - 1) * num // (n * n)
+            shift = max(top.bit_length() - 64, 0)
+            exact[n] = math.ldexp(float(top >> shift), shift - (2 + k) * n)
+        assert top == math.comb(2 * n_max, n_max) * num**n_max
+        exact *= math.sqrt(1.0 - R)
+        weights = transition_weights(R, n_max).weights
+        normal = exact > 1e-290  # below, the exact weight leaves the float range
+        np.testing.assert_allclose(weights[normal], exact[normal], rtol=1e-11, atol=0.0)
+        assert np.all(weights[~normal] < 1e-280)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             transition_weights(1.0, 10)
@@ -169,9 +193,9 @@ class TestOverlap:
     def test_noninteracting_exact_equals_ks(self):
         m = derive_modes(ModelParams(3.0, 0.0))
         p = Pulse(Lambda=0.2, beta=2.0, omega0=3.0)
-        # at lam = 0 all frequencies coincide, but the factorizations differ:
-        # sqrt(1-R)^2 vs 1-R, which agree identically
-        assert overlap(m, p, "exact") == pytest.approx(overlap(m, p, "ks"), rel=1e-14)
+        # at lam = 0 all frequencies coincide, and both kinds are the same
+        # product of sqrt(1-R) over their two mode frequencies
+        assert overlap(m, p, "exact") == overlap(m, p, "ks")
 
     def test_reference_values_against_wavefunction_quadrature(
         self, modes_ref, pulse_ref, traj_pair_ref
@@ -211,8 +235,9 @@ class TestOverlap:
         assert val_exact != pytest.approx(val_ks, abs=1e-4)
 
     def test_rejects_unknown_kind(self, modes_ref, pulse_ref):
-        with pytest.raises(ValueError):
-            overlap(modes_ref, pulse_ref, "hf")
+        for kind in ("hf", "natural", "bogus"):
+            with pytest.raises(ValueError):
+                overlap(modes_ref, pulse_ref, kind)
 
 
 class TestAbruptReflection:
