@@ -57,10 +57,13 @@ def total_shift(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic
     """Two-particle total energy shift for the exact model or a reference.
 
     ``exact`` sums the shifts of the two independent modes; the reference
-    kinds count one independent-particle frequency twice.
+    kinds count one independent-particle frequency twice, reflected once.
     """
     check_admissible(modes, pulse)
-    return sum(_mode_shift(om, pulse, method) for om in mode_frequencies(modes, kind))
+    f1, f2 = mode_frequencies(modes, kind)
+    d1 = _mode_shift(f1, pulse, method)
+    d2 = d1 if f2 == f1 else _mode_shift(f2, pulse, method)
+    return d1 + d2
 
 
 @dataclass(frozen=True)
@@ -210,13 +213,15 @@ def overlap(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic") -
 
     A product of per-mode factors sqrt(1-R) over
     ``mode_frequencies(modes, kind)``: (omega1, omega2) for ``exact``, and
-    omega_d twice for the density-optimal ``ks``.
+    omega_d twice for the density-optimal ``ks``, reflected once.
     """
     if kind not in ("exact", "ks"):
         raise ValueError(f"kind must be 'exact' or 'ks', got {kind!r}")
     check_admissible(modes, pulse)
-    r1, r2 = (reflection(om, pulse, method=method).R for om in mode_frequencies(modes, kind))
-    return math.sqrt(1.0 - r1) * math.sqrt(1.0 - r2)
+    f1, f2 = mode_frequencies(modes, kind)
+    s1 = math.sqrt(1.0 - reflection(f1, pulse, method=method).R)
+    s2 = s1 if f2 == f1 else math.sqrt(1.0 - reflection(f2, pulse, method=method).R)
+    return s1 * s2
 
 
 def abrupt_reflection(mode_frequency: float, Lambda: float, omega0: float) -> float:
@@ -238,8 +243,11 @@ def berry_connection(traj: Trajectory, pulse: Pulse, t: float) -> float:
     """Geometric connection i<phi|d_t phi> of one evolving mode.
 
     Equals Omega0/2 before the pulse and (Omega0/2)(1+R)/(1-R), i.e. the
-    asymptotic one-mode energy, after it.
+    asymptotic one-mode energy, after it.  ``pulse`` must be the pulse the
+    trajectory was integrated under.
     """
+    if pulse != traj.pulse:
+        raise ValueError("pulse differs from the one the trajectory was integrated under")
     om = traj.mode_frequency
     B, Bdot, _ = traj.state_at(t)
     o2 = omega_squared(om, pulse, t)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from pairpulse import ModelParams, derive_modes
 from pairpulse.dynamics import (
     IonizationRegimeError,
+    OneMatrixSnapshot,
     Pulse,
+    Trajectory,
     analytic_reflection,
     continuity_residual,
     effective_potential,
@@ -225,7 +228,71 @@ class TestAnalyticReflection:
             reflection(2.0, pulse_ref, method="magic")
 
 
+@pytest.fixture(scope="module")
+def traj_pair_free():
+    """Both mode trajectories of the noninteracting model (lam = 0)."""
+    m = derive_modes(ModelParams(OMEGA0, 0.0))
+    p = Pulse(Lambda=LAMBDA, beta=BETA, omega0=OMEGA0)
+    return m, integrate_mode(m.omega1, p), integrate_mode(m.omega2, p)
+
+
+@pytest.fixture
+def state_at_calls(monkeypatch):
+    """Record the trajectory behind every Trajectory.state_at call."""
+    calls = []
+    original = Trajectory.state_at
+
+    def counting(self, t):
+        calls.append(self)
+        return original(self, t)
+
+    monkeypatch.setattr(Trajectory, "state_at", counting)
+    return calls
+
+
 class TestOneMatrixSnapshot:
+    @pytest.mark.parametrize("pair", ["reference", "noninteracting"])
+    def test_array_call_matches_scalar_calls(
+        self, pair, modes_ref, traj_pair_ref, traj_pair_free
+    ):
+        if pair == "reference":
+            m, (t1, t2) = modes_ref, traj_pair_ref
+        else:
+            m, t1, t2 = traj_pair_free
+        times = np.linspace(t1.t_start, min(t1.t_end, t2.t_end), 97)
+        table = onematrix_snapshot(m, t1, t2, times)
+        for f in fields(OneMatrixSnapshot):
+            assert getattr(table, f.name).shape == times.shape
+        for i, t in enumerate(times):
+            snap = onematrix_snapshot(m, t1, t2, t)
+            for f in fields(OneMatrixSnapshot):
+                value = getattr(snap, f.name)
+                assert type(value) is float
+                if f.name == "t" or f.name.startswith("B"):
+                    assert value == getattr(table, f.name)[i]
+                else:
+                    assert value == pytest.approx(getattr(table, f.name)[i], rel=1e-12)
+
+    def test_series_splits_one_array_call(self, modes_ref, traj_pair_ref, state_at_calls):
+        t1, t2 = traj_pair_ref
+        series = snapshot_series(modes_ref, t1, t2, -1.0, 2.0)
+        assert state_at_calls == [t1, t2]
+        table = onematrix_snapshot(modes_ref, t1, t2, series.times)
+        assert len(series.snapshots) == len(series.times)
+        for i, snap in enumerate(series.snapshots):
+            for f in fields(OneMatrixSnapshot):
+                value = getattr(snap, f.name)
+                assert type(value) is float
+                assert value == getattr(table, f.name)[i]
+
+    def test_continuity_reads_each_trajectory_once(
+        self, modes_ref, traj_pair_ref, x_grid_ref, state_at_calls
+    ):
+        t1, t2 = traj_pair_ref
+        continuity_residual(modes_ref, t1, t2, 1.5, x_grid_ref)
+        assert state_at_calls.count(t1) <= 1
+        assert state_at_calls.count(t2) <= 1
+
     def test_start_reproduces_static(self, modes_ref, traj_pair_ref):
         t1, t2 = traj_pair_ref
         snap = onematrix_snapshot(modes_ref, t1, t2, t1.t_start)
@@ -307,6 +374,27 @@ class TestGamma1Time:
         for t in (-0.5, 0.0, 1.5, 4.0):
             res = continuity_residual(modes_ref, t1, t2, t, x_grid_ref)
             assert res < 1e-6
+
+    def test_continuity_default_step_at_strong_fast_pulse(self):
+        # omega0 = 3.5, |Lambda| near its bound 0.9, beta = 4: a fixed
+        # dt = 5e-3 gave 1.15e-6 at the fastest-moving in-pulse time
+        m = derive_modes(ModelParams(3.5, 0.05))
+        p = Pulse(Lambda=0.81, beta=4.0, omega0=3.5)
+        t1 = integrate_mode(m.omega1, p, rtol=1e-11, atol=1e-13)
+        t2 = integrate_mode(m.omega2, p, rtol=1e-11, atol=1e-13)
+        ts = np.linspace(p.t0 - 1.0 / p.beta, p.t0 + 1.0 / p.beta, 401)
+        od = onematrix_snapshot(m, t1, t2, ts).omega_d_t
+        t = float(ts[np.argmax(np.abs(np.gradient(od, ts)))])
+        half = 8.0 / math.sqrt(m.omega_d)
+        x = np.linspace(-half, half, 256)
+        assert continuity_residual(m, t1, t2, t, x) < 1e-6
+
+    def test_continuity_default_step_at_reference(self, modes_ref, traj_pair_ref, x_grid_ref):
+        t1, t2 = traj_pair_ref
+        for t in (-0.5, 0.0, 1.5, 4.0):
+            assert continuity_residual(modes_ref, t1, t2, t, x_grid_ref) == continuity_residual(
+                modes_ref, t1, t2, t, x_grid_ref, dt=5e-3
+            )
 
     def test_current_sign_convention(self, modes_ref, traj_pair_ref, x_grid_ref):
         # with the sign of alpha flipped the residual is O(1), not O(1e-6)

@@ -72,6 +72,33 @@ class TestTotalShift:
         with pytest.raises(IonizationRegimeError):
             total_shift(modes_ref, p, "exact")
 
+    def test_reference_kinds_integrate_once(self, modes_ref, pulse_ref, monkeypatch):
+        # a reference kind puts both particles at one frequency, so the ODE
+        # path integrates that frequency once and counts its shift twice
+        import pairpulse.dynamics as dynamics
+
+        calls = []
+        original = dynamics.integrate_mode
+
+        def counting(mode_frequency, *args, **kwargs):
+            calls.append(mode_frequency)
+            return original(mode_frequency, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_mode", counting)
+        for kind in ("hf", "ks", "natural"):
+            calls.clear()
+            ode = total_shift(modes_ref, pulse_ref, kind, method="ode")
+            assert len(calls) == 1
+            single = energy_shift(calls[0], dynamics.reflection(calls[0], pulse_ref, "ode").R)
+            assert ode == 2.0 * single
+        calls.clear()
+        ks = overlap(modes_ref, pulse_ref, "ks", method="ode")
+        assert calls == [modes_ref.omega_d]
+        assert ks == pytest.approx(overlap(modes_ref, pulse_ref, "ks"), abs=1e-9)
+        calls.clear()
+        total_shift(modes_ref, pulse_ref, "exact", method="ode")
+        assert calls == [modes_ref.omega1, modes_ref.omega2]
+
     def test_report_consistency(self, modes_ref, pulse_ref):
         rep = energy_shift_report(modes_ref, pulse_ref)
         assert rep.exact == rep.shift_mode1 + rep.shift_mode2
@@ -283,6 +310,19 @@ class TestBerryConnection:
         R = analytic_reflection(om, pulse_ref).R
         val = berry_connection(traj, pulse_ref, traj.t_end)
         assert val == pytest.approx(energy_shift(om, R) + om / 2.0, abs=1e-6)
+
+    def test_rejects_other_pulse(self, traj_pair_ref, pulse_ref):
+        # B(t) belongs to the trajectory's pulse; Omega^2(t) of another
+        # pulse would mix two drives
+        traj = traj_pair_ref[0]
+        for other in (
+            Pulse(Lambda=-pulse_ref.Lambda, beta=pulse_ref.beta, omega0=OMEGA0),
+            Pulse(Lambda=pulse_ref.Lambda, beta=2.0, omega0=OMEGA0),
+        ):
+            with pytest.raises(ValueError):
+                berry_connection(traj, other, 0.0)
+        equal = Pulse(Lambda=pulse_ref.Lambda, beta=pulse_ref.beta, omega0=OMEGA0)
+        assert berry_connection(traj, equal, 0.0) == berry_connection(traj, pulse_ref, 0.0)
 
     def test_null_pulse_constant(self):
         p = Pulse(Lambda=0.0, beta=2.0, omega0=3.0)
