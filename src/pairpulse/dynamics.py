@@ -15,9 +15,11 @@ from ``B`` and ``B'`` encodes the reflection coefficient ``R`` of the
 associated one-dimensional scattering problem, which in turn fixes every
 asymptotic observable.
 
-Only the ODE path needs scipy: ``integrate_mode`` imports ``solve_ivp`` on
-its first call, so the closed-form reflection and everything built on it
-(shifts, sweeps, figures) load numpy alone.
+Only the ODE path needs scipy, and only to integrate: ``integrate_mode``
+imports ``solve_ivp`` on its first call and keeps the DOP853 dense output as
+arrays, which ``Trajectory.state_at`` evaluates with numpy alone.  The
+closed-form reflection and everything built on it (shifts, sweeps, figures)
+load numpy alone.
 """
 
 from __future__ import annotations
@@ -158,8 +160,13 @@ def check_admissible(modes: ModeSet, pulse: Pulse) -> None:
 class Trajectory:
     """Integrated width scale of one mode under one pulse.
 
-    Carries the solver step samples plus the dense interpolant for
-    evaluation at arbitrary times.  Immutable after construction.
+    Carries the solver step samples plus the DOP853 dense output as arrays:
+    the raw state ``y`` (5 x n) at the step nodes ``t`` and each step's
+    7 x 5 coefficient block of the 7th-order continuous extension, stacked
+    into ``F`` (n - 1, 7, 5).  ``state_at`` evaluates every requested time
+    in one numpy pass with the same operations in the same order as scipy's
+    ``OdeSolution``, so its values are bit-identical to it.  Immutable after
+    construction.
     """
 
     mode_frequency: float
@@ -172,16 +179,30 @@ class Trajectory:
     t_end: float
     rtol: float
     atol: float
-    _sol: object = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    F: np.ndarray = field(repr=False)
 
     def state_at(self, t):
-        """(B, Bdot, gamma) interpolated from the dense solution."""
+        """(B, Bdot, gamma) interpolated from the dense output."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_start) or np.any(t > self.t_end):
+        ts = np.atleast_1d(t)
+        if not ((ts >= self.t_start) & (ts <= self.t_end)).all():
             raise ValueError(
                 f"time outside trajectory range [{self.t_start}, {self.t_end}]"
             )
-        y = self._sol(t)
+        # scipy's step choice: a time on an interior node belongs to the
+        # lower step, and the end nodes to the first and last steps.
+        k = np.searchsorted(self.t[1:-1], ts, side="left")
+        t_old = self.t[k]
+        x = ((ts - t_old) / (self.t[k + 1] - t_old))[:, None]
+        factors = (x, 1 - x)
+        # Horner scheme of Dop853DenseOutput, alternating x and 1 - x.
+        y = np.zeros((len(ts), len(self.y)))
+        for i, coef in enumerate(self.F[k].transpose(1, 0, 2)[::-1]):
+            y += coef
+            y *= factors[i % 2]
+        y += self.y[:, k].T
+        y = y.T if t.ndim else y[0]
         B = np.hypot(y[0], y[1])
         Bdot = (y[0] * y[2] + y[1] * y[3]) / B
         return B, Bdot, y[4]
@@ -254,6 +275,18 @@ def integrate_mode(
     if not sol.success:
         raise RuntimeError(f"mode integration failed: {sol.message}")
     y = sol.y
+    # The per-step coefficients are scipy internals of Dop853DenseOutput.
+    try:
+        F = np.stack([segment.F for segment in sol.sol.interpolants])
+    except (AttributeError, ValueError):
+        F = None
+    if F is None or F.shape != (len(sol.t) - 1, 7, len(y0)):
+        import scipy
+
+        raise RuntimeError(
+            f"scipy {scipy.__version__}: DOP853 dense output does not carry one "
+            f"7 x {len(y0)} coefficient block per step"
+        )
     B = np.hypot(y[0], y[1])
     Bdot = (y[0] * y[2] + y[1] * y[3]) / B
     return Trajectory(
@@ -267,7 +300,8 @@ def integrate_mode(
         t_end=t_end,
         rtol=rtol,
         atol=atol,
-        _sol=sol.sol,
+        y=y,
+        F=F,
     )
 
 

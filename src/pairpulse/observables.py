@@ -49,8 +49,14 @@ def energy_shift(mode_frequency: float, R: float) -> float:
     return mode_frequency * R / (1.0 - R)
 
 
-def _mode_shift(mode_frequency: float, pulse: Pulse, method: str) -> float:
-    return energy_shift(mode_frequency, reflection(mode_frequency, pulse, method=method).R)
+def _two_mode_shifts(
+    f1: float, f2: float, pulse: Pulse, method: str
+) -> tuple[float, float, float]:
+    """(d1, d2, d1 + d2) for two modes at frequencies f1 and f2; a repeated
+    frequency is reflected once."""
+    d1 = energy_shift(f1, reflection(f1, pulse, method).R)
+    d2 = d1 if f2 == f1 else energy_shift(f2, reflection(f2, pulse, method).R)
+    return d1, d2, d1 + d2
 
 
 def total_shift(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic") -> float:
@@ -60,10 +66,7 @@ def total_shift(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic
     kinds count one independent-particle frequency twice, reflected once.
     """
     check_admissible(modes, pulse)
-    f1, f2 = mode_frequencies(modes, kind)
-    d1 = _mode_shift(f1, pulse, method)
-    d2 = d1 if f2 == f1 else _mode_shift(f2, pulse, method)
-    return d1 + d2
+    return _two_mode_shifts(*mode_frequencies(modes, kind), pulse, method)[2]
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,12 @@ class EnergyShiftReport:
 
 
 def energy_shift_report(modes: ModeSet, pulse: Pulse, method: str = "analytic") -> EnergyShiftReport:
-    """All shift observables for one (model, pulse) combination."""
+    """All shift observables for one (model, pulse) combination.
+
+    Every total is the ``total_shift`` of its kind.
+    """
     check_admissible(modes, pulse)
-    d1 = _mode_shift(modes.omega1, pulse, method)
-    d2 = _mode_shift(modes.omega2, pulse, method)
+    d1, d2, exact = _two_mode_shifts(modes.omega1, modes.omega2, pulse, method)
     return EnergyShiftReport(
         omega0=modes.params.omega0,
         lam=modes.params.lam,
@@ -109,10 +114,10 @@ def energy_shift_report(modes: ModeSet, pulse: Pulse, method: str = "analytic") 
         beta=pulse.beta,
         shift_mode1=d1,
         shift_mode2=d2,
-        exact=d1 + d2,
-        hf=2.0 * _mode_shift(modes.omega_e, pulse, method),
-        ks=2.0 * _mode_shift(modes.omega_d, pulse, method),
-        natural=2.0 * _mode_shift(modes.omega_w, pulse, method),
+        exact=exact,
+        hf=_two_mode_shifts(modes.omega_e, modes.omega_e, pulse, method)[2],
+        ks=_two_mode_shifts(modes.omega_d, modes.omega_d, pulse, method)[2],
+        natural=_two_mode_shifts(modes.omega_w, modes.omega_w, pulse, method)[2],
         method=method,
     )
 

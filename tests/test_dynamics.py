@@ -117,14 +117,111 @@ class TestIntegrateMode:
 
     def test_state_at_outside_range(self, traj_pair_ref):
         traj = traj_pair_ref[0]
-        with pytest.raises(ValueError):
-            traj.state_at(traj.t_start - 1.0)
+        for bad in (traj.t_start - 1.0, traj.t_end + 1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="outside trajectory range"):
+                traj.state_at(bad)
+            with pytest.raises(ValueError, match="outside trajectory range"):
+                traj.state_at(np.array([traj.t_start, bad]))
 
     def test_table_columns(self, traj_pair_ref):
         table = trajectory_table(traj_pair_ref[0], n=101)
         assert table.shape == (101, 4)
         assert table[0, 0] == traj_pair_ref[0].t_start
         assert table[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture
+def captured_solution(monkeypatch):
+    """Record the scipy solution behind every integrate_mode call."""
+    import scipy.integrate
+
+    solutions = []
+    original = scipy.integrate.solve_ivp
+
+    def capturing(*args, **kwargs):
+        solutions.append(original(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", capturing)
+    return solutions
+
+
+def _state_from_scipy(y):
+    B = np.hypot(y[0], y[1])
+    return B, (y[0] * y[2] + y[1] * y[3]) / B, y[4]
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize(
+        "mode_frequency, Lambda, beta, tol",
+        [
+            (OMEGA0, LAMBDA, BETA, (1e-11, 1e-13)),
+            (1.5, LAMBDA, BETA, (1e-11, 1e-13)),
+            (OMEGA0, LAMBDA, 0.12, (1e-10, 1e-12)),
+            (1.5, -LAMBDA, 0.7, (1e-10, 1e-12)),
+        ],
+        ids=["reference-mode1", "reference-mode2", "beta0.12", "negative-Lambda"],
+    )
+    def test_state_at_equals_scipy_dense_output(
+        self, captured_solution, mode_frequency, Lambda, beta, tol
+    ):
+        traj = integrate_mode(mode_frequency, Pulse(Lambda, beta, OMEGA0), *tol)
+        sol = captured_solution[-1].sol
+        assert traj.F.shape == (len(traj.t) - 1, 7, 5)
+        rng = np.random.default_rng(7)
+        times = np.concatenate(
+            [
+                np.linspace(traj.t_start, traj.t_end, 2001),
+                traj.t,  # every node
+                [traj.t_start, traj.t_end],
+                rng.uniform(traj.t_start, traj.t_end, 1000),
+            ]
+        )
+        for got, want in zip(traj.state_at(times), _state_from_scipy(sol(times))):
+            np.testing.assert_array_equal(got, want)
+        for t in times[::41].tolist() + [traj.t_start, traj.t_end, float(traj.t[1])]:
+            got = traj.state_at(t)
+            assert all(type(v) is np.float64 for v in got)
+            assert got == _state_from_scipy(sol(t))
+
+    def test_reads_do_not_call_scipy(self, modes_ref, pulse_ref, x_grid_ref, monkeypatch):
+        from scipy.integrate import DenseOutput, OdeSolution
+
+        t1 = integrate_mode(modes_ref.omega1, pulse_ref)
+        t2 = integrate_mode(modes_ref.omega2, pulse_ref)
+
+        def forbidden(self, t):
+            raise AssertionError("dense read went through scipy")
+
+        monkeypatch.setattr(OdeSolution, "__call__", forbidden)
+        monkeypatch.setattr(DenseOutput, "__call__", forbidden)
+        assert trajectory_table(t1).shape == (2001, 4)
+        series = snapshot_series(modes_ref, t1, t2, -0.5, 0.5)
+        assert len(series.snapshots) == len(series.times)
+        assert continuity_residual(modes_ref, t1, t2, 0.1, x_grid_ref) < 1e-6
+        assert extract_reflection(t1).R == pytest.approx(
+            analytic_reflection(t1.mode_frequency, pulse_ref).R, abs=1e-8
+        )
+
+    @pytest.mark.parametrize("damage", ["short-blocks", "no-coefficients"])
+    def test_rejects_unexpected_scipy_dense_output(self, monkeypatch, damage):
+        import scipy
+        import scipy.integrate
+
+        original = scipy.integrate.solve_ivp
+
+        def damaged(*args, **kwargs):
+            sol = original(*args, **kwargs)
+            for segment in sol.sol.interpolants:
+                if damage == "short-blocks":
+                    segment.F = segment.F[1:]
+                else:
+                    del segment.F
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", damaged)
+        with pytest.raises(RuntimeError, match=f"scipy {scipy.__version__}"):
+            integrate_mode(OMEGA0, Pulse(LAMBDA, BETA, OMEGA0))
 
 
 class TestExtractReflection:

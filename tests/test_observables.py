@@ -100,10 +100,11 @@ class TestTotalShift:
         assert calls == [modes_ref.omega1, modes_ref.omega2]
 
     def test_report_consistency(self, modes_ref, pulse_ref):
-        rep = energy_shift_report(modes_ref, pulse_ref)
-        assert rep.exact == rep.shift_mode1 + rep.shift_mode2
-        for kind in KINDS:
-            assert getattr(rep, kind) == total_shift(modes_ref, pulse_ref, kind)
+        for method in ("analytic", "ode"):
+            rep = energy_shift_report(modes_ref, pulse_ref, method=method)
+            assert rep.exact == rep.shift_mode1 + rep.shift_mode2
+            for kind in KINDS:
+                assert getattr(rep, kind) == total_shift(modes_ref, pulse_ref, kind, method=method)
         record = rep.as_record()
         assert list(record)[:4] == ["omega0", "lambda", "Lambda", "beta"]
 
