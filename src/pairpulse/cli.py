@@ -9,7 +9,7 @@ shift     energy-shift report for one pulse
 sweep     shift totals over a custom log-spaced beta grid
 figure    fixed data tables: 1 and 2 are shift totals vs beta at
           Lambda = +2/9 and -2/9; 3 is the sign-effect ratio vs velocity
-validate  run the invariant suite and print a pass/fail table
+validate  run the invariant registry (no options); print a pass/fail table
 
 Configuration comes from defaults, then an optional flat key=value file
 (--config), then command-line flags; flags win.  Output is CSV (default)
@@ -258,16 +258,14 @@ def _cmd_figure(cfg: ScenarioConfig, which: int) -> None:
     _emit(cfg, "figure3", ["v", "ratio"], [tuple(row) for row in table])
 
 
-def _cmd_validate(cfg: ScenarioConfig) -> int:
+def _cmd_validate() -> int:
     results = run_validation()
     width = max(len(name) for name, _, _ in results)
-    failed = 0
     for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"{name:<{width}}  {status}  {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,13 +296,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sweep", parents=[common], help="shift totals over a beta grid")
     fig = sub.add_parser("figure", parents=[common], help="fixed figure data tables")
     fig.add_argument("which", type=int, choices=(1, 2, 3), help="figure number")
-    sub.add_parser("validate", parents=[common], help="run the invariant suite")
+    sub.add_parser("validate", help="run the invariant registry (no options)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "validate":
+            return _cmd_validate()
         cfg = _merge_config(args)
         if args.command == "modes":
             _cmd_modes(cfg)
@@ -318,8 +318,6 @@ def main(argv=None) -> int:
             _cmd_sweep(cfg)
         elif args.command == "figure":
             _cmd_figure(cfg, args.which)
-        elif args.command == "validate":
-            return _cmd_validate(cfg)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")
     except IonizationRegimeError as exc:

@@ -1,11 +1,14 @@
-"""Self-contained invariant suite behind the ``validate`` CLI command.
+"""Invariant registry: the one implementation of each invariant check.
 
-Each check returns (name, passed, detail).  The suite favors breadth over
-depth; the pytest suite carries the exhaustive versions with oracles.
+Each ``check_*`` takes its inputs and returns ``(passed, detail)``, with the
+measured value in ``detail``.  ``CHECKS`` binds them to the quick inputs of
+``pairpulse validate``; the acceptance suite runs the same tuple and calls
+the same functions on larger inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -15,160 +18,159 @@ from .dynamics import Pulse, analytic_reflection, extract_reflection, integrate_
 from .model import ModelParams, derive_modes
 
 
-def _check_mode_ordering():
+def check_mode_ordering(n_draws):
+    """omega2 < omega_d < omega_w < omega_e < omega1 at random admissible models."""
     rng = np.random.default_rng(20260810)
-    for _ in range(200):
+    for _ in range(n_draws):
         w0 = float(rng.uniform(0.2, 8.0))
         lam = float(rng.uniform(1e-6, 0.5 - 1e-9))
         m = derive_modes(ModelParams(w0, lam))
         if not (m.omega2 < m.omega_d < m.omega_w < m.omega_e < m.omega1):
             return False, f"ordering violated at omega0={w0}, lam={lam}"
-    return True, "strict for 200 random draws"
+    return True, f"strict for {n_draws} random draws"
 
 
-def _check_caption_frequencies():
-    m = derive_modes(ModelParams(3.0, 0.375))
-    ok = (
-        m.omega2 == 1.5
-        and abs(m.omega_e - 2.372) < 1e-3
-        and abs(m.omega_w - 2.121) < 1e-3
-        and abs(m.omega_d - 2.0) < 1e-3
-    )
+def check_frequency_table(m):
+    """The reference frequencies at omega0 = 3, lam = 3/8."""
+    ok = m.omega2 == 1.5 and all(abs(got - want) < 1e-3 for got, want in (
+        (m.omega_e, 2.372), (m.omega_w, 2.121), (m.omega_d, 2.0)))
     return ok, f"omega2={m.omega2}, omega_e={m.omega_e:.4f}, omega_w={m.omega_w:.4f}, omega_d={m.omega_d}"
 
 
-def _check_mehler_closure():
-    m = derive_modes(ModelParams(3.0, 0.375))
+def check_kernel_closure(m):
+    """The Mehler kernel coefficients reproduce omega_d + D and D."""
     same, cross = model.mehler_coefficients(m.Z, m.omega_w)
-    err = max(abs(same - (m.omega_d + m.D)), abs(cross - m.D))
+    err = float(np.max(np.abs([same - (m.omega_d + m.D), cross - m.D])))
     return err < 1e-12, f"max closure error {err:.2e}"
 
 
-def _check_trace_identity():
-    m = derive_modes(ModelParams(3.0, 0.375))
-    spec = model.occupation_spectrum(m, 200)
+def check_trace_identity(m, k_max):
+    """Purity: the squared occupations sum to omega_d / omega_w."""
+    spec = model.occupation_spectrum(m, k_max)
     err = abs(float(np.sum(spec.weights**2)) - m.omega_d / m.omega_w)
     return err < 1e-10, f"|sum P_k^2 - omega_d/omega_w| = {err:.2e}"
 
 
-def _check_spectral_oracle():
-    m = derive_modes(ModelParams(3.0, 0.375))
-    grid = model.GridSpec.for_modes(m, n_points=400)
-    x = grid.points()
-    kernel = model.gamma1_static(m, x[:, None], x[None, :]) * grid.spacing
-    eigs = np.linalg.eigvalsh(kernel)[::-1]
-    spec = model.occupation_spectrum(m, 10)
-    err = float(np.max(np.abs(eigs[:11] - spec.weights)))
+def check_spectral_oracle(models):
+    """Eigenvalues of the discretized kernel equal the closed-form occupations."""
+    errs = []
+    for m in models:
+        grid = model.GridSpec.for_modes(m, n_points=400)
+        x = grid.points()
+        kernel = model.gamma1_static(m, x[:, None], x[None, :]) * grid.spacing
+        eigs = np.linalg.eigvalsh(kernel)[::-1]
+        errs.append(np.max(np.abs(eigs[:11] - model.occupation_spectrum(m, 10).weights)))
+    err = float(np.max(errs))
     return err < 1e-6, f"max |eig - P_k| = {err:.2e} for k <= 10"
 
 
-def _check_weights_equivalence():
-    for R in (0.01, 0.3, 0.8):
+def check_weight_ladder(Rs):
+    """Transition weights sum to 1, and their ladder sum is the closed-form R/(1-R)."""
+    errs = []
+    for R in Rs:
         tw = observables.transition_weights(R, 200)
-        norm_err = abs(float(np.sum(tw.weights)) + tw.tail_bound - 1.0)
-        shift_err = abs(observables.statistical_shift(tw, 1.0) - R / (1.0 - R))
-        if norm_err > 1e-9 or shift_err > 1e-10:
-            return False, f"R={R}: norm err {norm_err:.2e}, shift err {shift_err:.2e}"
-    return True, "ladder sum matches closed form at R in {0.01, 0.3, 0.8}"
+        errs.append((abs(float(np.sum(tw.weights)) + tw.tail_bound - 1.0),
+                     abs(observables.statistical_shift(tw, 1.0) - R / (1.0 - R))))
+    norm, shift = np.max(errs, axis=0)
+    at = ", ".join(f"{R:g}" for R in Rs)
+    ok = bool(norm < 1e-9 and shift < 1e-10)
+    return ok, f"max norm error {norm:.2e}, max shift error {shift:.2e} at R in {{{at}}}"
 
 
-def _trajectories():
-    m = derive_modes(ModelParams(3.0, 0.375))
-    pulse = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
-    t1 = integrate_mode(m.omega1, pulse, rtol=1e-11, atol=1e-13)
-    t2 = integrate_mode(m.omega2, pulse, rtol=1e-11, atol=1e-13)
-    return m, pulse, t1, t2
-
-
-def _check_reflection_agreement(state):
-    m, pulse, t1, t2 = state
-    worst = 0.0
-    for om, traj in ((m.omega1, t1), (m.omega2, t2)):
-        worst = max(worst, abs(extract_reflection(traj).R - analytic_reflection(om, pulse).R))
-    neg = Pulse(Lambda=-2.0 / 9.0, beta=1.0, omega0=3.0)
-    traj = integrate_mode(m.omega2, neg, rtol=1e-11, atol=1e-13)
-    worst = max(worst, abs(extract_reflection(traj).R - analytic_reflection(m.omega2, neg).R))
+def check_reflection_agreement(trajs):
+    """R extracted from each trajectory equals the closed form for its mode and pulse."""
+    dR = [extract_reflection(t).R - analytic_reflection(t.mode_frequency, t.pulse).R for t in trajs]
+    worst = float(np.max(np.abs(dR)))
     return worst < 1e-6, f"max |R_ode - R_analytic| = {worst:.2e}"
 
 
-def _check_wronskian_and_ermakov(state):
-    m, pulse, t1, _ = state
-    ts = np.linspace(t1.t_start + 1e-3, t1.t_end - 1e-3, 400)
-    h = 1e-4
-    B0, _, g0 = t1.state_at(ts)
-    Bm, _, gm = t1.state_at(ts - h)
-    Bp, _, gp = t1.state_at(ts + h)
-    # gamma' B^2 = Omega0, the conserved oscillator Wronskian
-    wr_err = float(np.max(np.abs((gp - gm) / (2 * h) * B0**2 - m.omega1)))
+def check_wronskian_and_ermakov(traj):
+    """B'' + Omega^2(t) B = Omega0^2 / B^3 and the Wronskian gamma' B^2 = Omega0."""
+    om = traj.mode_frequency
+    ts, h = np.linspace(traj.t_start + 1e-3, traj.t_end - 1e-3, 400), 1e-4
+    B0, _, _ = traj.state_at(ts)
+    Bm, _, gm = traj.state_at(ts - h)
+    Bp, _, gp = traj.state_at(ts + h)
+    wr_err = float(np.max(np.abs((gp - gm) / (2 * h) * B0**2 - om)))
     Bdd = (Bp - 2 * B0 + Bm) / h**2
-    o2 = m.omega1**2 + pulse.coupling * pulse.envelope(ts)
-    resid = float(np.max(np.abs(Bdd + o2 * B0 - m.omega1**2 / B0**3)))
+    o2 = om**2 + traj.pulse.coupling * traj.pulse.envelope(ts)
+    resid = float(np.max(np.abs(Bdd + o2 * B0 - om**2 / B0**3)))
     ok = resid < 1e-6 and wr_err < 1e-6
     return ok, f"max Ermakov residual {resid:.2e}, Wronskian error {wr_err:.2e}"
 
 
-def _check_berry_limits(state):
-    m, pulse, t1, _ = state
-    start = observables.berry_connection(t1, pulse, t1.t_start)
-    end = observables.berry_connection(t1, pulse, t1.t_end)
-    R = analytic_reflection(m.omega1, pulse).R
-    err0 = abs(start - m.omega1 / 2.0)
-    err1 = abs(end - 0.5 * m.omega1 * (1.0 + R) / (1.0 - R))
-    return err0 < 1e-10 and err1 < 1e-6, f"start err {err0:.2e}, end err {err1:.2e}"
+def check_berry_limits(trajs):
+    """Berry connection Omega0/2 before the pulse and (Omega0/2)(1+R)/(1-R) after it."""
+    errs = []
+    for t in trajs:
+        om, R = t.mode_frequency, analytic_reflection(t.mode_frequency, t.pulse).R
+        start, end = (observables.berry_connection(t, t.pulse, s) for s in (t.t_start, t.t_end))
+        errs.append((abs(start - om / 2.0), abs(end - 0.5 * om * (1.0 + R) / (1.0 - R))))
+    err0, err1 = np.max(errs, axis=0)
+    return bool(err0 < 1e-10 and err1 < 1e-6), f"start err {err0:.2e}, end err {err1:.2e}"
 
 
-def _check_continuity(state):
-    m, _, t1, t2 = state
+def check_continuity(m, t1, t2, times):
+    """Relative continuity residual; pick in-pulse or later times (before the pulse it is 0/0)."""
     x = np.linspace(-8.0 / math.sqrt(m.omega_d), 8.0 / math.sqrt(m.omega_d), 256)
-    worst = max(
-        dynamics.continuity_residual(m, t1, t2, t, x) for t in (-0.5, 0.0, 1.5, 4.0)
-    )
+    worst = float(np.max([dynamics.continuity_residual(m, t1, t2, t, x) for t in times]))
     return worst < 1e-6, f"max relative residual {worst:.2e}"
 
 
-def _check_snapshot_positivity(state):
-    m, _, t1, t2 = state
+def check_snapshot_positivity(m, t1, t2, n_times):
+    """The pair exponent D(t) >= 0 and the occupation ratio Z(t) in [0, 1)."""
     hi = min(t1.t_end, t2.t_end)
-    s = dynamics.onematrix_snapshot(m, t1, t2, np.linspace(t1.t_start, hi, 160))
+    s = dynamics.onematrix_snapshot(m, t1, t2, np.linspace(t1.t_start, hi, n_times))
     d_min, z_min, z_max = float(np.min(s.D_t)), float(np.min(s.Z_t)), float(np.max(s.Z_t))
     ok = d_min >= 0.0 and z_min >= 0.0 and z_max < 1.0
-    return ok, f"min D(t) = {d_min:.2e} (>= 0), max Z(t) = {z_max:.2e} (< 1) at 160 times"
+    return ok, f"min D(t) = {d_min:.2e} (>= 0), max Z(t) = {z_max:.2e} (< 1) at {n_times} times"
 
 
-def _check_shift_zero():
-    pulse = Pulse(Lambda=2.0 / 9.0, beta=0.5, omega0=3.0)
-    traj = integrate_mode(3.0, pulse, rtol=1e-11, atol=1e-13)
-    R = extract_reflection(traj).R
-    return R < 1e-8, f"numeric R = {R:.2e} at the first shift zero"
+def check_shift_zero(trajs):
+    """Numeric R vanishes where 1 + Lambda*omega0^2/beta^2 = (2n+1)^2."""
+    worst = float(np.max([extract_reflection(t).R for t in trajs]))
+    ns = sorted({round((math.sqrt(1 + t.pulse.coupling / t.pulse.beta**2) - 1) / 2) for t in trajs})
+    where = " and ".join(("first", "second", "third")[n - 1] for n in ns)
+    return worst < 1e-8, f"numeric R = {worst:.2e} at the {where} shift zero" + "s" * (len(ns) > 1)
 
 
-def _check_overlap_limits():
-    m = derive_modes(ModelParams(3.0, 0.375))
-    null = Pulse(Lambda=0.0, beta=2.0, omega0=3.0)
-    ok1 = abs(observables.overlap(m, null, "exact") - 1.0) < 1e-12
-    m0 = derive_modes(ModelParams(3.0, 0.0))
-    p0 = Pulse(Lambda=0.2, beta=2.0, omega0=3.0)
-    ok2 = abs(
-        observables.overlap(m0, p0, "exact") - observables.overlap(m0, p0, "ks")
-    ) < 1e-12
-    return ok1 and ok2, "unit overlap at Lambda=0; exact = ks at lam=0"
+def check_overlap_limits(m):
+    """Unit overlap without a drive; exact and KS overlaps agree without interaction."""
+    w0 = m.params.omega0
+    unit_err = abs(observables.overlap(m, Pulse(Lambda=0.0, beta=2.0, omega0=w0), "exact") - 1.0)
+    m0, p0 = derive_modes(ModelParams(w0, 0.0)), Pulse(Lambda=0.2, beta=2.0, omega0=w0)
+    ks_err = abs(observables.overlap(m0, p0, "exact") - observables.overlap(m0, p0, "ks"))
+    ok = unit_err < 1e-12 and ks_err < 1e-12
+    return ok, f"|overlap - 1| = {unit_err:.2e} at Lambda = 0, |exact - ks| = {ks_err:.2e} at lam = 0"
+
+
+def _integrate(mode_frequency, Lambda, beta):
+    return integrate_mode(mode_frequency, Pulse(Lambda, beta, 3.0), rtol=1e-11, atol=1e-13)
+
+
+# (name, check(m, pair)) at the quick inputs; for m and pair() see run_validation.
+CHECKS = (
+    ("mode-frequency ordering", lambda m, pair: check_mode_ordering(200)),
+    ("reference frequency table", lambda m, pair: check_frequency_table(m)),
+    ("kernel closure", lambda m, pair: check_kernel_closure(m)),
+    ("purity trace identity", lambda m, pair: check_trace_identity(m, 200)),
+    ("occupation spectral oracle", lambda m, pair: check_spectral_oracle([m])),
+    ("weight ladder equivalence", lambda m, pair: check_weight_ladder((0.01, 0.3, 0.8))),
+    ("analytic vs ODE reflection", lambda m, pair: check_reflection_agreement(
+        (*pair(), _integrate(m.omega2, -2.0 / 9.0, 1.0)))),
+    ("Ermakov residual", lambda m, pair: check_wronskian_and_ermakov(pair()[0])),
+    ("Berry connection limits", lambda m, pair: check_berry_limits(pair()[:1])),
+    ("continuity equation", lambda m, pair: check_continuity(m, *pair(), (-0.5, 0.0, 1.5, 4.0))),
+    ("snapshot positivity", lambda m, pair: check_snapshot_positivity(m, *pair(), 160)),
+    ("shift zero", lambda m, pair: check_shift_zero([_integrate(3.0, 2.0 / 9.0, 0.5)])),
+    ("overlap limits", lambda m, pair: check_overlap_limits(m)),
+)
 
 
 def run_validation() -> list[tuple[str, bool, str]]:
-    """Run every invariant check; returns (name, passed, detail) rows."""
-    results = []
-    results.append(("mode-frequency ordering", *_check_mode_ordering()))
-    results.append(("reference frequency table", *_check_caption_frequencies()))
-    results.append(("kernel closure", *_check_mehler_closure()))
-    results.append(("purity trace identity", *_check_trace_identity()))
-    results.append(("occupation spectral oracle", *_check_spectral_oracle()))
-    results.append(("weight ladder equivalence", *_check_weights_equivalence()))
-    state = _trajectories()
-    results.append(("analytic vs ODE reflection", *_check_reflection_agreement(state)))
-    results.append(("Ermakov residual", *_check_wronskian_and_ermakov(state)))
-    results.append(("Berry connection limits", *_check_berry_limits(state)))
-    results.append(("continuity equation", *_check_continuity(state)))
-    results.append(("snapshot positivity", *_check_snapshot_positivity(state)))
-    results.append(("shift zero", *_check_shift_zero()))
-    results.append(("overlap limits", *_check_overlap_limits()))
-    return results
+    """Run ``CHECKS`` on the reference model (omega0 = 3, lam = 3/8); ``pair()``
+    integrates its mode trajectories (Lambda = 2/9, beta = 3) once, on first use:
+    after the model-only rows, so their transient arrays do not stack on scipy."""
+    m = derive_modes(ModelParams(3.0, 0.375))
+    pair = functools.cache(lambda: [_integrate(om, 2.0 / 9.0, 3.0) for om in (m.omega1, m.omega2)])
+    return [(name, *check(m, pair)) for name, check in CHECKS]

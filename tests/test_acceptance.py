@@ -1,6 +1,8 @@
-"""Acceptance suite: one test per release criterion, each at its stated
-tolerance, printing one PASS/FAIL line per criterion (run with -s to see
-them on a green suite)."""
+"""Acceptance suite: the invariant registry of ``pairpulse.validate`` at
+its quick inputs, then one test per release criterion at its stated
+tolerance, each printing one PASS/FAIL line (run with -s to see them on a
+green suite).  Criteria 01, 02, 06, 07, 08, 09 and 12 call the registry's
+check functions on larger inputs and keep their own timing gates."""
 
 import math
 import time
@@ -10,22 +12,19 @@ import pytest
 
 from pairpulse import ModelParams, derive_modes
 from pairpulse.cli import main as cli_main
-from pairpulse.dynamics import (
-    Pulse,
-    analytic_reflection,
-    continuity_residual,
-    extract_reflection,
-    integrate_mode,
-)
-from pairpulse.model import GridSpec, gamma1_static, occupation_spectrum
-from pairpulse.observables import (
-    berry_connection,
-    energy_shift,
-    statistical_shift,
-    total_shift,
-    transition_weights,
-)
+from pairpulse.dynamics import Pulse, integrate_mode
+from pairpulse.observables import total_shift
 from pairpulse.collision import sign_effect_ratio
+from pairpulse.validate import (
+    CHECKS,
+    check_berry_limits,
+    check_continuity,
+    check_frequency_table,
+    check_reflection_agreement,
+    check_shift_zero,
+    check_spectral_oracle,
+    check_weight_ladder,
+)
 
 OMEGA0 = 3.0
 LAM = 0.375
@@ -49,20 +48,21 @@ def modes():
 
 @pytest.fixture(scope="module")
 def reflection_grid():
-    """ODE reflection over the 50-point grid, with wall time."""
+    """ODE trajectories over the 50-point grid, with wall time."""
     start = time.perf_counter()
-    results = {}
+    trajs = []
     for sign in (1.0, -1.0):
         for beta in BETA_GRID:
             pulse = Pulse(Lambda=sign * LAMBDA, beta=beta, omega0=OMEGA0)
-            for om in MODE_GRID:
-                traj = integrate_mode(om, pulse)
-                results[(sign, beta, om)] = (
-                    extract_reflection(traj).R,
-                    analytic_reflection(om, pulse).R,
-                )
-    elapsed = time.perf_counter() - start
-    return results, elapsed
+            trajs.extend(integrate_mode(om, pulse) for om in MODE_GRID)
+    return trajs, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_validate_registry(name, check, modes_ref, traj_pair_ref):
+    ok, detail = check(modes_ref, lambda: traj_pair_ref)
+    print(f"VALIDATE {name}: {'PASS' if ok else 'FAIL'}  {detail}")
+    assert ok, f"{name}: {detail}"
 
 
 def test_criterion_01_frequency_table():
@@ -70,31 +70,20 @@ def test_criterion_01_frequency_table():
     start = time.perf_counter()
     m = derive_modes(ModelParams(OMEGA0, LAM))
     elapsed = time.perf_counter() - start
-    ok = (
-        m.omega2 == 1.5
-        and abs(m.omega_e - 2.372) < 1e-3
-        and abs(m.omega_w - 2.121) < 1e-3
-        and abs(m.omega_d - 2.0) < 1e-3
-        and elapsed < 1e-3
-    )
-    _report(
-        1,
-        "frequency table",
-        ok,
-        f"omega2={m.omega2} omega_e={m.omega_e:.4f} omega_w={m.omega_w:.4f} "
-        f"omega_d={m.omega_d} in {elapsed * 1e6:.0f} us",
-    )
+    ok, detail = check_frequency_table(m)
+    _report(1, "frequency table", ok and elapsed < 1e-3, f"{detail} in {elapsed * 1e6:.0f} us")
 
 
 def test_criterion_02_analytic_vs_ode_reflection(reflection_grid):
-    results, elapsed = reflection_grid
-    worst = max(abs(r_ode - r_an) for r_ode, r_an in results.values())
-    ok = worst < 1e-6 and elapsed < 30.0
+    trajs, elapsed = reflection_grid
+    start = time.perf_counter()
+    ok, detail = check_reflection_agreement(trajs)
+    elapsed += time.perf_counter() - start
     _report(
         2,
         "analytic vs ODE reflection",
-        ok,
-        f"max |dR| = {worst:.2e} over {len(results)} points in {elapsed:.1f} s",
+        ok and elapsed < 30.0,
+        f"{detail} over {len(trajs)} points in {elapsed:.1f} s",
     )
 
 
@@ -147,58 +136,27 @@ def test_criterion_05_sudden_asymptotics(modes):
 
 
 def test_criterion_06_interpretation_equivalence():
-    worst = 0.0
-    for R in (0.01, 0.3, 0.8):
-        ladder = statistical_shift(transition_weights(R, 200), 1.0)
-        worst = max(worst, abs(ladder - R / (1.0 - R)))
-    ok = worst < 1e-10
-    _report(6, "weight-ladder equivalence", ok, f"max deviation {worst:.2e}")
+    ok, detail = check_weight_ladder((0.01, 0.3, 0.8))
+    _report(6, "weight-ladder equivalence", ok, detail)
 
 
 def test_criterion_07_spectral_oracle():
     start = time.perf_counter()
-    worst = 0.0
-    for lam in (0.1, LAM, 0.45):
-        m = derive_modes(ModelParams(OMEGA0, lam))
-        grid = GridSpec.for_modes(m, n_points=400)
-        x = grid.points()
-        eigs = np.linalg.eigvalsh(gamma1_static(m, x[:, None], x[None, :]) * grid.spacing)
-        spec = occupation_spectrum(m, 10)
-        worst = max(worst, float(np.max(np.abs(eigs[::-1][:11] - spec.weights))))
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-6 and elapsed < 10.0
-    _report(7, "spectral oracle", ok, f"max |eig - P_k| = {worst:.2e} in {elapsed:.2f} s")
-
-
-def test_criterion_08_continuity_equation(modes):
-    pulse = Pulse(Lambda=LAMBDA, beta=3.0, omega0=OMEGA0)
-    t1 = integrate_mode(modes.omega1, pulse, rtol=1e-11, atol=1e-13)
-    t2 = integrate_mode(modes.omega2, pulse, rtol=1e-11, atol=1e-13)
-    x = np.linspace(-8.0 / math.sqrt(modes.omega_d), 8.0 / math.sqrt(modes.omega_d), 256)
-    residuals = [
-        continuity_residual(modes, t1, t2, t, x) for t in np.linspace(-0.5, 8.5, 10)
-    ]
-    worst = max(residuals)
-    ok = worst < 1e-6
-    _report(8, "continuity equation", ok, f"max relative residual {worst:.2e} at 10 times")
-
-
-def test_criterion_09_berry_connection_limits(modes):
-    pulse = Pulse(Lambda=LAMBDA, beta=3.0, omega0=OMEGA0)
-    worst_start = worst_end = 0.0
-    for om in (modes.omega1, modes.omega2):
-        traj = integrate_mode(om, pulse, rtol=1e-11, atol=1e-13)
-        worst_start = max(worst_start, abs(berry_connection(traj, pulse, traj.t_start) - om / 2))
-        R = analytic_reflection(om, pulse).R
-        expected = 0.5 * om * (1 + R) / (1 - R)
-        worst_end = max(worst_end, abs(berry_connection(traj, pulse, traj.t_end) - expected))
-    ok = worst_start < 1e-10 and worst_end < 1e-6
-    _report(
-        9,
-        "Berry connection limits",
-        ok,
-        f"start error {worst_start:.2e}, end error {worst_end:.2e}",
+    ok, detail = check_spectral_oracle(
+        [derive_modes(ModelParams(OMEGA0, lam)) for lam in (0.1, LAM, 0.45)]
     )
+    elapsed = time.perf_counter() - start
+    _report(7, "spectral oracle", ok and elapsed < 10.0, f"{detail} in {elapsed:.2f} s")
+
+
+def test_criterion_08_continuity_equation(modes_ref, traj_pair_ref):
+    ok, detail = check_continuity(modes_ref, *traj_pair_ref, np.linspace(-0.5, 8.5, 10))
+    _report(8, "continuity equation", ok, f"{detail} at 10 times")
+
+
+def test_criterion_09_berry_connection_limits(traj_pair_ref):
+    ok, detail = check_berry_limits(traj_pair_ref)
+    _report(9, "Berry connection limits", ok, f"{detail} for both modes")
 
 
 def test_criterion_10_sign_effect_figure(modes):
@@ -231,15 +189,13 @@ def test_criterion_11_born_sign_blindness(modes):
 
 
 def test_criterion_12_shift_zeros():
-    worst = 0.0
+    trajs = []
     for n in (1, 2):
         beta = math.sqrt(LAMBDA * OMEGA0**2 / ((2 * n + 1) ** 2 - 1))
         pulse = Pulse(Lambda=LAMBDA, beta=beta, omega0=OMEGA0)
-        for om in (OMEGA0, 1.5):
-            traj = integrate_mode(om, pulse)
-            worst = max(worst, extract_reflection(traj).R)
-    ok = worst < 1e-8
-    _report(12, "reflection zeros", ok, f"max numeric R = {worst:.2e} at n = 1, 2")
+        trajs.extend(integrate_mode(om, pulse) for om in (OMEGA0, 1.5))
+    ok, detail = check_shift_zero(trajs)
+    _report(12, "reflection zeros", ok, detail)
 
 
 def test_criterion_13_determinism(tmp_path):

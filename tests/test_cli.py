@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pairpulse
+from pairpulse import validate
 from pairpulse.cli import main
 
 
@@ -203,12 +204,55 @@ class TestErrorPaths:
         assert run_cli(["modes", "--out", "/nonexistent-dir/m.csv"]) == 2
 
 
+def _validate_rows(out):
+    names = [name for name, _ in validate.CHECKS]
+    width = max(len(name) for name in names)
+    lines = out.splitlines()
+    assert [line[:width].rstrip() for line in lines[:-1]] == names
+    return [line[width:].split()[0] for line in lines[:-1]], lines[-1]
+
+
 class TestValidateCommand:
-    def test_fresh_checkout_passes(self, capsys):
+    def test_fresh_checkout_passes(self, capsys, monkeypatch):
+        drives = []
+        real = validate.integrate_mode
+
+        def counting(mode_frequency, pulse, **kw):
+            drives.append((mode_frequency, pulse.Lambda, pulse.beta))
+            return real(mode_frequency, pulse, **kw)
+
+        monkeypatch.setattr(validate, "integrate_mode", counting)
         assert run_cli(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
+        statuses, summary = _validate_rows(capsys.readouterr().out)
+        assert statuses == ["PASS"] * 13
+        assert summary == "13/13 checks passed"
+        # the reference pair once, -2/9 at beta = 1, and the shift zero
+        assert drives == [
+            (3.0, 2.0 / 9.0, 3.0),
+            (1.5, 2.0 / 9.0, 3.0),
+            (1.5, -2.0 / 9.0, 1.0),
+            (3.0, 2.0 / 9.0, 0.5),
+        ]
+
+    def test_failing_check_fails_the_run(self, capsys, monkeypatch):
+        # the shift-zero row integrates its own trajectory; replacing it
+        # keeps this run the cheapest full pass over the other twelve
+        checks = list(validate.CHECKS)
+        index = [name for name, _ in checks].index("shift zero")
+        checks[index] = ("shift zero", lambda m, pair: (False, "forced failure"))
+        monkeypatch.setattr(validate, "CHECKS", tuple(checks))
+        assert run_cli(["validate"]) == 1
+        statuses, summary = _validate_rows(capsys.readouterr().out)
+        assert statuses == ["PASS"] * index + ["FAIL"] + ["PASS"] * (12 - index)
+        assert summary == "12/13 checks passed"
+
+    @pytest.mark.parametrize("flags", [["--omega0", "5"], ["--out", "v.json"]])
+    def test_rejects_scenario_flags(self, flags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["validate", *flags])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterministicFormatting:

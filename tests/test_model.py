@@ -142,23 +142,6 @@ class TestOccupationSpectrum:
         spec = occupation_spectrum(modes_ref, 30)
         assert np.all(np.diff(spec.weights) < 0)
 
-    def test_spectral_oracle_three_couplings(self):
-        for lam in (0.1, 0.375, 0.45):
-            m = derive_modes(ModelParams(3.0, lam))
-            grid = GridSpec.for_modes(m, n_points=400)
-            x = grid.points()
-            eigs = np.linalg.eigvalsh(
-                gamma1_static(m, x[:, None], x[None, :]) * grid.spacing
-            )[::-1]
-            spec = occupation_spectrum(m, 10)
-            np.testing.assert_allclose(eigs[:11], spec.weights, rtol=0, atol=1e-6)
-
-    def test_purity_trace_identity(self, modes_ref):
-        spec = occupation_spectrum(modes_ref, 200)
-        assert float(np.sum(spec.weights**2)) == pytest.approx(
-            modes_ref.omega_d / modes_ref.omega_w, abs=1e-10
-        )
-
     def test_escort_transform(self, modes_ref):
         spec = occupation_spectrum(modes_ref, 50)
         esc = spec.escort(2.5)

@@ -293,18 +293,6 @@ class TestAbruptReflection:
 
 
 class TestBerryConnection:
-    def test_initial_value(self, traj_pair_ref, pulse_ref):
-        for traj in traj_pair_ref:
-            val = berry_connection(traj, pulse_ref, traj.t_start)
-            assert val == pytest.approx(traj.mode_frequency / 2.0, abs=1e-10)
-
-    def test_final_value_matches_reflection(self, traj_pair_ref, pulse_ref):
-        for traj in traj_pair_ref:
-            R = analytic_reflection(traj.mode_frequency, pulse_ref).R
-            expected = 0.5 * traj.mode_frequency * (1.0 + R) / (1.0 - R)
-            val = berry_connection(traj, pulse_ref, traj.t_end)
-            assert val == pytest.approx(expected, abs=1e-6)
-
     def test_final_value_is_shift_plus_ground(self, traj_pair_ref, pulse_ref):
         traj = traj_pair_ref[0]
         om = traj.mode_frequency
