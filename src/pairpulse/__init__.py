@@ -34,7 +34,6 @@ from .dynamics import (
     integrate_mode,
     omega_squared,
     onematrix_snapshot,
-    reflection,
     snapshot_series,
 )
 from .observables import (
@@ -83,7 +82,6 @@ __all__ = [
     "integrate_mode",
     "omega_squared",
     "onematrix_snapshot",
-    "reflection",
     "snapshot_series",
     "EnergyShiftReport",
     "TransitionWeights",

@@ -11,7 +11,7 @@ shifts maps out the sign effect as a function of velocity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class CollisionParams:
     b: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.M1 <= 0 or self.M2 <= 0:
             raise ValueError("masses must be > 0")
         if self.r0 <= 0:
@@ -112,9 +116,7 @@ def collision_time_avg(cp: CollisionParams) -> float:
     return alpha_timing(cp) * cp.r0 / (3.0 * cp.v) * screen
 
 
-def sign_effect_ratio(
-    modes: ModeSet, Lambda_mag: float, v_grid, method: str = "analytic"
-) -> np.ndarray:
+def sign_effect_ratio(modes: ModeSet, Lambda_mag: float, v_grid) -> np.ndarray:
     """Sign-effect table: rows (v, shift ratio - 1) with beta = v.
 
     For each velocity the pulse rate is set to beta = v and the exact
@@ -129,13 +131,12 @@ def sign_effect_ratio(
     omega0 = modes.params.omega0
     rows = []
     for v in np.asarray(v_grid, dtype=float):
+        # Built before the zero-drive shortcut so that Pulse validates every v.
+        pulses = [Pulse(Lambda=sign * Lambda_mag, beta=float(v), omega0=omega0)
+                  for sign in (-1.0, 1.0)]
         if Lambda_mag == 0.0:
             rows.append((float(v), 0.0))
             continue
-        minus, plus = (
-            total_shift(modes, Pulse(Lambda=sign * Lambda_mag, beta=float(v), omega0=omega0),
-                        "exact", method=method)
-            for sign in (-1.0, 1.0)
-        )
+        minus, plus = (total_shift(modes, p, "exact") for p in pulses)
         rows.append((float(v), minus / plus - 1.0 if plus != 0.0 else math.nan))
     return np.asarray(rows)

@@ -43,7 +43,6 @@ __all__ = [
     "integrate_mode",
     "extract_reflection",
     "analytic_reflection",
-    "reflection",
     "onematrix_snapshot",
     "snapshot_series",
     "gamma1_time",
@@ -160,21 +159,17 @@ def check_admissible(modes: ModeSet, pulse: Pulse) -> None:
 class Trajectory:
     """Integrated width scale of one mode under one pulse.
 
-    Carries the solver step samples plus the DOP853 dense output as arrays:
-    the raw state ``y`` (5 x n) at the step nodes ``t`` and each step's
-    7 x 5 coefficient block of the 7th-order continuous extension, stacked
-    into ``F`` (n - 1, 7, 5).  ``state_at`` evaluates every requested time
-    in one numpy pass with the same operations in the same order as scipy's
-    ``OdeSolution``, so its values are bit-identical to it.  Immutable after
-    construction.
+    Carries the DOP853 dense output as arrays: the raw state ``y`` (5 x n)
+    at the step nodes ``t`` and each step's 7 x 5 coefficient block of the
+    7th-order continuous extension, stacked into ``F`` (n - 1, 7, 5).
+    ``state_at`` evaluates every requested time in one numpy pass with the
+    same operations in the same order as scipy's ``OdeSolution``, so its
+    values are bit-identical to it.  Immutable after construction.
     """
 
     mode_frequency: float
     pulse: Pulse
     t: np.ndarray
-    B: np.ndarray
-    Bdot: np.ndarray
-    gamma: np.ndarray
     t_start: float
     t_end: float
     rtol: float
@@ -287,15 +282,10 @@ def integrate_mode(
             f"scipy {scipy.__version__}: DOP853 dense output does not carry one "
             f"7 x {len(y0)} coefficient block per step"
         )
-    B = np.hypot(y[0], y[1])
-    Bdot = (y[0] * y[2] + y[1] * y[3]) / B
     return Trajectory(
         mode_frequency=om,
         pulse=pulse,
         t=sol.t,
-        B=B,
-        Bdot=Bdot,
-        gamma=y[4],
         t_start=t_start,
         t_end=t_end,
         rtol=rtol,
@@ -309,33 +299,28 @@ def integrate_mode(
 class ReflectionResult:
     """Reflection coefficient of the associated scattering problem.
 
-    ``delta`` is the asymptotic oscillation phase; it is None for the
-    analytic method, which does not determine it.
+    ``delta`` is the asymptotic oscillation phase: ``extract_reflection``
+    fits it from a trajectory, and ``analytic_reflection``, which does not
+    determine it, leaves it None.
     """
 
     R: float
     delta: float | None
-    method: str
 
     def __post_init__(self):
         if not (0.0 <= self.R < 1.0):
             raise ValueError(f"reflection coefficient must lie in [0, 1), got {self.R}")
 
 
-def extract_reflection(
-    traj: Trajectory,
-    method: str = "invariant",
-) -> ReflectionResult:
+def extract_reflection(traj: Trajectory) -> ReflectionResult:
     """Reflection coefficient and asymptotic phase from a trajectory.
 
     R comes from the post-pulse invariant K (exact once the envelope is
     off); the phase delta comes from a linear least-squares fit of
     ``B^2(t) = a - b cos(2 Omega0 t + delta)`` over the last
-    FIT_PERIODS oscillation periods.  ``method="fit"`` instead
-    recovers R from the fitted mean level a = (1+R)/(1-R).
+    FIT_PERIODS oscillation periods.  This is the ODE oracle for
+    ``analytic_reflection``, which every observable uses.
     """
-    if method not in ("invariant", "fit"):
-        raise ValueError(f"method must be 'invariant' or 'fit', got {method!r}")
     om = traj.mode_frequency
     if traj.pulse.envelope(traj.t_end) > PULSE_OFF:
         raise ValueError("trajectory does not extend beyond the pulse support")
@@ -350,19 +335,15 @@ def extract_reflection(
         raise RuntimeError(
             f"post-pulse invariant K = {K} < 1/2: unphysical, integration failed"
         )
-    R_inv = max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0))
 
     ts = np.linspace(t_lo, traj.t_end, FIT_SAMPLES)
     B, _, _ = traj.state_at(ts)
     design = np.column_stack([np.ones_like(ts), np.cos(2 * om * ts), np.sin(2 * om * ts)])
-    (a, c1, c2), *_ = np.linalg.lstsq(design, B * B, rcond=None)
+    (_, c1, c2), *_ = np.linalg.lstsq(design, B * B, rcond=None)
     delta = math.remainder(math.atan2(c2, -c1), 2.0 * math.pi)
     if delta <= -math.pi:
         delta += 2.0 * math.pi
-
-    if method == "fit":
-        return ReflectionResult(R=max(0.0, (a - 1.0) / (a + 1.0)), delta=delta, method="ode_fit")
-    return ReflectionResult(R=R_inv, delta=delta, method="ode_invariant")
+    return ReflectionResult(R=max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0)), delta=delta)
 
 
 def _log_sinh(x: float) -> float:
@@ -391,14 +372,14 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
     if mode_frequency <= 0:
         raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
     if pulse.coupling == 0.0:
-        return ReflectionResult(R=0.0, delta=None, method="analytic")
+        return ReflectionResult(R=0.0, delta=None)
     radicand = 1.0 + pulse.coupling / pulse.beta**2
     v = 0.5 * math.pi * mode_frequency / pulse.beta
     if radicand >= 0.0:
         arg = 0.5 * math.pi * math.sqrt(radicand)
         c = abs(math.cos(arg))
         if c <= ZERO_COS_RTOL * arg:
-            return ReflectionResult(R=0.0, delta=None, method="analytic")
+            return ReflectionResult(R=0.0, delta=None)
         log_rho = 2.0 * math.log(c) - 2.0 * _log_sinh(v)
     else:
         u = 0.5 * math.pi * math.sqrt(-radicand)
@@ -408,23 +389,7 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
             "reflection coefficient approaches 1: pulse outside the admissible range"
         )
     rho = math.exp(log_rho)
-    return ReflectionResult(R=rho / (1.0 + rho), delta=None, method="analytic")
-
-
-def reflection(
-    mode_frequency: float,
-    pulse: Pulse,
-    method: str = "analytic",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ReflectionResult:
-    """Reflection coefficient by the analytic formula or the full ODE path."""
-    if method == "analytic":
-        return analytic_reflection(mode_frequency, pulse)
-    if method == "ode":
-        traj = integrate_mode(mode_frequency, pulse, rtol=rtol, atol=atol)
-        return extract_reflection(traj)
-    raise ValueError(f"method must be 'analytic' or 'ode', got {method!r}")
+    return ReflectionResult(R=rho / (1.0 + rho), delta=None)
 
 
 @dataclass(frozen=True)
@@ -513,10 +478,11 @@ class SnapshotSeries:
     spacing: float
 
     def index_at(self, t: float) -> int:
-        i = int(round((t - self.times[0]) / self.spacing))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 0.5 * self.spacing + 1e-12:
-            raise ValueError(f"time {t} not covered by the snapshot series")
-        return i
+        if math.isfinite(t):
+            i = int(round((t - self.times[0]) / self.spacing))
+            if 0 <= i < len(self.times) and abs(self.times[i] - t) <= 0.5 * self.spacing + 1e-12:
+                return i
+        raise ValueError(f"time {t} not covered by the snapshot series")
 
     def _d2_inv_sqrt_omega_d(self, i: int) -> float:
         """5-point second derivative of omega_d(t)**-1/2 at grid index i."""
@@ -541,10 +507,17 @@ def snapshot_series(
     truncation error far below the asymptotic observables.  All times are
     evaluated by one array ``onematrix_snapshot`` call, that is one
     ``state_at`` call per trajectory, and then split into scalar snapshots.
+    The window must lie inside the time range of both trajectories.
     """
     spacing = min(0.01 / modes.omega1, 0.02 / traj1.pulse.beta)
     if t_max <= t_min:
         raise ValueError("empty snapshot window")
+    lo = max(traj1.t_start, traj2.t_start)
+    hi = min(traj1.t_end, traj2.t_end)
+    if not (lo <= t_min and t_max <= hi):
+        raise ValueError(
+            f"snapshot window [{t_min}, {t_max}] outside trajectory range [{lo}, {hi}]"
+        )
     n = int(math.floor((t_max - t_min) / spacing)) + 1
     times = t_min + spacing * np.arange(n)
     table = onematrix_snapshot(modes, traj1, traj2, times)
@@ -611,6 +584,8 @@ def continuity_residual(
     """
     if dt is None:
         dt = min(5e-3, 0.015 / max(modes.omega1, traj1.pulse.beta))
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     x = np.asarray(x, dtype=float)
     snap = onematrix_snapshot(modes, traj1, traj2, t + dt * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
     od = snap.omega_d_t[:, None]

@@ -269,8 +269,8 @@ def entropies(spectrum: OccupationSpectrum, renyi_orders=()) -> Entropies:
         S    = -ln(1-Z) - Z ln(Z) / (1-Z)
         S_q  = [q ln(1-Z) - ln(1 - Z^q)] / (1-q),   q > 0, q != 1
 
-    Raises for non-positive or unit Renyi orders and for spectra that are
-    not normalized within tail tolerance.
+    Raises for non-finite, non-positive or unit Renyi orders and for spectra
+    that are not normalized within tail tolerance.
     """
     if abs(spectrum.total() - 1.0) > 1e-9:
         raise ValueError("occupation spectrum is not normalized within tolerance")
@@ -281,8 +281,8 @@ def entropies(spectrum: OccupationSpectrum, renyi_orders=()) -> Entropies:
         svn = -math.log1p(-Z) - Z * math.log(Z) / (1.0 - Z)
     out = []
     for q in renyi_orders:
-        if q <= 0:
-            raise ValueError(f"Renyi order must be > 0, got {q}")
+        if not (math.isfinite(q) and q > 0):
+            raise ValueError(f"Renyi order must be finite and > 0, got {q}")
         if abs(q - 1.0) < 1e-12:
             raise ValueError("Renyi order q = 1 is the von Neumann limit; use that field")
         if Z == 0.0:

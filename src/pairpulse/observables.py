@@ -18,9 +18,9 @@ import numpy as np
 from .dynamics import (
     Pulse,
     Trajectory,
+    analytic_reflection,
     check_admissible,
     omega_squared,
-    reflection,
     _log_sinh,
 )
 from .model import ModeSet, mode_frequencies
@@ -49,24 +49,30 @@ def energy_shift(mode_frequency: float, R: float) -> float:
     return mode_frequency * R / (1.0 - R)
 
 
-def _two_mode_shifts(
-    f1: float, f2: float, pulse: Pulse, method: str
-) -> tuple[float, float, float]:
-    """(d1, d2, d1 + d2) for two modes at frequencies f1 and f2; a repeated
-    frequency is reflected once."""
-    d1 = energy_shift(f1, reflection(f1, pulse, method).R)
-    d2 = d1 if f2 == f1 else energy_shift(f2, reflection(f2, pulse, method).R)
+def _reflections(f1: float, f2: float, pulse: Pulse) -> tuple[float, float]:
+    """(R1, R2) of two modes at frequencies f1 and f2; a repeated frequency
+    is reflected once."""
+    R1 = analytic_reflection(f1, pulse).R
+    R2 = R1 if f2 == f1 else analytic_reflection(f2, pulse).R
+    return R1, R2
+
+
+def _two_mode_shifts(f1: float, f2: float, pulse: Pulse) -> tuple[float, float, float]:
+    """(d1, d2, d1 + d2) for two modes at frequencies f1 and f2."""
+    R1, R2 = _reflections(f1, f2, pulse)
+    d1 = energy_shift(f1, R1)
+    d2 = energy_shift(f2, R2)
     return d1, d2, d1 + d2
 
 
-def total_shift(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic") -> float:
+def total_shift(modes: ModeSet, pulse: Pulse, kind: str) -> float:
     """Two-particle total energy shift for the exact model or a reference.
 
     ``exact`` sums the shifts of the two independent modes; the reference
     kinds count one independent-particle frequency twice, reflected once.
     """
     check_admissible(modes, pulse)
-    return _two_mode_shifts(*mode_frequencies(modes, kind), pulse, method)[2]
+    return _two_mode_shifts(*mode_frequencies(modes, kind), pulse)[2]
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,6 @@ class EnergyShiftReport:
     hf: float
     ks: float
     natural: float
-    method: str
 
     def as_record(self) -> dict:
         return {
@@ -100,13 +105,13 @@ class EnergyShiftReport:
         }
 
 
-def energy_shift_report(modes: ModeSet, pulse: Pulse, method: str = "analytic") -> EnergyShiftReport:
+def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
     """All shift observables for one (model, pulse) combination.
 
     Every total is the ``total_shift`` of its kind.
     """
     check_admissible(modes, pulse)
-    d1, d2, exact = _two_mode_shifts(modes.omega1, modes.omega2, pulse, method)
+    d1, d2, exact = _two_mode_shifts(modes.omega1, modes.omega2, pulse)
     return EnergyShiftReport(
         omega0=modes.params.omega0,
         lam=modes.params.lam,
@@ -115,10 +120,9 @@ def energy_shift_report(modes: ModeSet, pulse: Pulse, method: str = "analytic") 
         shift_mode1=d1,
         shift_mode2=d2,
         exact=exact,
-        hf=_two_mode_shifts(modes.omega_e, modes.omega_e, pulse, method)[2],
-        ks=_two_mode_shifts(modes.omega_d, modes.omega_d, pulse, method)[2],
-        natural=_two_mode_shifts(modes.omega_w, modes.omega_w, pulse, method)[2],
-        method=method,
+        hf=_two_mode_shifts(modes.omega_e, modes.omega_e, pulse)[2],
+        ks=_two_mode_shifts(modes.omega_d, modes.omega_d, pulse)[2],
+        natural=_two_mode_shifts(modes.omega_w, modes.omega_w, pulse)[2],
     )
 
 
@@ -213,7 +217,7 @@ def statistical_shift(weights: TransitionWeights, mode_frequency: float) -> floa
     return mode_frequency * 2.0 * float(np.sum(n * weights.weights))
 
 
-def overlap(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic") -> float:
+def overlap(modes: ModeSet, pulse: Pulse, kind: str) -> float:
     """Squared overlap of the long-time state with the initial ground state.
 
     A product of per-mode factors sqrt(1-R) over
@@ -224,9 +228,8 @@ def overlap(modes: ModeSet, pulse: Pulse, kind: str, method: str = "analytic") -
         raise ValueError(f"kind must be 'exact' or 'ks', got {kind!r}")
     check_admissible(modes, pulse)
     f1, f2 = mode_frequencies(modes, kind)
-    s1 = math.sqrt(1.0 - reflection(f1, pulse, method=method).R)
-    s2 = s1 if f2 == f1 else math.sqrt(1.0 - reflection(f2, pulse, method=method).R)
-    return s1 * s2
+    R1, R2 = _reflections(f1, f2, pulse)
+    return math.sqrt(1.0 - R1) * math.sqrt(1.0 - R2)
 
 
 def abrupt_reflection(mode_frequency: float, Lambda: float, omega0: float) -> float:

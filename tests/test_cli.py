@@ -280,7 +280,7 @@ print(json.dumps({
     "code": code,
     "scipy_before": before,
     "scipy_after": "scipy.integrate" in sys.modules,
-    "B_start": float(traj.B[0]),
+    "B_start": float(traj.state_at(traj.t_start)[0]),
     "R_ode": extract_reflection(traj).R,
     "R_analytic": analytic_reflection(2.0, pulse).R,
 }))

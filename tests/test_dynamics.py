@@ -19,13 +19,12 @@ from pairpulse.dynamics import (
     integrate_mode,
     omega_squared,
     onematrix_snapshot,
-    reflection,
     snapshot_series,
     trajectory_table,
 )
 from pairpulse.observables import energy_shift
 
-from conftest import BETA, LAM, LAMBDA, OMEGA0
+from conftest import BETA, LAMBDA, OMEGA0
 
 
 class TestPulse:
@@ -78,12 +77,11 @@ class TestIntegrateMode:
 
     def test_initial_conditions(self, traj_pair_ref):
         for traj in traj_pair_ref:
-            assert traj.B[0] == pytest.approx(1.0, abs=1e-12)
-            assert traj.Bdot[0] == pytest.approx(0.0, abs=1e-12)
+            assert traj.state_at(traj.t_start)[:2] == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_phase_rate_positive_and_wronskian(self, traj_pair_ref):
         traj = traj_pair_ref[0]
-        assert np.all(np.diff(traj.gamma) > 0)
+        assert np.all(np.diff(traj.state_at(traj.t)[2]) > 0)
         ts = np.linspace(traj.t_start + 1e-3, traj.t_end - 1e-3, 300)
         h = 1e-4
         B, _, _ = traj.state_at(ts)
@@ -242,15 +240,6 @@ class TestExtractReflection:
             r_an = analytic_reflection(traj.mode_frequency, pulse_ref).R
             assert r_ode == pytest.approx(r_an, abs=1e-9)
 
-    def test_fit_method_agrees_with_invariant(self, traj_pair_ref):
-        traj = traj_pair_ref[0]
-        inv = extract_reflection(traj, method="invariant")
-        fit = extract_reflection(traj, method="fit")
-        assert inv.method == "ode_invariant"
-        assert fit.method == "ode_fit"
-        assert fit.R == pytest.approx(inv.R, abs=1e-8)
-        assert fit.delta == inv.delta
-
     def test_fitted_cosine_reproduces_width(self, traj_pair_ref):
         # B^2(t) = (1+R)/(1-R) - 2 sqrt(R)/(1-R) cos(2 Omega0 t + delta)
         traj = traj_pair_ref[0]
@@ -316,13 +305,6 @@ class TestAnalyticReflection:
                 p = Pulse(Lambda=Lam, beta=beta, omega0=3.0)
                 r = analytic_reflection(1.5, p).R
                 assert 0.0 <= r < 1e-8
-
-    def test_reflection_dispatcher(self, pulse_ref):
-        r_an = reflection(2.0, pulse_ref, method="analytic").R
-        r_ode = reflection(2.0, pulse_ref, method="ode").R
-        assert r_ode == pytest.approx(r_an, abs=1e-8)
-        with pytest.raises(ValueError):
-            reflection(2.0, pulse_ref, method="magic")
 
 
 @pytest.fixture(scope="module")
@@ -485,6 +467,11 @@ class TestGamma1Time:
                 modes_ref, t1, t2, t, x_grid_ref, dt=5e-3
             )
 
+    @pytest.mark.parametrize("dt", [0.0, -5e-3, math.nan, math.inf])
+    def test_continuity_rejects_bad_step(self, modes_ref, traj_pair_ref, x_grid_ref, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            continuity_residual(modes_ref, *traj_pair_ref, 0.0, x_grid_ref, dt=dt)
+
     def test_current_sign_convention(self, modes_ref, traj_pair_ref, x_grid_ref):
         # with the sign of alpha flipped the residual is O(1), not O(1e-6)
         t1, t2 = traj_pair_ref
@@ -612,10 +599,17 @@ class TestSnapshotSeries:
     def test_time_lookup_rejects_outside(self, modes_ref, traj_pair_ref):
         t1, t2 = traj_pair_ref
         series = snapshot_series(modes_ref, t1, t2, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            series.index_at(1.0)
+        for bad in (1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not covered"):
+                series.index_at(bad)
 
     def test_empty_window_rejected(self, modes_ref, traj_pair_ref):
         t1, t2 = traj_pair_ref
         with pytest.raises(ValueError):
             snapshot_series(modes_ref, t1, t2, 1.0, 1.0)
+
+    def test_window_outside_trajectories_rejected(self, modes_ref, traj_pair_ref):
+        t1, t2 = traj_pair_ref
+        for lo, hi in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1.0, t1.t_end + 1)):
+            with pytest.raises(ValueError, match="outside trajectory range"):
+                snapshot_series(modes_ref, t1, t2, lo, hi)

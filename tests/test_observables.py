@@ -5,7 +5,7 @@ import pytest
 
 from pairpulse import ModelParams, derive_modes
 from pairpulse.dynamics import Pulse, analytic_reflection, integrate_mode
-from pairpulse.model import KINDS
+from pairpulse.model import KINDS, mode_frequencies
 from pairpulse.observables import (
     abrupt_reflection,
     berry_connection,
@@ -72,46 +72,35 @@ class TestTotalShift:
         with pytest.raises(IonizationRegimeError):
             total_shift(modes_ref, p, "exact")
 
-    def test_reference_kinds_integrate_once(self, modes_ref, pulse_ref, monkeypatch):
-        # a reference kind puts both particles at one frequency, so the ODE
-        # path integrates that frequency once and counts its shift twice
-        import pairpulse.dynamics as dynamics
+    def test_reference_kinds_reflect_once(self, modes_ref, pulse_ref, monkeypatch):
+        # a reference kind puts both particles at one frequency, so it is
+        # reflected once and its shift counted twice
+        import pairpulse.observables as observables
 
         calls = []
-        original = dynamics.integrate_mode
-
-        def counting(mode_frequency, *args, **kwargs):
-            calls.append(mode_frequency)
-            return original(mode_frequency, *args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "integrate_mode", counting)
-        for kind in ("hf", "ks", "natural"):
+        monkeypatch.setattr(observables, "analytic_reflection",
+                            lambda f, p: calls.append(f) or analytic_reflection(f, p))
+        for kind in KINDS:
             calls.clear()
-            ode = total_shift(modes_ref, pulse_ref, kind, method="ode")
-            assert len(calls) == 1
-            single = energy_shift(calls[0], dynamics.reflection(calls[0], pulse_ref, "ode").R)
-            assert ode == 2.0 * single
+            total_shift(modes_ref, pulse_ref, kind)
+            assert calls == list(dict.fromkeys(mode_frequencies(modes_ref, kind)))
         calls.clear()
-        ks = overlap(modes_ref, pulse_ref, "ks", method="ode")
+        overlap(modes_ref, pulse_ref, "ks")
         assert calls == [modes_ref.omega_d]
-        assert ks == pytest.approx(overlap(modes_ref, pulse_ref, "ks"), abs=1e-9)
         calls.clear()
-        total_shift(modes_ref, pulse_ref, "exact", method="ode")
-        assert calls == [modes_ref.omega1, modes_ref.omega2]
+        rep = energy_shift_report(modes_ref, pulse_ref)
+        assert calls == [modes_ref.omega1, modes_ref.omega2, modes_ref.omega_e,
+                         modes_ref.omega_d, modes_ref.omega_w]
+        assert rep.hf == 2.0 * energy_shift(modes_ref.omega_e, analytic_reflection(
+            modes_ref.omega_e, pulse_ref).R)
 
     def test_report_consistency(self, modes_ref, pulse_ref):
-        for method in ("analytic", "ode"):
-            rep = energy_shift_report(modes_ref, pulse_ref, method=method)
-            assert rep.exact == rep.shift_mode1 + rep.shift_mode2
-            for kind in KINDS:
-                assert getattr(rep, kind) == total_shift(modes_ref, pulse_ref, kind, method=method)
+        rep = energy_shift_report(modes_ref, pulse_ref)
+        assert rep.exact == rep.shift_mode1 + rep.shift_mode2
+        for kind in KINDS:
+            assert getattr(rep, kind) == total_shift(modes_ref, pulse_ref, kind)
         record = rep.as_record()
         assert list(record)[:4] == ["omega0", "lambda", "Lambda", "beta"]
-
-    def test_ode_method_matches_analytic(self, modes_ref, pulse_ref):
-        exact_an = total_shift(modes_ref, pulse_ref, "exact", method="analytic")
-        exact_ode = total_shift(modes_ref, pulse_ref, "exact", method="ode")
-        assert exact_ode == pytest.approx(exact_an, abs=1e-7)
 
 
 class TestBornShift:
