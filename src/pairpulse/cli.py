@@ -11,8 +11,13 @@ figure    fixed data tables: 1 and 2 are shift totals vs beta at
           Lambda = +2/9 and -2/9; 3 is the sign-effect ratio vs velocity
 validate  run the invariant registry (no options); print a pass/fail table
 
-Configuration comes from defaults, then an optional flat key=value file
-(--config), then command-line flags; flags win.  Output is CSV (default)
+SETTINGS lists every setting once and COMMANDS the settings each command
+reads; the parser, the config-file check, the provenance header and the
+dispatch all come from these two tables.  Configuration comes from defaults,
+then an optional flat key=value file (--config), then command-line flags;
+flags win.  A command accepts, as a flag or a config key, only the settings
+it reads; any other is an error (exit 2) and nothing is written.  The
+provenance header echoes every setting but `out`.  Output is CSV (default)
 or JSON with fixed 17-significant-digit formatting, so identical configs
 reproduce byte-identical artifacts.
 """
@@ -23,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,39 +54,31 @@ FIGURE3_V_MAX = 12.0
 FIGURE3_V_POINTS = 81
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Flat run configuration; field names double as config-file keys."""
-
-    omega0: float = 3.0
-    lam: float = 0.375
-    Lambda: float = 2.0 / 9.0
-    beta: float = 3.0
-    beta_min: float = FIGURE_BETA_MIN
-    beta_max: float = FIGURE_BETA_MAX
-    beta_points: int = FIGURE_BETA_POINTS
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    out: str | None = None
-    format: str = "csv"
+class Setting(NamedTuple):
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
 
 
-_CONFIG_KEYS = {
-    "omega0": ("omega0", float),
-    "lambda": ("lam", float),
-    "Lambda": ("Lambda", float),
-    "beta": ("beta", float),
-    "beta_min": ("beta_min", float),
-    "beta_max": ("beta_max", float),
-    "beta_points": ("beta_points", int),
-    "rtol": ("rtol", float),
-    "atol": ("atol", float),
-    "out": ("out", str),
-    "format": ("format", str),
+# The one list of settings, in provenance-echo order.  Each key is also the
+# config-file key and, with '_' written '-', the flag name.
+SETTINGS = {
+    "omega0": Setting(float, 3.0, "confinement frequency"),
+    "lambda": Setting(float, 0.375, "coupling strength in [0, 0.5)"),
+    "Lambda": Setting(float, 2.0 / 9.0, "signed pulse strength"),
+    "beta": Setting(float, 3.0, "inverse pulse transition time"),
+    "beta_min": Setting(float, FIGURE_BETA_MIN, "sweep grid lower edge"),
+    "beta_max": Setting(float, FIGURE_BETA_MAX, "sweep grid upper edge"),
+    "beta_points": Setting(int, FIGURE_BETA_POINTS, "sweep grid size"),
+    "rtol": Setting(float, 1e-10, "integrator relative tolerance"),
+    "atol": Setting(float, 1e-12, "integrator absolute tolerance"),
+    "out": Setting(str, None, "output path (default: stdout)"),
+    "format": Setting(str, "csv", "output format", ("csv", "json")),
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str, reads: tuple) -> dict:
     updates = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -91,26 +88,25 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            field_name, cast = _CONFIG_KEYS[key]
-            updates[field_name] = cast(value)
+            if key not in reads:
+                raise ValueError(f"{path}:{lineno}: {command} does not read {key!r}")
+            setting = SETTINGS[key]
+            if setting.choices and value not in setting.choices:
+                raise ValueError(f"{path}:{lineno}: {key} must be one of {setting.choices}, "
+                                 f"got {value!r}")
+            updates[key] = setting.type(value)
     return updates
 
 
-def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **_load_config_file(args.config))
-    overrides = {}
-    for key, (field_name, _) in _CONFIG_KEYS.items():
-        val = getattr(args, field_name, None)
-        if val is not None:
-            overrides[field_name] = val
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if cfg.format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {cfg.format!r}")
+def _merge_config(command: str, reads: tuple, args: dict) -> dict:
+    """Defaults, then the --config file, then flags; pops what it reads from ``args``."""
+    cfg = {key: setting.default for key, setting in SETTINGS.items()}
+    path = args.pop("config", None)
+    if path:
+        cfg.update(_load_config_file(path, command, reads))
+    cfg.update((key, args.pop(key)) for key in reads if key in args)
     return cfg
 
 
@@ -120,16 +116,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_FIELD_TO_KEY = {field_name: key for key, (field_name, _) in _CONFIG_KEYS.items()}
-
-
-def _config_echo(cfg: ScenarioConfig, command: str) -> list[str]:
-    lines = [f"pairpulse {__version__} {command}"]
-    for f in fields(cfg):
-        if f.name == "out":  # content must not depend on the destination
-            continue
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {_fmt(getattr(cfg, f.name))}")
-    return lines
+def _config_echo(cfg: dict, command: str) -> list[str]:
+    # every setting but the destination, so content does not depend on it
+    return [f"pairpulse {__version__} {command}"] + [
+        f"{key} = {_fmt(cfg[key])}" for key in SETTINGS if key != "out"
+    ]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -147,32 +138,32 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _emit(cfg: ScenarioConfig, command: str, columns: list[str], rows) -> None:
+def _emit(cfg: dict, command: str, columns: list[str], rows) -> None:
     comments = _config_echo(cfg, command)
-    if cfg.format == "csv":
+    if cfg["format"] == "csv":
         parts = [f"# {line}\n" for line in comments]
         parts.append(",".join(columns) + "\n")
         for row in rows:
             parts.append(",".join(_fmt(v) for v in row) + "\n")
-        _write_text(cfg.out, "".join(parts))
+        _write_text(cfg["out"], "".join(parts))
     else:
         payload = {
             "provenance": comments,
             "columns": columns,
             "rows": [[v for v in row] for row in rows],
         }
-        _write_text(cfg.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(cfg["out"], json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _model(cfg: ScenarioConfig):
-    return derive_modes(ModelParams(cfg.omega0, cfg.lam))
+def _model(cfg: dict):
+    return derive_modes(ModelParams(cfg["omega0"], cfg["lambda"]))
 
 
-def _pulse(cfg: ScenarioConfig, beta: float | None = None) -> Pulse:
+def _pulse(cfg: dict, beta: float | None = None) -> Pulse:
     return Pulse(
-        Lambda=cfg.Lambda,
-        beta=cfg.beta if beta is None else beta,
-        omega0=cfg.omega0,
+        Lambda=cfg["Lambda"],
+        beta=cfg["beta"] if beta is None else beta,
+        omega0=cfg["omega0"],
     )
 
 
@@ -182,7 +173,7 @@ def _beta_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _cmd_modes(cfg: ScenarioConfig) -> None:
+def _cmd_modes(cfg: dict) -> None:
     m = _model(cfg)
     columns = ["omega0", "lambda", "omega1", "omega2", "omega_e", "omega_w", "omega_d",
                "D", "Z", "E0", "C1"]
@@ -191,7 +182,7 @@ def _cmd_modes(cfg: ScenarioConfig) -> None:
     _emit(cfg, "modes", columns, [row])
 
 
-def _cmd_static(cfg: ScenarioConfig) -> None:
+def _cmd_static(cfg: dict) -> None:
     m = _model(cfg)
     k_max = 40
     spec = occupation_spectrum(m, k_max)
@@ -204,28 +195,28 @@ def _cmd_static(cfg: ScenarioConfig) -> None:
     _emit(cfg, "static", columns, rows)
 
 
-def _cmd_evolve(cfg: ScenarioConfig) -> None:
+def _cmd_evolve(cfg: dict) -> None:
     m = _model(cfg)
     pulse = _pulse(cfg)
     check_admissible(m, pulse)
     columns = ["omega", "t", "B", "Bdot", "gamma"]
     rows = []
     for om in (m.omega1, m.omega2):
-        traj = integrate_mode(om, pulse, rtol=cfg.rtol, atol=cfg.atol)
+        traj = integrate_mode(om, pulse, rtol=cfg["rtol"], atol=cfg["atol"])
         for t, B, Bdot, gamma in trajectory_table(traj, n=2001):
             rows.append((om, t, B, Bdot, gamma))
     _emit(cfg, "evolve", columns, rows)
 
 
-def _cmd_shift(cfg: ScenarioConfig) -> None:
+def _cmd_shift(cfg: dict) -> None:
     m = _model(cfg)
     rep = energy_shift_report(m, _pulse(cfg))
     record = rep.as_record()
     _emit(cfg, "shift", list(record.keys()), [tuple(record.values())])
 
 
-def _sweep_common(cfg: ScenarioConfig, command: str, Lambda: float, grid: np.ndarray) -> None:
-    cfg = replace(cfg, Lambda=Lambda)  # echo the strength actually swept
+def _sweep_common(cfg: dict, command: str, Lambda: float, grid: np.ndarray) -> None:
+    cfg = {**cfg, "Lambda": Lambda}  # echo the strength actually swept
     modes = _model(cfg)
     rows = []
     for beta in grid:
@@ -234,18 +225,18 @@ def _sweep_common(cfg: ScenarioConfig, command: str, Lambda: float, grid: np.nda
     _emit(cfg, command, ["beta", "exact", "hf", "ks", "natural"], rows)
 
 
-def _cmd_sweep(cfg: ScenarioConfig) -> None:
-    grid = _beta_grid(cfg.beta_min, cfg.beta_max, cfg.beta_points)
-    _sweep_common(cfg, "sweep", cfg.Lambda, grid)
+def _cmd_sweep(cfg: dict) -> None:
+    grid = _beta_grid(cfg["beta_min"], cfg["beta_max"], cfg["beta_points"])
+    _sweep_common(cfg, "sweep", cfg["Lambda"], grid)
 
 
-def _cmd_figure(cfg: ScenarioConfig, which: int) -> None:
+def _cmd_figure(cfg: dict, which: int) -> None:
     if which in (1, 2):
         grid = _beta_grid(FIGURE_BETA_MIN, FIGURE_BETA_MAX, FIGURE_BETA_POINTS)
         Lambda = FIGURE_LAMBDA if which == 1 else -FIGURE_LAMBDA
         _sweep_common(cfg, f"figure{which}", Lambda, grid)
         return
-    cfg = replace(cfg, Lambda=FIGURE_LAMBDA)  # drive magnitude, applied both-signed
+    cfg = {**cfg, "Lambda": FIGURE_LAMBDA}  # drive magnitude, applied both-signed
     modes = _model(cfg)
     v_grid = np.linspace(FIGURE3_V_MIN, FIGURE3_V_MAX, FIGURE3_V_POINTS)
     table = sign_effect_ratio(modes, FIGURE_LAMBDA, v_grid)
@@ -268,58 +259,52 @@ def _cmd_validate() -> int:
     return 0 if passed == len(results) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value configuration file")
-    common.add_argument("--omega0", type=float, dest="omega0", help="confinement frequency")
-    common.add_argument("--lambda", type=float, dest="lam", help="coupling strength in [0, 0.5)")
-    common.add_argument("--Lambda", type=float, dest="Lambda", help="signed pulse strength")
-    common.add_argument("--beta", type=float, dest="beta", help="inverse pulse transition time")
-    common.add_argument("--beta-min", type=float, dest="beta_min", help="sweep grid lower edge")
-    common.add_argument("--beta-max", type=float, dest="beta_max", help="sweep grid upper edge")
-    common.add_argument("--beta-points", type=int, dest="beta_points", help="sweep grid size")
-    common.add_argument("--rtol", type=float, dest="rtol", help="integrator relative tolerance")
-    common.add_argument("--atol", type=float, dest="atol", help="integrator absolute tolerance")
-    common.add_argument("--out", dest="out", help="output path (default: stdout)")
-    common.add_argument("--format", dest="format", choices=("csv", "json"), help="output format")
+_MODEL = ("omega0", "lambda")
+_OUTPUT = ("out", "format")
 
+# command: (handler, settings it reads, help).  A command that reads no
+# settings takes no options and its handler returns the exit code.
+COMMANDS = {
+    "modes": (_cmd_modes, _MODEL + _OUTPUT, "derived frequency table"),
+    "static": (_cmd_static, _MODEL + _OUTPUT, "occupation spectrum and entropies"),
+    "evolve": (_cmd_evolve, _MODEL + ("Lambda", "beta", "rtol", "atol") + _OUTPUT,
+               "dense mode trajectories"),
+    "shift": (_cmd_shift, _MODEL + ("Lambda", "beta") + _OUTPUT, "energy-shift report"),
+    "sweep": (_cmd_sweep, _MODEL + ("Lambda", "beta_min", "beta_max", "beta_points") + _OUTPUT,
+              "shift totals over a beta grid"),
+    "figure": (_cmd_figure, _MODEL + _OUTPUT, "fixed figure data tables"),
+    "validate": (_cmd_validate, (), "run the invariant registry (no options)"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairpulse",
         description="Driven correlated two-particle trap model: data tables and validation",
     )
     parser.add_argument("--version", action="version", version=f"pairpulse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("modes", parents=[common], help="derived frequency table")
-    sub.add_parser("static", parents=[common], help="occupation spectrum and entropies")
-    sub.add_parser("evolve", parents=[common], help="dense mode trajectories")
-    sub.add_parser("shift", parents=[common], help="energy-shift report")
-    sub.add_parser("sweep", parents=[common], help="shift totals over a beta grid")
-    fig = sub.add_parser("figure", parents=[common], help="fixed figure data tables")
-    fig.add_argument("which", type=int, choices=(1, 2, 3), help="figure number")
-    sub.add_parser("validate", help="run the invariant registry (no options)")
+    for command, (_, reads, help_text) in COMMANDS.items():
+        # unset flags stay out of the namespace, so each one given overrides the config
+        cmd = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        if reads:
+            cmd.add_argument("--config", help="flat key = value configuration file")
+        for key in reads:
+            setting = SETTINGS[key]
+            cmd.add_argument("--" + key.replace("_", "-"), type=setting.type,
+                             choices=setting.choices, help=setting.help)
+    sub.choices["figure"].add_argument("which", type=int, choices=(1, 2, 3), help="figure number")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
+    handler, reads, _ = COMMANDS[command]
     try:
-        if args.command == "validate":
-            return _cmd_validate()
-        cfg = _merge_config(args)
-        if args.command == "modes":
-            _cmd_modes(cfg)
-        elif args.command == "static":
-            _cmd_static(cfg)
-        elif args.command == "evolve":
-            _cmd_evolve(cfg)
-        elif args.command == "shift":
-            _cmd_shift(cfg)
-        elif args.command == "sweep":
-            _cmd_sweep(cfg)
-        elif args.command == "figure":
-            _cmd_figure(cfg, args.which)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        if not reads:
+            return handler()
+        handler(_merge_config(command, reads, args), **args)
     except IonizationRegimeError as exc:
         print(f"pairpulse: inadmissible drive: {exc}", file=sys.stderr)
         return 2

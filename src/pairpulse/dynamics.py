@@ -230,17 +230,21 @@ def integrate_mode(
     pulse : Pulse
         The drive.
     rtol, atol : float
-        Integrator tolerances (adaptive high-order explicit Runge-Kutta
-        with dense output).
+        Integrator tolerances, finite and > 0 (adaptive high-order explicit
+        Runge-Kutta with dense output).
 
     Returns
     -------
     Trajectory
     """
+    if not (math.isfinite(mode_frequency) and mode_frequency > 0):
+        raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        # scipy loops forever on a NaN tolerance and silently raises a tiny one
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {tol}")
     from scipy.integrate import solve_ivp  # deferred: the closed-form path never needs scipy
 
-    if mode_frequency <= 0:
-        raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
     om = float(mode_frequency)
     # Positivity over the whole window follows from the value at the peak.
     if om**2 + min(pulse.coupling, 0.0) <= 0.0:
@@ -369,7 +373,7 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
     evaluates to -1.8e-16), so any |cos| at or below ZERO_COS_RTOL times
     the argument counts as an exact zero and gives R = 0.
     """
-    if mode_frequency <= 0:
+    if not (math.isfinite(mode_frequency) and mode_frequency > 0):
         raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
     if pulse.coupling == 0.0:
         return ReflectionResult(R=0.0, delta=None)

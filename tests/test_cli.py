@@ -188,6 +188,90 @@ class TestConfigPrecedence:
         assert run_cli(["shift", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+# The settings each command reads; validate reads none and takes no options.
+_MODEL_OUT = {"omega0", "lambda", "out", "format"}
+READS = {
+    "modes": _MODEL_OUT,
+    "static": _MODEL_OUT,
+    "figure": _MODEL_OUT,
+    "shift": _MODEL_OUT | {"Lambda", "beta"},
+    "sweep": _MODEL_OUT | {"Lambda", "beta_min", "beta_max", "beta_points"},
+    "evolve": _MODEL_OUT | {"Lambda", "beta", "rtol", "atol"},
+    "validate": set(),
+}
+VALUES = {"omega0": "2.5", "lambda": "0.3", "Lambda": "0.1", "beta": "2", "beta_min": "1",
+          "beta_max": "4", "beta_points": "8", "rtol": "1e-9", "atol": "1e-11",
+          "out": "x.csv", "format": "json"}
+UNREAD = [(command, key) for command, reads in READS.items() for key in VALUES
+          if key not in reads]
+
+
+def _command_argv(command):
+    return ["figure", "1"] if command == "figure" else [command]
+
+
+class TestSettingsContract:
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_unread_flag_rejected(self, command, key, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = _command_argv(command) + ["--" + key.replace("_", "-"), VALUES[key]]
+        if command != "validate":
+            argv += ["--out", "x.csv"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, key",
+                             [pair for pair in UNREAD if pair[0] != "validate"])
+    def test_unread_config_key_rejected(self, command, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lambda = 0.3\n{key} = {VALUES[key]}\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(_command_argv(command) + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:2: {command} does not read '{key}'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", [c for c in READS if c != "validate"])
+    def test_read_settings_accepted_and_echoed(self, command, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "x.json"
+        cfg.write_text("".join(f"{key} = {VALUES[key]}\n" for key in READS[command]
+                               if key != "out"))
+        assert run_cli(_command_argv(command) + ["--config", str(cfg), "--out", str(out)]) == 0
+        echo = dict(line.split(" = ") for line in json.loads(out.read_text())["provenance"][1:])
+        for key in READS[command] - {"out", "format"}:
+            assert float(echo[key]) == float(VALUES[key])
+        assert echo["format"] == "json"
+
+    def test_modes_header_at_defaults(self, tmp_path):
+        out = tmp_path / "modes.csv"
+        assert run_cli(["modes", "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        assert comments == [
+            f"# pairpulse {pairpulse.__version__} modes\n",
+            "# omega0 = 3\n",
+            "# lambda = 0.375\n",
+            "# Lambda = 0.22222222222222221\n",
+            "# beta = 3\n",
+            "# beta_min = 0.25\n",
+            "# beta_max = 10\n",
+            "# beta_points = 256\n",
+            "# rtol = 1e-10\n",
+            "# atol = 9.9999999999999998e-13\n",
+            "# format = csv\n",
+        ]
+
+    def test_bad_format_value_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        assert run_cli(["modes", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["modes", "--format", "xml"])
+        assert exc.value.code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 class TestErrorPaths:
     def test_inadmissible_drive_diagnostic(self, tmp_path, capsys):
         code = run_cli(["shift", "--Lambda", "-0.3", "--out", str(tmp_path / "x.csv")])
@@ -199,6 +283,13 @@ class TestErrorPaths:
     def test_unbound_coupling_diagnostic(self, tmp_path):
         assert run_cli(["modes", "--lambda", "0.6", "--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+    def test_nan_tolerance_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        assert run_cli(["evolve", flag, "nan", "--out", str(out)]) == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output(self):
         assert run_cli(["modes", "--out", "/nonexistent-dir/m.csv"]) == 2

@@ -113,6 +113,21 @@ class TestIntegrateMode:
         with pytest.raises(IonizationRegimeError):
             integrate_mode(1.0, p)
 
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_tolerance(self, name, tol):
+        # a NaN tolerance used to hang the integrator; 0 and -1 were raised silently
+        p = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            integrate_mode(1.5, p, **{name: tol})
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.5])
+    def test_rejects_bad_mode_frequency(self, omega):
+        p = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
+        for f in (integrate_mode, analytic_reflection):
+            with pytest.raises(ValueError, match="mode frequency must be > 0"):
+                f(omega, p)
+
     def test_state_at_outside_range(self, traj_pair_ref):
         traj = traj_pair_ref[0]
         for bad in (traj.t_start - 1.0, traj.t_end + 1.0, math.nan, math.inf, -math.inf):
