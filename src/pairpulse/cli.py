@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -96,7 +97,10 @@ def _load_config_file(path: str, command: str, reads: tuple) -> dict:
             if setting.choices and value not in setting.choices:
                 raise ValueError(f"{path}:{lineno}: {key} must be one of {setting.choices}, "
                                  f"got {value!r}")
-            updates[key] = setting.type(value)
+            try:
+                updates[key] = setting.type(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return updates
 
 
@@ -168,7 +172,7 @@ def _pulse(cfg: dict, beta: float | None = None) -> Pulse:
 
 
 def _beta_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if not (lo > 0 and hi > lo and n >= 2):
+    if not (0 < lo < hi < math.inf and n >= 2):
         raise ValueError(f"bad beta grid: [{lo}, {hi}] with {n} points")
     return np.geomspace(lo, hi, n)
 

@@ -139,4 +139,4 @@ def sign_effect_ratio(modes: ModeSet, Lambda_mag: float, v_grid) -> np.ndarray:
             continue
         minus, plus = (total_shift(modes, p, "exact") for p in pulses)
         rows.append((float(v), minus / plus - 1.0 if plus != 0.0 else math.nan))
-    return np.asarray(rows)
+    return np.asarray(rows, dtype=float).reshape(-1, 2)

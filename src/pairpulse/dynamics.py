@@ -9,17 +9,17 @@ parametrized by a width scale ``B(t)`` obeying the Ermakov equation
 
 Instead of the stiff nonlinear form, the equivalent *linear* complex
 oscillator ``xi'' + Omega^2(t) xi = 0`` with ``xi = B exp(i gamma)`` is
-integrated; ``B = |xi|`` and the phase rate ``gamma' = Omega0/B^2`` ride
-along as an extra quadrature.  After the pulse, a single invariant built
-from ``B`` and ``B'`` encodes the reflection coefficient ``R`` of the
-associated one-dimensional scattering problem, which in turn fixes every
-asymptotic observable.
+integrated; ``B = |xi|``, and the phase gamma of xi has the rate
+``gamma' = Omega0/B^2``.  After the pulse, a single invariant built from
+``B`` and ``B'`` encodes the reflection coefficient ``R`` of the associated
+one-dimensional scattering problem, which in turn fixes every asymptotic
+observable.
 
-Only the ODE path needs scipy, and only to integrate: ``integrate_mode``
-imports ``solve_ivp`` on its first call and keeps the DOP853 dense output as
-arrays, which ``Trajectory.state_at`` evaluates with numpy alone.  The
-closed-form reflection and everything built on it (shifts, sweeps, figures)
-load numpy alone.
+Because the equation is linear, ``integrate_mode`` propagates it exactly
+step by step with a 6th-order Magnus propagator, the closed-form
+exponential of a traceless 2 x 2 matrix, on a uniform grid, all steps in
+one numpy pass (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ FIT_SAMPLES = 512
 # Near a zero of the cosine that error passes one-to-one into its value.
 ZERO_COS_RTOL = 8.0 * 2.0**-52
 
+# Magnus grids: the first one advances the phase at the peak frequency, and
+# the pulse argument 2 beta (t - t0), by at most FIRST_STEP_ANGLE radians per
+# step.  That keeps its steps inside the convergence region of the Magnus
+# series and stops them from stepping over the pulse; by Sturm comparison it
+# also keeps each node-to-node phase advance of xi below pi.  No grid, the
+# error check's half steps included, has more than MAX_STEPS steps.
+FIRST_STEP_ANGLE = 1.0
+MAX_STEPS = 2**17
+
 _LN2 = math.log(2.0)
 
 
@@ -111,6 +120,8 @@ class Pulse:
             raise ValueError(f"Lambda must be finite, got {self.Lambda}")
         if not (math.isfinite(self.omega0) and self.omega0 > 0):
             raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
 
     @property
     def coupling(self) -> float:
@@ -155,16 +166,70 @@ def check_admissible(modes: ModeSet, pulse: Pulse) -> None:
         )
 
 
+# Gauss-Legendre nodes on [0, 1] of the 6th-order Magnus step.
+_GAUSS = np.array([0.5 - 0.1 * math.sqrt(15.0), 0.5, 0.5 + 0.1 * math.sqrt(15.0)])
+
+
+def _propagators(om: float, pulse: Pulse, t, h):
+    """Magnus propagators of (xi, xi') over [t, t + h], elementwise in t and h.
+
+    The 6th-order three-Gauss-point scheme of Blanes, Casas & Ros, BIT 40,
+    434 (2000): with A_i = A(t + c_i h),
+
+        alpha1 = h A_2,  alpha2 = (sqrt(15)/3) h (A_3 - A_1),
+        alpha3 = (10/3) h (A_3 - 2 A_2 + A_1),
+        C1 = [alpha1, alpha2],  C2 = -(1/60) [alpha1, 2 alpha3 + C1],
+        Omega = alpha1 + alpha3/12 + (1/240) [-20 alpha1 - alpha3 + C1, alpha2 + C2].
+
+    For A(t) = [[0, 1], [-Omega^2(t), 0]] every term is traceless,
+    [[a, b], [c, -a]], and alpha2, alpha3 have only a c entry, so the
+    commutators reduce to polynomials in h, W = h w2, D1 = h (w3 - w1) and
+    D2 = h (w1 - 2 w2 + w3), with w_i = Omega^2(t + c_i h).  Then
+    exp(Omega) = cos(th) I + (sin(th)/th) Omega with th^2 = -(a^2 + bc), or
+    cosh and sinh of sqrt(a^2 + bc) where that is real.
+    Scalar t and h give numpy scalars, which keeps one-time reads cheap.
+    Returns the entries (u00, u01, u10, u11).
+    """
+    w1, w2, w3 = om * om + pulse.coupling * pulse.envelope(t + np.multiply.outer(_GAUSS, h))
+    W, D1, D2 = h * w2, h * (w3 - w1), h * (w1 + w3 - 2.0 * w2)
+    E = D1 * D1
+    a = (math.sqrt(15.0) / 3.0) * h * D1 * (h * (W + D2 / 12.0) / 180.0 + 1.0 / 12.0)
+    b = h * (1.0 + h * (h * E / 2160.0 + D2 / 54.0))
+    c = h * (D2 * (6.0 * W + D2) / 324.0 - E * (30.0 + h * W) / 2160.0) - W - D2 * (5.0 / 18.0)
+    q = -(a * a + b * c)
+    if (q >= 0.0).all():
+        th = np.sqrt(q)
+        # the offset gives sin(th)/th = 1 at th = 0 (a read on a node) and
+        # leaves every th above 1e-284 unchanged
+        nz = th + 1e-300
+        cos, sinc = np.cos(th), np.sin(nz) / nz
+    else:  # a hyperbolic exponent: cos(i x) = cosh(x)
+        th = np.sqrt(q + 0j)
+        cos, sinc = np.cos(th).real, np.sinc(th / math.pi).real
+    a *= sinc
+    return cos + a, sinc * b, sinc * c, cos - a
+
+
+def _step_matrices(om: float, pulse: Pulse, nodes: np.ndarray) -> np.ndarray:
+    """(n, 2, 2) propagators of the n steps between n + 1 nodes."""
+    u = np.empty((len(nodes) - 1, 2, 2))
+    u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = _propagators(
+        om, pulse, nodes[:-1], np.diff(nodes)
+    )
+    return u
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Integrated width scale of one mode under one pulse.
 
-    Carries the DOP853 dense output as arrays: the raw state ``y`` (5 x n)
-    at the step nodes ``t`` and each step's 7 x 5 coefficient block of the
-    7th-order continuous extension, stacked into ``F`` (n - 1, 7, 5).
-    ``state_at`` evaluates every requested time in one numpy pass with the
-    same operations in the same order as scipy's ``OdeSolution``, so its
-    values are bit-identical to it.  Immutable after construction.
+    ``t`` holds the n + 1 nodes of a uniform Magnus grid on
+    ``[t_start, t_end]``.  The rows of ``state`` hold B, B'/B, gamma' and
+    gamma at every node: |xi|, the real and imaginary parts of xi'/xi, and
+    the phase of xi = B exp(i gamma).  ``state_at`` applies the same
+    closed-form Magnus step from the node at or below each requested time,
+    for all times in one numpy pass, so it reproduces every node exactly and
+    is smooth between them.  Immutable after construction.
     """
 
     mode_frequency: float
@@ -174,33 +239,33 @@ class Trajectory:
     t_end: float
     rtol: float
     atol: float
-    y: np.ndarray = field(repr=False)
-    F: np.ndarray = field(repr=False)
+    state: np.ndarray = field(repr=False)
 
     def state_at(self, t):
-        """(B, Bdot, gamma) interpolated from the dense output."""
-        t = np.asarray(t, dtype=float)
-        ts = np.atleast_1d(t)
-        if not ((ts >= self.t_start) & (ts <= self.t_end)).all():
+        """(B, Bdot, gamma) from the node at or below each time.
+
+        gamma adds the angle of xi(t) / xi_k to the node value gamma_k;
+        ``integrate_mode`` keeps every node-to-node phase advance in (0, pi),
+        so that angle is the advance itself.  A scalar time gives numpy
+        scalars.
+        """
+        t = np.asarray(t, dtype=float)[()]  # a 0-d array becomes a scalar
+        if t.size and not (t.min() >= self.t_start and t.max() <= self.t_end):  # NaN fails
             raise ValueError(
                 f"time outside trajectory range [{self.t_start}, {self.t_end}]"
             )
-        # scipy's step choice: a time on an interior node belongs to the
-        # lower step, and the end nodes to the first and last steps.
-        k = np.searchsorted(self.t[1:-1], ts, side="left")
-        t_old = self.t[k]
-        x = ((ts - t_old) / (self.t[k + 1] - t_old))[:, None]
-        factors = (x, 1 - x)
-        # Horner scheme of Dop853DenseOutput, alternating x and 1 - x.
-        y = np.zeros((len(ts), len(self.y)))
-        for i, coef in enumerate(self.F[k].transpose(1, 0, 2)[::-1]):
-            y += coef
-            y *= factors[i % 2]
-        y += self.y[:, k].T
-        y = y.T if t.ndim else y[0]
-        B = np.hypot(y[0], y[1])
-        Bdot = (y[0] * y[2] + y[1] * y[3]) / B
-        return B, Bdot, y[4]
+        k = np.searchsorted(self.t[1:-1], t, side="right")
+        t_k = self.t[k]
+        u00, u01, u10, u11 = _propagators(self.mode_frequency, self.pulse, t_k, t - t_k)
+        # xi(t) = xi_k z and xi'(t) = xi_k z' with z = u00 + u01 rho,
+        # z' = u10 + u11 rho and rho = xi'_k / xi_k = B'/B + i gamma' at the node.
+        # Real arithmetic only, so that a scalar read equals its array read.
+        B_k, rho_re, rho_im, gamma_k = self.state.take(k, axis=1)
+        z_re, z_im = u00 + u01 * rho_re, u01 * rho_im
+        dz_re, dz_im = u10 + u11 * rho_re, u11 * rho_im
+        z2 = z_re * z_re + z_im * z_im
+        B = B_k * np.sqrt(z2)
+        return B, B * (dz_re * z_re + dz_im * z_im) / z2, gamma_k + np.arctan2(z_im, z_re)
 
     def invariant_at(self, t):
         """K(t) = (1/4 B^2) [1 + (B Bdot / Omega0)^2 + B^4].
@@ -223,6 +288,13 @@ def integrate_mode(
     PULSE_OFF) to ``t0 + WINDOW/beta + SETTLE_PERIODS`` width oscillation
     periods, so that asymptotic fits always have pulse-free data.
 
+    The window is cut into n equal 6th-order Magnus steps, n a power of 2.
+    The first grid's steps are FIRST_STEP_ANGLE over the fastest rate, the
+    peak frequency or 2 beta; n then doubles until every step's propagator,
+    scaled to ``(xi, xi'/Omega0)``, agrees with its two half steps within
+    ``atol + rtol``, and every node-to-node phase advance lies in (0, pi).
+    The node states are prefix products of the step propagators.
+
     Parameters
     ----------
     mode_frequency : float
@@ -230,20 +302,23 @@ def integrate_mode(
     pulse : Pulse
         The drive.
     rtol, atol : float
-        Integrator tolerances, finite and > 0 (adaptive high-order explicit
-        Runge-Kutta with dense output).
+        Local error request per step, finite and > 0.
 
     Returns
     -------
     Trajectory
+
+    Raises
+    ------
+    ValueError
+        If a grid, the error check's half steps included, would need more
+        than MAX_STEPS steps; raised before that grid is built.
     """
     if not (math.isfinite(mode_frequency) and mode_frequency > 0):
         raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
-        # scipy loops forever on a NaN tolerance and silently raises a tiny one
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} must be finite and > 0, got {tol}")
-    from scipy.integrate import solve_ivp  # deferred: the closed-form path never needs scipy
 
     om = float(mode_frequency)
     # Positivity over the whole window follows from the value at the peak.
@@ -254,48 +329,51 @@ def integrate_mode(
         )
     t_start = pulse.t0 - WINDOW / pulse.beta
     t_end = pulse.t0 + WINDOW / pulse.beta + SETTLE_PERIODS * math.pi / om
-    coupling = pulse.coupling
-
-    def rhs(t, y):
-        o2 = om * om + coupling * pulse.envelope(t)
-        return (y[2], y[3], -o2 * y[0], -o2 * y[1], om / (y[0] * y[0] + y[1] * y[1]))
-
+    rate = max(math.sqrt(om**2 + max(pulse.coupling, 0.0)), 2.0 * pulse.beta)  # fastest
+    n = 2 ** max(4, math.ceil(math.log2((t_end - t_start) * rate / FIRST_STEP_ANGLE)))
+    # the error check compares with the half steps: one entry per (xi, xi'/Omega0) pair
+    scale = np.array([[1.0, om], [1.0 / om, 1.0]])
     c, s = math.cos(om * t_start), math.sin(om * t_start)
-    y0 = (c, s, -om * s, om * c, om * t_start)
-    sol = solve_ivp(
-        rhs,
-        (t_start, t_end),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"mode integration failed: {sol.message}")
-    y = sol.y
-    # The per-step coefficients are scipy internals of Dop853DenseOutput.
-    try:
-        F = np.stack([segment.F for segment in sol.sol.interpolants])
-    except (AttributeError, ValueError):
-        F = None
-    if F is None or F.shape != (len(sol.t) - 1, 7, len(y0)):
-        import scipy
-
-        raise RuntimeError(
-            f"scipy {scipy.__version__}: DOP853 dense output does not carry one "
-            f"7 x {len(y0)} coefficient block per step"
-        )
+    x0 = np.array([[c, s], [-om * s, om * c]])
+    steps = None
+    while True:
+        if 2 * n > MAX_STEPS:
+            raise ValueError(
+                f"integrate_mode at beta = {pulse.beta}, Omega0 = {om} needs at least "
+                f"{n} Magnus steps and {2 * n} half steps to check them, above "
+                f"MAX_STEPS = {MAX_STEPS}"
+            )
+        nodes = np.linspace(t_start, t_end, n + 1)
+        if steps is None:
+            steps = _step_matrices(om, pulse, nodes)
+        halves = _step_matrices(om, pulse, np.linspace(t_start, t_end, 2 * n + 1))
+        error = np.max(np.abs(steps - halves[1::2] @ halves[0::2]) * scale)
+        if error <= atol + rtol:
+            # inclusive prefix product: after it, prod[k] = steps[k] @ ... @ steps[0]
+            prod, d = steps.copy(), 1
+            while d < n:
+                prod[d:] = prod[d:] @ prod[:-d]
+                d *= 2
+            # Re xi, Im xi, Re xi', Im xi' at every node
+            x, y, xd, yd = np.concatenate([x0[None], prod @ x0]).reshape(n + 1, 4).T
+            # the angle of xi_{k+1} / xi_k, which is gamma's advance only inside (0, pi)
+            advance = np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1], x[1:] * x[:-1] + y[1:] * y[:-1])
+            if np.all(advance > 0.0):
+                break
+        steps, n = halves, 2 * n
+    B2 = x * x + y * y
+    gamma = np.full(n + 1, om * t_start)
+    gamma[1:] += np.cumsum(advance)
+    state = np.array([np.sqrt(B2), (x * xd + y * yd) / B2, (x * yd - y * xd) / B2, gamma])
     return Trajectory(
         mode_frequency=om,
         pulse=pulse,
-        t=sol.t,
+        t=nodes,
         t_start=t_start,
         t_end=t_end,
         rtol=rtol,
         atol=atol,
-        y=y,
-        F=F,
+        state=state,
     )
 
 

@@ -192,8 +192,8 @@ class OccupationSpectrum:
 def occupation_spectrum_from_ratio(Z: float, k_max: int) -> OccupationSpectrum:
     if not (0.0 <= Z < 1.0):
         raise ValueError(f"geometric ratio must lie in [0, 1), got {Z}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if not (math.isfinite(k_max) and k_max >= 0 and k_max == int(k_max)):
+        raise ValueError(f"k_max must be a finite integer >= 0, got {k_max}")
     k = np.arange(k_max + 1)
     if Z == 0.0:
         weights = np.zeros(k_max + 1)

@@ -188,8 +188,8 @@ def transition_weights(R: float, n_max: int = 200) -> TransitionWeights:
     """
     if not (0.0 <= R < 1.0):
         raise ValueError(f"reflection coefficient must lie in [0, 1), got {R}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if not (math.isfinite(n_max) and n_max >= 0 and n_max == int(n_max)):
+        raise ValueError(f"n_max must be a finite integer >= 0, got {n_max}")
     n = np.arange(n_max + 1)
     if R == 0.0:
         weights = np.zeros(n_max + 1)

@@ -169,8 +169,7 @@ CHECKS = (
 
 def run_validation() -> list[tuple[str, bool, str]]:
     """Run ``CHECKS`` on the reference model (omega0 = 3, lam = 3/8); ``pair()``
-    integrates its mode trajectories (Lambda = 2/9, beta = 3) once, on first use:
-    after the model-only rows, so their transient arrays do not stack on scipy."""
+    integrates its mode trajectories (Lambda = 2/9, beta = 3) once, on first use."""
     m = derive_modes(ModelParams(3.0, 0.375))
     pair = functools.cache(lambda: [_integrate(om, 2.0 / 9.0, 3.0) for om in (m.omega1, m.omega2)])
     return [(name, *check(m, pair)) for name, check in CHECKS]

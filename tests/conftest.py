@@ -10,6 +10,10 @@ LAM = 0.375
 LAMBDA = 2.0 / 9.0
 BETA = 3.0
 
+# The acceptance grid of mode frequencies and pulse rates (times +-LAMBDA).
+MODE_GRID = (1.5, 2.0, 2.121, 2.372, 3.0)
+BETA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
+
 
 @pytest.fixture(scope="session")
 def modes_ref():

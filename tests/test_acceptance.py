@@ -26,12 +26,8 @@ from pairpulse.validate import (
     check_weight_ladder,
 )
 
-OMEGA0 = 3.0
-LAM = 0.375
-LAMBDA = 2.0 / 9.0
+from conftest import BETA_GRID, LAM, LAMBDA, MODE_GRID, OMEGA0
 
-MODE_GRID = (1.5, 2.0, 2.121, 2.372, 3.0)
-BETA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 FIGURE_BETAS = np.geomspace(0.25, 10.0, 256)
 
 

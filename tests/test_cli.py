@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,15 @@ class TestSweepCommand:
         code = run_cli(["sweep", "--beta-min", "4", "--beta-max", "1", "--out", "x.csv"])
         assert code == 2
 
+    def test_infinite_grid_edge_rejected_without_warning(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["sweep", "--beta-points", "2", "--beta-max", "inf", "--out", str(out)])
+        assert code == 2
+        assert "bad beta grid: [0.25, inf] with 2 points" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFigureCommands:
     def test_figure1_grid_and_columns(self, tmp_path):
@@ -183,6 +193,15 @@ class TestConfigPrecedence:
         with pytest.raises(SystemExit) as exc:
             run_cli(["shift", "--grid-points", "512"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, line", [("shift", "beta = abc"),
+                                               ("sweep", "beta_points = 1e3")])
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# one setting\n{line}\n")
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        key = line.split("=")[0].strip()
+        assert f"pairpulse: {cfg}:2: {key}: " in capsys.readouterr().err
 
     def test_missing_file_rejected(self, tmp_path):
         assert run_cli(["shift", "--config", str(tmp_path / "absent.cfg")]) == 2
@@ -360,17 +379,26 @@ class TestDeterministicFormatting:
 
 # Run in a fresh interpreter: this test process has already imported scipy.
 _IMPORT_PROBE = """
-import json, sys
-from pairpulse.cli import main
-code = main(["figure", "1", "--out", sys.argv[1]])
-before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import contextlib, io, json, sys
 from pairpulse import Pulse, analytic_reflection, extract_reflection, integrate_mode
+from pairpulse.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded, codes = {}, []
+codes.append(main(["figure", "1", "--out", sys.argv[2]]))
+loaded["figure 1"] = scipy_modules()
 pulse = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
 traj = integrate_mode(2.0, pulse)
+loaded["integrate_mode"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, argv in (("evolve", ["evolve", "--out", sys.argv[1]]), ("validate", ["validate"])):
+        codes.append(main(argv))
+        loaded[name] = scipy_modules()
 print(json.dumps({
-    "code": code,
-    "scipy_before": before,
-    "scipy_after": "scipy.integrate" in sys.modules,
+    "codes": codes,
+    "loaded": loaded,
     "B_start": float(traj.state_at(traj.t_start)[0]),
     "R_ode": extract_reflection(traj).R,
     "R_analytic": analytic_reflection(2.0, pulse).R,
@@ -379,20 +407,19 @@ print(json.dumps({
 
 
 class TestImportCost:
-    def test_closed_form_commands_do_not_load_scipy(self, tmp_path):
+    def test_runtime_does_not_load_scipy(self, tmp_path):
         src = str(Path(pairpulse.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = tmp_path / "fig1.csv"
+        out, fig = tmp_path / "evolve.csv", tmp_path / "fig1.csv"
         proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, str(out)],
+            [sys.executable, "-c", _IMPORT_PROBE, str(out), str(fig)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         res = json.loads(proc.stdout)
-        assert res["code"] == 0 and out.exists()
-        assert res["scipy_before"] == []
-        # the ODE path loads scipy on first use and still integrates correctly
-        assert res["scipy_after"]
+        assert res["codes"] == [0, 0, 0] and out.exists() and fig.exists()
+        assert res["loaded"] == {"figure 1": [], "integrate_mode": [], "evolve": [],
+                                 "validate": []}
         assert res["B_start"] == pytest.approx(1.0, abs=1e-12)
         assert res["R_ode"] == pytest.approx(res["R_analytic"], abs=1e-8)

@@ -178,6 +178,10 @@ class TestSignEffectRatio:
         with pytest.raises(ValueError, match="beta must be finite and > 0"):
             sign_effect_ratio(modes_ref, Lambda_mag, [5.0, v])
 
+    @pytest.mark.parametrize("Lambda_mag", [0.0, 2.0 / 9.0])
+    def test_empty_velocity_grid(self, modes_ref, Lambda_mag):
+        assert sign_effect_ratio(modes_ref, Lambda_mag, []).shape == (0, 2)
+
     def test_noninteracting_still_shows_sign_effect(self):
         # the asymmetry comes from the drive, not the coupling
         m = derive_modes(ModelParams(3.0, 0.0))

@@ -6,6 +6,8 @@ import pytest
 
 from pairpulse import ModelParams, derive_modes
 from pairpulse.dynamics import (
+    MAX_STEPS,
+    _propagators,
     IonizationRegimeError,
     OneMatrixSnapshot,
     Pulse,
@@ -24,7 +26,7 @@ from pairpulse.dynamics import (
 )
 from pairpulse.observables import energy_shift
 
-from conftest import BETA, LAMBDA, OMEGA0
+from conftest import BETA, BETA_GRID, LAMBDA, MODE_GRID, OMEGA0
 
 
 class TestPulse:
@@ -47,6 +49,11 @@ class TestPulse:
             Pulse(Lambda=float("nan"), beta=1.0, omega0=3.0)
         with pytest.raises(ValueError):
             Pulse(Lambda=0.1, beta=1.0, omega0=-3.0)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_center(self, t0):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            Pulse(Lambda=0.1, beta=2.0, omega0=3.0, t0=t0)
 
 
 class TestOmegaSquared:
@@ -81,7 +88,8 @@ class TestIntegrateMode:
 
     def test_phase_rate_positive_and_wronskian(self, traj_pair_ref):
         traj = traj_pair_ref[0]
-        assert np.all(np.diff(traj.state_at(traj.t)[2]) > 0)
+        advance = np.diff(traj.state_at(traj.t)[2])
+        assert np.all((advance > 0) & (advance < math.pi))
         ts = np.linspace(traj.t_start + 1e-3, traj.t_end - 1e-3, 300)
         h = 1e-4
         B, _, _ = traj.state_at(ts)
@@ -107,6 +115,37 @@ class TestIntegrateMode:
         K = traj.invariant_at(traj.t_end)
         R = analytic_reflection(traj.mode_frequency, pulse_ref).R
         assert K == pytest.approx(0.5 * (1 + R) / (1 - R), abs=1e-9)
+
+    def test_strong_reflection(self):
+        # R = 0.994: B dips to 0.039, where xi turns fastest between nodes
+        p = Pulse(Lambda=300.0 / 9.0, beta=10.0, omega0=3.0)
+        traj = integrate_mode(0.5, p)
+        assert extract_reflection(traj).R == pytest.approx(analytic_reflection(0.5, p).R, abs=1e-6)
+        advance = np.diff(traj.state_at(traj.t)[2])
+        assert np.all((advance > 0) & (advance < math.pi))
+
+    def test_work_budget_rejects_slow_pulse_before_allocating(self):
+        import tracemalloc
+
+        p = Pulse(Lambda=LAMBDA, beta=1e-4, omega0=OMEGA0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"beta = 0.0001, Omega0 = 3.0 needs at least "
+                                                 r"\d+ Magnus steps.*MAX_STEPS = \d+"):
+                integrate_mode(OMEGA0, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        "mode_frequency, Lambda, beta",
+        [(3.0, 0.225, 0.1), (3.0, -0.225, 0.1), (OMEGA0, LAMBDA, 0.12)],
+        ids=["ode_reflect-edge+", "ode_reflect-edge-", "beta0.12"],
+    )
+    def test_slow_pulses_stay_well_under_the_budget(self, mode_frequency, Lambda, beta):
+        traj = integrate_mode(mode_frequency, Pulse(Lambda, beta, OMEGA0))
+        assert len(traj.t) - 1 <= MAX_STEPS // 8
 
     def test_rejects_inverted_confinement(self):
         p = Pulse(Lambda=-2.0 / 9.0, beta=3.0, omega0=3.0)
@@ -141,100 +180,98 @@ class TestIntegrateMode:
         assert table.shape == (101, 4)
         assert table[0, 0] == traj_pair_ref[0].t_start
         assert table[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert trajectory_table(traj_pair_ref[0], n=0).shape == (0, 4)
 
 
-@pytest.fixture
-def captured_solution(monkeypatch):
-    """Record the scipy solution behind every integrate_mode call."""
-    import scipy.integrate
+def _magnus_by_expm(om, pulse, t, h):
+    """The 6th-order Magnus step with generic 2 x 2 commutators and scipy's expm."""
+    from scipy.linalg import expm
 
-    solutions = []
-    original = scipy.integrate.solve_ivp
+    def comm(x, y):
+        return x @ y - y @ x
 
-    def capturing(*args, **kwargs):
-        solutions.append(original(*args, **kwargs))
-        return solutions[-1]
+    r = math.sqrt(15.0) / 10.0
+    A1, A2, A3 = (
+        np.array([[0.0, 1.0], [-(om * om + pulse.coupling * pulse.envelope(t + c * h)), 0.0]])
+        for c in (0.5 - r, 0.5, 0.5 + r)
+    )
+    a1, a2, a3 = h * A2, math.sqrt(15.0) / 3.0 * h * (A3 - A1), 10.0 / 3.0 * h * (A3 - 2.0 * A2 + A1)
+    c1 = comm(a1, a2)
+    c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+    return expm(a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", capturing)
-    return solutions
+
+class TestMagnusStep:
+    def test_closed_form_matches_generic_exponential(self):
+        rng = np.random.default_rng(11)
+        cases = [(rng.uniform(0.3, 4.0), Pulse(rng.uniform(-0.2, 1.0), rng.uniform(0.1, 10.0), 3.0))
+                 for _ in range(40)]
+        # Omega^2 < 0 near the peak gives a hyperbolic exponent
+        cases.append((0.1, Pulse(-2.0 / 9.0, 1.0, 3.0)))
+        for om, pulse in cases:
+            t = rng.uniform(-2.0, 2.0, 4) / pulse.beta
+            h = np.array([0.0, *rng.uniform(0.0, 1.5, 3)]) / om
+            got = np.array(_propagators(om, pulse, t, h)).T.reshape(-1, 2, 2)
+            for k in range(len(t)):
+                np.testing.assert_allclose(got[k], _magnus_by_expm(om, pulse, t[k], h[k]),
+                                           rtol=1e-13, atol=1e-14)
 
 
-def _state_from_scipy(y):
-    B = np.hypot(y[0], y[1])
-    return B, (y[0] * y[2] + y[1] * y[3]) / B, y[4]
+def _dop853_states(trajs, n_times):
+    """(B, Bdot, gamma) on n_times uniform times of each trajectory's window,
+    from scipy's DOP853 at rtol 1e-13, atol 1e-15.
+
+    An oracle that shares no code with the Magnus path: the real 5-component
+    form of the mode equation, with its own sech^2 envelope and the phase
+    rate Omega0/B^2 as a quadrature.  All trajectories are integrated as one
+    system in the time s in [0, 1] that maps onto each window, so one call
+    serves the whole grid.  DOP853 bounds the RMS of the scaled error over
+    all components, so one trajectory's share may exceed the tolerance by at
+    most sqrt(5 * len(trajs)).
+    """
+    from scipy.integrate import solve_ivp
+
+    om, start, span, coupling, beta, center = np.array([
+        (tr.mode_frequency, tr.t_start, tr.t_end - tr.t_start, tr.pulse.coupling,
+         tr.pulse.beta, tr.pulse.t0) for tr in trajs
+    ]).T
+
+    def rhs(s, y):
+        re, im, red, imd, _ = y.reshape(5, -1)
+        o2 = om * om + coupling / np.cosh(2.0 * beta * (start + s * span - center)) ** 2
+        return (span * np.stack([red, imd, -o2 * re, -o2 * im, om / (re * re + im * im)])).ravel()
+
+    c, s = np.cos(om * start), np.sin(om * start)
+    y0 = np.concatenate([c, s, -om * s, om * c, om * start])
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-15,
+                    t_eval=np.linspace(0.0, 1.0, n_times))
+    assert sol.success, sol.message
+    re, im, red, imd, gamma = sol.y.reshape(5, len(trajs), n_times)
+    B = np.hypot(re, im)
+    return B, (re * red + im * imd) / B, gamma
 
 
 class TestDenseOutput:
-    @pytest.mark.parametrize(
-        "mode_frequency, Lambda, beta, tol",
-        [
-            (OMEGA0, LAMBDA, BETA, (1e-11, 1e-13)),
-            (1.5, LAMBDA, BETA, (1e-11, 1e-13)),
-            (OMEGA0, LAMBDA, 0.12, (1e-10, 1e-12)),
-            (1.5, -LAMBDA, 0.7, (1e-10, 1e-12)),
-        ],
-        ids=["reference-mode1", "reference-mode2", "beta0.12", "negative-Lambda"],
-    )
-    def test_state_at_equals_scipy_dense_output(
-        self, captured_solution, mode_frequency, Lambda, beta, tol
-    ):
-        traj = integrate_mode(mode_frequency, Pulse(Lambda, beta, OMEGA0), *tol)
-        sol = captured_solution[-1].sol
-        assert traj.F.shape == (len(traj.t) - 1, 7, 5)
-        rng = np.random.default_rng(7)
-        times = np.concatenate(
-            [
-                np.linspace(traj.t_start, traj.t_end, 2001),
-                traj.t,  # every node
-                [traj.t_start, traj.t_end],
-                rng.uniform(traj.t_start, traj.t_end, 1000),
-            ]
-        )
-        for got, want in zip(traj.state_at(times), _state_from_scipy(sol(times))):
-            np.testing.assert_array_equal(got, want)
-        for t in times[::41].tolist() + [traj.t_start, traj.t_end, float(traj.t[1])]:
+    def test_state_at_matches_dop853_oracle(self):
+        # the 50-point acceptance grid at the default tolerances
+        trajs = [
+            integrate_mode(om, Pulse(sign * LAMBDA, beta, OMEGA0))
+            for sign in (1.0, -1.0) for beta in BETA_GRID for om in MODE_GRID
+        ]
+        want = _dop853_states(trajs, 2001)
+        got = [traj.state_at(np.linspace(traj.t_start, traj.t_end, 2001)) for traj in trajs]
+        for name, g, w in zip(("B", "Bdot", "gamma"), zip(*got), want):
+            worst = float(np.max(np.abs(np.array(g) - w)))
+            assert worst < 1e-8, f"{name}: max |Magnus - DOP853| = {worst:.2e}"
+
+    def test_scalar_reads_are_numpy_scalars(self, traj_pair_ref):
+        traj = traj_pair_ref[0]
+        times = np.concatenate([traj.t[::97], np.linspace(traj.t_start, traj.t_end, 13)])
+        table = traj.state_at(times)
+        for i, t in enumerate(times.tolist()):
             got = traj.state_at(t)
             assert all(type(v) is np.float64 for v in got)
-            assert got == _state_from_scipy(sol(t))
-
-    def test_reads_do_not_call_scipy(self, modes_ref, pulse_ref, x_grid_ref, monkeypatch):
-        from scipy.integrate import DenseOutput, OdeSolution
-
-        t1 = integrate_mode(modes_ref.omega1, pulse_ref)
-        t2 = integrate_mode(modes_ref.omega2, pulse_ref)
-
-        def forbidden(self, t):
-            raise AssertionError("dense read went through scipy")
-
-        monkeypatch.setattr(OdeSolution, "__call__", forbidden)
-        monkeypatch.setattr(DenseOutput, "__call__", forbidden)
-        assert trajectory_table(t1).shape == (2001, 4)
-        series = snapshot_series(modes_ref, t1, t2, -0.5, 0.5)
-        assert len(series.snapshots) == len(series.times)
-        assert continuity_residual(modes_ref, t1, t2, 0.1, x_grid_ref) < 1e-6
-        assert extract_reflection(t1).R == pytest.approx(
-            analytic_reflection(t1.mode_frequency, pulse_ref).R, abs=1e-8
-        )
-
-    @pytest.mark.parametrize("damage", ["short-blocks", "no-coefficients"])
-    def test_rejects_unexpected_scipy_dense_output(self, monkeypatch, damage):
-        import scipy
-        import scipy.integrate
-
-        original = scipy.integrate.solve_ivp
-
-        def damaged(*args, **kwargs):
-            sol = original(*args, **kwargs)
-            for segment in sol.sol.interpolants:
-                if damage == "short-blocks":
-                    segment.F = segment.F[1:]
-                else:
-                    del segment.F
-            return sol
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", damaged)
-        with pytest.raises(RuntimeError, match=f"scipy {scipy.__version__}"):
-            integrate_mode(OMEGA0, Pulse(LAMBDA, BETA, OMEGA0))
+            assert got == tuple(column[i] for column in table)
 
 
 class TestExtractReflection:

@@ -152,6 +152,11 @@ class TestOccupationSpectrum:
         with pytest.raises(ValueError):
             occupation_spectrum(modes_ref, -1)
 
+    @pytest.mark.parametrize("k_max", [math.nan, math.inf, 2.5])
+    def test_rejects_bad_size(self, modes_ref, k_max):
+        with pytest.raises(ValueError, match="k_max must be a finite integer >= 0"):
+            occupation_spectrum(modes_ref, k_max)
+
 
 class TestNaturalOrbital:
     def test_ground_orbital_at_origin(self, modes_ref):

@@ -200,6 +200,11 @@ class TestTransitionWeights:
         with pytest.raises(ValueError):
             transition_weights(0.5, -1)
 
+    @pytest.mark.parametrize("n_max", [math.inf, math.nan, 2.5])
+    def test_rejects_bad_size(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be a finite integer >= 0"):
+            transition_weights(0.5, n_max)
+
 
 class TestOverlap:
     def test_null_pulse_unit_overlap(self, modes_ref):
