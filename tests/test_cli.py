@@ -406,19 +406,31 @@ print(json.dumps({
 """
 
 
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """Run _IMPORT_PROBE once in a fresh interpreter; its parsed report."""
+    tmp = tmp_path_factory.mktemp("import_probe")
+    src = str(Path(pairpulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out, fig = tmp / "evolve.csv", tmp / "fig1.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(out), str(fig)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), out, fig
+
+
 class TestImportCost:
-    def test_runtime_does_not_load_scipy(self, tmp_path):
-        src = str(Path(pairpulse.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out, fig = tmp_path / "evolve.csv", tmp_path / "fig1.csv"
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, str(out), str(fig)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        res = json.loads(proc.stdout)
-        assert res["codes"] == [0, 0, 0] and out.exists() and fig.exists()
+    def test_closed_form_commands_do_not_load_scipy(self, import_probe):
+        res, _, fig = import_probe
+        assert res["codes"][0] == 0 and fig.exists()
+        assert res["loaded"]["figure 1"] == []
+
+    def test_runtime_does_not_load_scipy(self, import_probe):
+        res, out, _ = import_probe
+        assert res["codes"] == [0, 0, 0] and out.exists()
         assert res["loaded"] == {"figure 1": [], "integrate_mode": [], "evolve": [],
                                  "validate": []}
         assert res["B_start"] == pytest.approx(1.0, abs=1e-12)

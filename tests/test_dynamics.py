@@ -217,17 +217,16 @@ class TestMagnusStep:
                                            rtol=1e-13, atol=1e-14)
 
 
-def _dop853_states(trajs, n_times):
-    """(B, Bdot, gamma) on n_times uniform times of each trajectory's window,
-    from scipy's DOP853 at rtol 1e-13, atol 1e-15.
+def _dop853_solution(trajs):
+    """scipy's DOP853 dense output at rtol 1e-13, atol 1e-15 for trajs, as a
+    function of the time s in [0, 1] that maps onto each window.
 
     An oracle that shares no code with the Magnus path: the real 5-component
     form of the mode equation, with its own sech^2 envelope and the phase
     rate Omega0/B^2 as a quadrature.  All trajectories are integrated as one
-    system in the time s in [0, 1] that maps onto each window, so one call
-    serves the whole grid.  DOP853 bounds the RMS of the scaled error over
-    all components, so one trajectory's share may exceed the tolerance by at
-    most sqrt(5 * len(trajs)).
+    system in s, so one call serves the whole grid.  DOP853 bounds the RMS of
+    the scaled error over all components, so one trajectory's share may
+    exceed the tolerance by at most sqrt(5 * len(trajs)).
     """
     from scipy.integrate import solve_ivp
 
@@ -244,21 +243,81 @@ def _dop853_states(trajs, n_times):
     c, s = np.cos(om * start), np.sin(om * start)
     y0 = np.concatenate([c, s, -om * s, om * c, om * start])
     sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-15,
-                    t_eval=np.linspace(0.0, 1.0, n_times))
+                    dense_output=True)
     assert sol.success, sol.message
-    re, im, red, imd, gamma = sol.y.reshape(5, len(trajs), n_times)
+    return sol.sol
+
+
+def _dop853_states(trajs, s):
+    """(B, Bdot, gamma) of each trajectory at the normalized times s."""
+    re, im, red, imd, gamma = _dop853_solution(trajs)(s).reshape(5, len(trajs), -1)
     B = np.hypot(re, im)
     return B, (re * red + im * imd) / B, gamma
 
 
 class TestDenseOutput:
+    @pytest.mark.parametrize(
+        "mode_frequency, Lambda, beta, tol",
+        [
+            (OMEGA0, LAMBDA, BETA, (1e-11, 1e-13)),
+            (1.5, LAMBDA, BETA, (1e-11, 1e-13)),
+            (OMEGA0, LAMBDA, 0.12, (1e-10, 1e-12)),
+            (1.5, -LAMBDA, 0.7, (1e-10, 1e-12)),
+        ],
+        ids=["reference-mode1", "reference-mode2", "beta0.12", "negative-Lambda"],
+    )
+    def test_state_at_equals_scipy_dense_output(self, mode_frequency, Lambda, beta, tol):
+        traj = integrate_mode(mode_frequency, Pulse(Lambda, beta, OMEGA0), *tol)
+        rng = np.random.default_rng(7)
+        times = np.concatenate(
+            [
+                np.linspace(traj.t_start, traj.t_end, 2001),
+                traj.t,  # every node
+                [traj.t_start, traj.t_end],
+                rng.uniform(traj.t_start, traj.t_end, 1000),
+            ]
+        )
+        got = traj.state_at(times)
+        want = _dop853_states([traj], (times - traj.t_start) / (traj.t_end - traj.t_start))
+        for name, g, w in zip(("B", "Bdot", "gamma"), got, want):
+            worst = float(np.max(np.abs(g - w[0])))
+            assert worst < 1e-8, f"{name}: max |Magnus - DOP853 dense output| = {worst:.2e}"
+        for i in list(range(0, len(times), 41)) + [2001, len(times) - 1000 - 1]:
+            scalar = traj.state_at(float(times[i]))
+            assert all(type(v) is np.float64 for v in scalar)
+            assert scalar == tuple(column[i] for column in got)
+
+    def test_reads_do_not_call_scipy(self, modes_ref, pulse_ref, x_grid_ref, monkeypatch):
+        import sys
+
+        from scipy.integrate import DenseOutput, OdeSolution
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integration or dense read went through scipy")
+
+        monkeypatch.setattr(OdeSolution, "__call__", forbidden)
+        monkeypatch.setattr(DenseOutput, "__call__", forbidden)
+        # an import of scipy from here on raises ImportError
+        for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]:
+            monkeypatch.setitem(sys.modules, name, None)
+
+        t1 = integrate_mode(modes_ref.omega1, pulse_ref)
+        t2 = integrate_mode(modes_ref.omega2, pulse_ref)
+        assert trajectory_table(t1).shape == (2001, 4)
+        series = snapshot_series(modes_ref, t1, t2, -0.5, 0.5)
+        assert len(series.snapshots) == len(series.times)
+        assert continuity_residual(modes_ref, t1, t2, 0.1, x_grid_ref) < 1e-6
+        assert extract_reflection(t1).R == pytest.approx(
+            analytic_reflection(t1.mode_frequency, pulse_ref).R, abs=1e-8
+        )
+
     def test_state_at_matches_dop853_oracle(self):
         # the 50-point acceptance grid at the default tolerances
         trajs = [
             integrate_mode(om, Pulse(sign * LAMBDA, beta, OMEGA0))
             for sign in (1.0, -1.0) for beta in BETA_GRID for om in MODE_GRID
         ]
-        want = _dop853_states(trajs, 2001)
+        want = _dop853_states(trajs, np.linspace(0.0, 1.0, 2001))
         got = [traj.state_at(np.linspace(traj.t_start, traj.t_end, 2001)) for traj in trajs]
         for name, g, w in zip(("B", "Bdot", "gamma"), zip(*got), want):
             worst = float(np.max(np.abs(np.array(g) - w)))
