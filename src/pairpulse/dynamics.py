@@ -17,9 +17,12 @@ observable.
 
 Because the equation is linear, ``integrate_mode`` propagates it exactly
 step by step with a 6th-order Magnus propagator, the closed-form
-exponential of a traceless 2 x 2 matrix, on a uniform grid, all steps in
-one numpy pass (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The module needs numpy alone.
+exponential of a traceless 2 x 2 matrix (Blanes, Casas & Ros, BIT 40, 434
+(2000)).  Steps are bisected where they fail a half-step error check, so
+the grid is fine only where the pulse acts, and each refinement level is
+one numpy pass (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009),
+section 5; Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  The
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -74,12 +77,14 @@ FIT_SAMPLES = 512
 # Near a zero of the cosine that error passes one-to-one into its value.
 ZERO_COS_RTOL = 8.0 * 2.0**-52
 
-# Magnus grids: the first one advances the phase at the peak frequency, and
-# the pulse argument 2 beta (t - t0), by at most FIRST_STEP_ANGLE radians per
-# step.  That keeps its steps inside the convergence region of the Magnus
-# series and stops them from stepping over the pulse; by Sturm comparison it
-# also keeps each node-to-node phase advance of xi below pi.  No grid, the
-# error check's half steps included, has more than MAX_STEPS steps.
+# Magnus grids: the first one advances the phase at the peak frequency over
+# the window, and the pulse argument 2 beta (t - t0) over the pulse core, by
+# at most FIRST_STEP_ANGLE radians per step.  That keeps its steps inside the
+# convergence region of the Magnus series and stops them from stepping over
+# the pulse; by Sturm comparison it also keeps each node-to-node phase
+# advance of xi below pi.  Bisection then refines only the steps that fail
+# the error check.  No grid, the error check's half steps included, has more
+# than MAX_STEPS steps.
 FIRST_STEP_ANGLE = 1.0
 MAX_STEPS = 2**17
 
@@ -210,26 +215,41 @@ def _propagators(om: float, pulse: Pulse, t, h):
     return cos + a, sinc * b, sinc * c, cos - a
 
 
-def _step_matrices(om: float, pulse: Pulse, nodes: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) propagators of the n steps between n + 1 nodes."""
-    u = np.empty((len(nodes) - 1, 2, 2))
-    u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = _propagators(
-        om, pulse, nodes[:-1], np.diff(nodes)
-    )
-    return u
+def _halves(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray, whole: bool = False):
+    """Midpoints of the steps [lo, hi] and the propagator entries, (4, m)
+    each, of their first and second halves, preceded with ``whole`` by those
+    of the steps themselves; all from one ``_propagators`` call."""
+    mid = lo + 0.5 * (hi - lo)
+    t, h = [lo, mid], [mid - lo, hi - mid]
+    if whole:
+        t, h = [lo, *t], [hi - lo, *h]
+    u = np.array(_propagators(om, pulse, np.concatenate(t), np.concatenate(h)))
+    m = len(lo)
+    return (mid, *(u[:, i : i + m] for i in range(0, len(u[0]), m)))
+
+
+def _check_budget(om: float, pulse: Pulse, n: float) -> None:
+    """Reject a grid of n steps whose half steps would exceed MAX_STEPS."""
+    if not 2 * n <= MAX_STEPS:  # NaN and inf fail
+        raise ValueError(
+            f"integrate_mode at beta = {pulse.beta}, Omega0 = {om} needs at least "
+            f"{n:.0f} Magnus steps and {2 * n:.0f} half steps to check them, above "
+            f"MAX_STEPS = {MAX_STEPS}"
+        )
 
 
 @dataclass(eq=False)
 class Trajectory:
     """Integrated width scale of one mode under one pulse.
 
-    ``t`` holds the n + 1 nodes of a uniform Magnus grid on
-    ``[t_start, t_end]``.  The rows of ``state`` hold B, B'/B, gamma' and
-    gamma at every node: |xi|, the real and imaginary parts of xi'/xi, and
-    the phase of xi = B exp(i gamma).  ``state_at`` applies the same
-    closed-form Magnus step from the node at or below each requested time,
-    for all times in one numpy pass, so it reproduces every node exactly and
-    is smooth between them.  Immutable after construction.
+    ``t`` holds the nodes of the Magnus grid on ``[t_start, t_end]``,
+    increasing, with steps refined where the pulse acts.  The rows of
+    ``state`` hold B, B'/B, gamma' and gamma at every node: |xi|, the real
+    and imaginary parts of xi'/xi, and the phase of xi = B exp(i gamma).
+    ``state_at`` applies the same closed-form Magnus step from the node at
+    or below each requested time, for all times in one numpy pass, so it
+    reproduces every node exactly and is smooth between them.  Immutable
+    after construction.
     """
 
     mode_frequency: float
@@ -237,8 +257,6 @@ class Trajectory:
     t: np.ndarray
     t_start: float
     t_end: float
-    rtol: float
-    atol: float
     state: np.ndarray = field(repr=False)
 
     def state_at(self, t):
@@ -288,12 +306,17 @@ def integrate_mode(
     PULSE_OFF) to ``t0 + WINDOW/beta + SETTLE_PERIODS`` width oscillation
     periods, so that asymptotic fits always have pulse-free data.
 
-    The window is cut into n equal 6th-order Magnus steps, n a power of 2.
-    The first grid's steps are FIRST_STEP_ANGLE over the fastest rate, the
-    peak frequency or 2 beta; n then doubles until every step's propagator,
-    scaled to ``(xi, xi'/Omega0)``, agrees with its two half steps within
-    ``atol + rtol``, and every node-to-node phase advance lies in (0, pi).
-    The node states are prefix products of the step propagators.
+    The first grid is the union of two uniform grids: the window in steps
+    of FIRST_STEP_ANGLE over the peak frequency, and the pulse core
+    ``|t - t0| < acosh(PULSE_OFF^-1/2) / (2 beta)``, where the envelope
+    exceeds PULSE_OFF, in steps of FIRST_STEP_ANGLE over 2 beta.  Each
+    step's 6th-order Magnus propagator, scaled to ``(xi, xi'/Omega0)``, is
+    compared with the product of its two half steps.  A step that agrees
+    within ``atol + rtol`` is kept as its two halves; a step that fails is
+    replaced by its halves, which the next level checks in turn.  Each level
+    evaluates the halves of its new steps only, in one numpy pass.  The node
+    states are prefix products of the step propagators, and a step whose
+    node-to-node phase advance falls outside (0, pi) is split as well.
 
     Parameters
     ----------
@@ -311,8 +334,9 @@ def integrate_mode(
     Raises
     ------
     ValueError
-        If a grid, the error check's half steps included, would need more
-        than MAX_STEPS steps; raised before that grid is built.
+        If the grid, the error check's half steps included, would need more
+        than MAX_STEPS steps: checked on the first grid before any array is
+        built, and on the running total at every refinement.
     """
     if not (math.isfinite(mode_frequency) and mode_frequency > 0):
         raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
@@ -329,51 +353,75 @@ def integrate_mode(
         )
     t_start = pulse.t0 - WINDOW / pulse.beta
     t_end = pulse.t0 + WINDOW / pulse.beta + SETTLE_PERIODS * math.pi / om
-    rate = max(math.sqrt(om**2 + max(pulse.coupling, 0.0)), 2.0 * pulse.beta)  # fastest
-    n = 2 ** max(4, math.ceil(math.log2((t_end - t_start) * rate / FIRST_STEP_ANGLE)))
+    # the envelope exceeds PULSE_OFF where the pulse argument 2 beta |t - t0| < edge
+    edge = math.acosh(PULSE_OFF**-0.5)
+    core = edge / (2.0 * pulse.beta)
+    n_window = (t_end - t_start) * math.sqrt(om**2 + max(pulse.coupling, 0.0)) / FIRST_STEP_ANGLE
+    n_core = 2.0 * edge / FIRST_STEP_ANGLE
+    _check_budget(om, pulse, n_window + n_core)  # before any array, and before ceil(inf)
+    nodes = np.sort(np.concatenate([
+        np.linspace(t_start, t_end, math.ceil(n_window) + 1),
+        np.linspace(pulse.t0 - core, pulse.t0 + core, math.ceil(n_core) + 1),
+    ]))
+    nodes = nodes[np.concatenate([[True], nodes[1:] > nodes[:-1]])]  # no zero-width steps
+
     # the error check compares with the half steps: one entry per (xi, xi'/Omega0) pair
-    scale = np.array([[1.0, om], [1.0 / om, 1.0]])
+    scale = np.array([1.0, om, 1.0 / om, 1.0])[:, None]
+    lo, hi, whole = nodes[:-1], nodes[1:], None
+    starts, halves, n_kept = [], [], 0  # accepted steps: their halves, and their count
+    while True:
+        _check_budget(om, pulse, n_kept + len(lo))
+        if whole is None:  # the first grid's own steps join the first pass
+            mid, whole, first, second = _halves(om, pulse, lo, hi, whole=True)
+        else:
+            mid, first, second = _halves(om, pulse, lo, hi)
+        a00, a01, a10, a11 = first
+        b00, b01, b10, b11 = second
+        # second @ first: the two halves in sequence
+        both = np.array([b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
+                         b10 * a00 + b11 * a10, b10 * a01 + b11 * a11])
+        ok = np.all(np.abs(whole - both) * scale <= atol + rtol, axis=0)
+        starts += [lo[ok], mid[ok]]
+        halves += [first[:, ok], second[:, ok]]
+        n_ok = int(np.count_nonzero(ok))
+        if n_ok == len(ok):
+            break
+        n_kept += n_ok
+        fail = ~ok  # each failing step is replaced by its halves
+        lo, hi = np.concatenate([lo[fail], mid[fail]]), np.concatenate([mid[fail], hi[fail]])
+        whole = np.concatenate([first[:, fail], second[:, fail]], axis=1)
+
+    starts = np.concatenate(starts)
+    order = np.argsort(starts)
+    nodes = np.append(starts[order], t_end)
+    steps = np.concatenate(halves, axis=1)[:, order].T.reshape(-1, 2, 2)
     c, s = math.cos(om * t_start), math.sin(om * t_start)
     x0 = np.array([[c, s], [-om * s, om * c]])
-    steps = None
     while True:
-        if 2 * n > MAX_STEPS:
-            raise ValueError(
-                f"integrate_mode at beta = {pulse.beta}, Omega0 = {om} needs at least "
-                f"{n} Magnus steps and {2 * n} half steps to check them, above "
-                f"MAX_STEPS = {MAX_STEPS}"
-            )
-        nodes = np.linspace(t_start, t_end, n + 1)
-        if steps is None:
-            steps = _step_matrices(om, pulse, nodes)
-        halves = _step_matrices(om, pulse, np.linspace(t_start, t_end, 2 * n + 1))
-        error = np.max(np.abs(steps - halves[1::2] @ halves[0::2]) * scale)
-        if error <= atol + rtol:
-            # inclusive prefix product: after it, prod[k] = steps[k] @ ... @ steps[0]
-            prod, d = steps.copy(), 1
-            while d < n:
-                prod[d:] = prod[d:] @ prod[:-d]
-                d *= 2
-            # Re xi, Im xi, Re xi', Im xi' at every node
-            x, y, xd, yd = np.concatenate([x0[None], prod @ x0]).reshape(n + 1, 4).T
-            # the angle of xi_{k+1} / xi_k, which is gamma's advance only inside (0, pi)
-            advance = np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1], x[1:] * x[:-1] + y[1:] * y[:-1])
-            if np.all(advance > 0.0):
-                break
-        steps, n = halves, 2 * n
+        n = len(steps)
+        # inclusive prefix product: after it, prod[k] = steps[k] @ ... @ steps[0]
+        prod, d = steps.copy(), 1
+        while d < n:
+            prod[d:] = prod[d:] @ prod[:-d]
+            d *= 2
+        # Re xi, Im xi, Re xi', Im xi' at every node
+        x, y, xd, yd = np.concatenate([x0[None], prod @ x0]).reshape(n + 1, 4).T
+        # the angle of xi_{k+1} / xi_k, which is gamma's advance only inside (0, pi)
+        advance = np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1], x[1:] * x[:-1] + y[1:] * y[:-1])
+        split = np.flatnonzero((advance <= 0.0) | (advance >= math.pi))
+        if not len(split):
+            break
+        _check_budget(om, pulse, (n + len(split)) / 2)
+        mid, first, second = _halves(om, pulse, nodes[split], nodes[split + 1])
+        steps[split] = first.T.reshape(-1, 2, 2)
+        steps = np.insert(steps, split + 1, second.T.reshape(-1, 2, 2), axis=0)
+        nodes = np.insert(nodes, split + 1, mid)
     B2 = x * x + y * y
     gamma = np.full(n + 1, om * t_start)
     gamma[1:] += np.cumsum(advance)
     state = np.array([np.sqrt(B2), (x * xd + y * yd) / B2, (x * yd - y * xd) / B2, gamma])
     return Trajectory(
-        mode_frequency=om,
-        pulse=pulse,
-        t=nodes,
-        t_start=t_start,
-        t_end=t_end,
-        rtol=rtol,
-        atol=atol,
-        state=state,
+        mode_frequency=om, pulse=pulse, t=nodes, t_start=t_start, t_end=t_end, state=state
     )
 
 

@@ -391,7 +391,9 @@ codes.append(main(["figure", "1", "--out", sys.argv[2]]))
 loaded["figure 1"] = scipy_modules()
 pulse = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
 traj = integrate_mode(2.0, pulse)
+R_ode = extract_reflection(traj).R
 loaded["integrate_mode"] = scipy_modules()
+numpy_ma = "numpy.ma" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     for name, argv in (("evolve", ["evolve", "--out", sys.argv[1]]), ("validate", ["validate"])):
         codes.append(main(argv))
@@ -400,7 +402,8 @@ print(json.dumps({
     "codes": codes,
     "loaded": loaded,
     "B_start": float(traj.state_at(traj.t_start)[0]),
-    "R_ode": extract_reflection(traj).R,
+    "R_ode": R_ode,
+    "numpy_ma": numpy_ma,
     "R_analytic": analytic_reflection(2.0, pulse).R,
 }))
 """
@@ -435,3 +438,10 @@ class TestImportCost:
                                  "validate": []}
         assert res["B_start"] == pytest.approx(1.0, abs=1e-12)
         assert res["R_ode"] == pytest.approx(res["R_analytic"], abs=1e-8)
+
+    def test_integrator_does_not_load_numpy_ma(self, import_probe):
+        # numpy.ma (pulled in by np.unique and np.union1d) costs ~1.2 MiB of
+        # resident memory; neither figure 1 nor integrate_mode and
+        # extract_reflection may load it
+        res, _, _ = import_probe
+        assert res["numpy_ma"] is False

@@ -147,6 +147,32 @@ class TestIntegrateMode:
         traj = integrate_mode(mode_frequency, Pulse(Lambda, beta, OMEGA0))
         assert len(traj.t) - 1 <= MAX_STEPS // 8
 
+    @pytest.mark.parametrize("beta", [5300.0, 1e4])
+    def test_sudden_pulses_integrate(self, beta):
+        # a first grid resolving 2 beta over the whole window needed 2^17 steps here
+        p = Pulse(LAMBDA, beta, OMEGA0)
+        R = extract_reflection(integrate_mode(OMEGA0, p)).R
+        assert abs(R - analytic_reflection(OMEGA0, p).R) < 1e-6
+
+    @pytest.mark.parametrize("beta", [100.0, 1000.0])
+    def test_sudden_pulses_refine_only_the_core(self, beta):
+        # doubling the whole uniform grid took 16,384 and 65,536 steps here
+        traj = integrate_mode(1.5, Pulse(LAMBDA, beta, OMEGA0))
+        assert len(traj.t) <= 1024
+
+    def test_steps_advancing_past_pi_are_split(self, monkeypatch):
+        # free-oscillation steps are exact at any width, so with first steps of
+        # 7 rad the error check keeps halves of 3.5 rad, which the phase-advance
+        # rule must split; without it gamma would lose 2 pi per such step
+        import pairpulse.dynamics as dynamics
+
+        monkeypatch.setattr(dynamics, "FIRST_STEP_ANGLE", 7.0)
+        traj = integrate_mode(2.0, Pulse(0.0, 2.0, OMEGA0))
+        advance = np.diff(traj.state[3])
+        assert np.all((advance > 0) & (advance < math.pi))
+        ts = np.linspace(traj.t_start, traj.t_end, 500)
+        np.testing.assert_allclose(traj.state_at(ts)[2], 2.0 * ts, rtol=0, atol=1e-9)
+
     def test_rejects_inverted_confinement(self):
         p = Pulse(Lambda=-2.0 / 9.0, beta=3.0, omega0=3.0)
         with pytest.raises(IonizationRegimeError):
@@ -181,6 +207,22 @@ class TestIntegrateMode:
         assert table[0, 0] == traj_pair_ref[0].t_start
         assert table[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert trajectory_table(traj_pair_ref[0], n=0).shape == (0, 4)
+
+
+class TestDomainEdges:
+    @pytest.mark.parametrize("lam", [0.4999, 0.499999])
+    @pytest.mark.parametrize("fraction", [0.5, -0.5, 1.0 - 1e-9, -(1.0 - 1e-9)])
+    @pytest.mark.parametrize("rate", ["omega2", "reference"])
+    def test_relative_mode_near_lam_half(self, lam, fraction, rate):
+        # omega2 -> 0 as lam -> 1/2, so the window's SETTLE_PERIODS pi/omega2
+        # grows; Lambda runs up to the bound (omega2/omega0)^2
+        m = derive_modes(ModelParams(OMEGA0, lam))
+        beta = m.omega2 if rate == "omega2" else BETA
+        p = Pulse(fraction * (m.omega2 / m.omega1) ** 2, beta, OMEGA0)
+        traj = integrate_mode(m.omega2, p)
+        assert abs(extract_reflection(traj).R - analytic_reflection(m.omega2, p).R) < 1e-6
+        # uniform doubling took up to 65,536 steps here, or exceeded MAX_STEPS
+        assert len(traj.t) <= 512
 
 
 def _magnus_by_expm(om, pulse, t, h):
