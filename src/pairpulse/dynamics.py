@@ -56,20 +56,16 @@ __all__ = [
 ]
 
 # Envelope value below which the pulse counts as "off" for initial
-# conditions and asymptotic extraction.
+# conditions and the post-pulse invariant.
 PULSE_OFF = 1e-10
 
 # Integration window: WINDOW/beta on either side of the pulse center, where
 # the envelope is sech^2(30) ~ 4e-26 < PULSE_OFF for every beta, then
-# SETTLE_PERIODS width oscillation periods (pi/Omega0 each) of pulse-free
-# data for the asymptotic fit.
+# SETTLE_PERIODS width oscillation periods (pi/Omega0 each) of free
+# oscillation.  The window is the time range of every trajectory, so it
+# fixes the rows of a dense table such as the one `evolve` writes.
 WINDOW = 15.0
 SETTLE_PERIODS = 6.0
-
-# The asymptotic phase fit samples FIT_SAMPLES points over the last
-# FIT_PERIODS width oscillation periods of a trajectory.
-FIT_PERIODS = 5.0
-FIT_SAMPLES = 512
 
 # Relative rounding error of the closed-form reflection's cosine argument
 # (pi/2) sqrt(radicand), with a factor 2 of margin: the coupling, the
@@ -81,10 +77,14 @@ ZERO_COS_RTOL = 8.0 * 2.0**-52
 # the window, and the pulse argument 2 beta (t - t0) over the pulse core, by
 # at most FIRST_STEP_ANGLE radians per step.  That keeps its steps inside the
 # convergence region of the Magnus series and stops them from stepping over
-# the pulse; by Sturm comparison it also keeps each node-to-node phase
-# advance of xi below pi.  Bisection then refines only the steps that fail
-# the error check.  No grid, the error check's half steps included, has more
-# than MAX_STEPS steps.
+# the pulse.  Bisection then refines only the steps that fail the error
+# check.  No grid, the error check's half steps included, has more than
+# MAX_STEPS steps.
+#
+# By Sturm comparison the zeros of the real solution Re(xi exp(-i a)), where
+# the phase of xi passes a + pi/2 mod pi, lie at least pi / max Omega apart.
+# So while FIRST_STEP_ANGLE < pi every step advances the phase by less than
+# pi, and integrate_mode raises a RuntimeError on any advance outside (0, pi).
 FIRST_STEP_ANGLE = 1.0
 MAX_STEPS = 2**17
 
@@ -169,6 +169,12 @@ def check_admissible(modes: ModeSet, pulse: Pulse) -> None:
             f"|Lambda| = {abs(pulse.Lambda)} >= (omega2/omega0)^2 = {bound}: "
             "ionization-like regime is excluded"
         )
+
+
+def _check_mode_frequency(mode_frequency: float) -> None:
+    """Reject a mode frequency that is not finite and > 0."""
+    if not (math.isfinite(mode_frequency) and mode_frequency > 0):
+        raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
 
 
 # Gauss-Legendre nodes on [0, 1] of the 6th-order Magnus step.
@@ -262,10 +268,10 @@ class Trajectory:
     def state_at(self, t):
         """(B, Bdot, gamma) from the node at or below each time.
 
-        gamma adds the angle of xi(t) / xi_k to the node value gamma_k;
-        ``integrate_mode`` keeps every node-to-node phase advance in (0, pi),
-        so that angle is the advance itself.  A scalar time gives numpy
-        scalars.
+        gamma adds the angle of xi(t) / xi_k to the node value gamma_k.
+        Each node-to-node phase advance lies in (0, pi), which
+        ``integrate_mode`` checks, and a read lies inside one step, so that
+        angle is the advance itself.  A scalar time gives numpy scalars.
         """
         t = np.asarray(t, dtype=float)[()]  # a 0-d array becomes a scalar
         if t.size and not (t.min() >= self.t_start and t.max() <= self.t_end):  # NaN fails
@@ -304,7 +310,7 @@ def integrate_mode(
 
     The window runs from ``t0 - WINDOW/beta`` (where the envelope is below
     PULSE_OFF) to ``t0 + WINDOW/beta + SETTLE_PERIODS`` width oscillation
-    periods, so that asymptotic fits always have pulse-free data.
+    periods, so that it ends in free oscillation.
 
     The first grid is the union of two uniform grids: the window in steps
     of FIRST_STEP_ANGLE over the peak frequency, and the pulse core
@@ -315,8 +321,9 @@ def integrate_mode(
     within ``atol + rtol`` is kept as its two halves; a step that fails is
     replaced by its halves, which the next level checks in turn.  Each level
     evaluates the halves of its new steps only, in one numpy pass.  The node
-    states are prefix products of the step propagators, and a step whose
-    node-to-node phase advance falls outside (0, pi) is split as well.
+    states come from one prefix-product pass over the step propagators, and
+    gamma sums the node-to-node phase advances, each in (0, pi) by the Sturm
+    bound stated at FIRST_STEP_ANGLE.
 
     Parameters
     ----------
@@ -337,9 +344,11 @@ def integrate_mode(
         If the grid, the error check's half steps included, would need more
         than MAX_STEPS steps: checked on the first grid before any array is
         built, and on the running total at every refinement.
+    RuntimeError
+        If a node-to-node phase advance falls outside (0, pi), which the
+        module constants exclude.
     """
-    if not (math.isfinite(mode_frequency) and mode_frequency > 0):
-        raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
+    _check_mode_frequency(mode_frequency)
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} must be finite and > 0, got {tol}")
@@ -394,28 +403,24 @@ def integrate_mode(
     starts = np.concatenate(starts)
     order = np.argsort(starts)
     nodes = np.append(starts[order], t_end)
-    steps = np.concatenate(halves, axis=1)[:, order].T.reshape(-1, 2, 2)
+    prod = np.concatenate(halves, axis=1)[:, order].T.reshape(-1, 2, 2)
+    n, d = len(prod), 1
+    # inclusive prefix product of the steps: after it, prod[k] = step_k @ ... @ step_0
+    while d < n:
+        prod[d:] = prod[d:] @ prod[:-d]
+        d *= 2
     c, s = math.cos(om * t_start), math.sin(om * t_start)
     x0 = np.array([[c, s], [-om * s, om * c]])
-    while True:
-        n = len(steps)
-        # inclusive prefix product: after it, prod[k] = steps[k] @ ... @ steps[0]
-        prod, d = steps.copy(), 1
-        while d < n:
-            prod[d:] = prod[d:] @ prod[:-d]
-            d *= 2
-        # Re xi, Im xi, Re xi', Im xi' at every node
-        x, y, xd, yd = np.concatenate([x0[None], prod @ x0]).reshape(n + 1, 4).T
-        # the angle of xi_{k+1} / xi_k, which is gamma's advance only inside (0, pi)
-        advance = np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1], x[1:] * x[:-1] + y[1:] * y[:-1])
-        split = np.flatnonzero((advance <= 0.0) | (advance >= math.pi))
-        if not len(split):
-            break
-        _check_budget(om, pulse, (n + len(split)) / 2)
-        mid, first, second = _halves(om, pulse, nodes[split], nodes[split + 1])
-        steps[split] = first.T.reshape(-1, 2, 2)
-        steps = np.insert(steps, split + 1, second.T.reshape(-1, 2, 2), axis=0)
-        nodes = np.insert(nodes, split + 1, mid)
+    # Re xi, Im xi, Re xi', Im xi' at every node
+    x, y, xd, yd = np.concatenate([x0[None], prod @ x0]).reshape(n + 1, 4).T
+    # the angle of xi_{k+1} / xi_k, which is gamma's advance only inside (0, pi)
+    advance = np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1], x[1:] * x[:-1] + y[1:] * y[:-1])
+    if not np.all((advance > 0.0) & (advance < math.pi)):  # NaN fails
+        raise RuntimeError(
+            f"integrate_mode at beta = {pulse.beta}, Omega0 = {om}: a node-to-node "
+            f"phase advance outside (0, pi); FIRST_STEP_ANGLE = {FIRST_STEP_ANGLE} "
+            "must stay below pi"
+        )
     B2 = x * x + y * y
     gamma = np.full(n + 1, om * t_start)
     gamma[1:] += np.cumsum(advance)
@@ -427,15 +432,9 @@ def integrate_mode(
 
 @dataclass(frozen=True)
 class ReflectionResult:
-    """Reflection coefficient of the associated scattering problem.
-
-    ``delta`` is the asymptotic oscillation phase: ``extract_reflection``
-    fits it from a trajectory, and ``analytic_reflection``, which does not
-    determine it, leaves it None.
-    """
+    """Reflection coefficient R of the associated scattering problem."""
 
     R: float
-    delta: float | None
 
     def __post_init__(self):
         if not (0.0 <= self.R < 1.0):
@@ -443,37 +442,20 @@ class ReflectionResult:
 
 
 def extract_reflection(traj: Trajectory) -> ReflectionResult:
-    """Reflection coefficient and asymptotic phase from a trajectory.
+    """Reflection coefficient from the post-pulse invariant of a trajectory.
 
-    R comes from the post-pulse invariant K (exact once the envelope is
-    off); the phase delta comes from a linear least-squares fit of
-    ``B^2(t) = a - b cos(2 Omega0 t + delta)`` over the last
-    FIT_PERIODS oscillation periods.  This is the ODE oracle for
+    K = (1/2)(1+R)/(1-R) is exact once the envelope is off, so R is read
+    from K at ``t_end`` alone.  This is the ODE oracle for
     ``analytic_reflection``, which every observable uses.
     """
-    om = traj.mode_frequency
     if traj.pulse.envelope(traj.t_end) > PULSE_OFF:
         raise ValueError("trajectory does not extend beyond the pulse support")
-    t_lo = traj.t_end - FIT_PERIODS * math.pi / om
-    if t_lo < traj.t_start or traj.pulse.envelope(t_lo) > PULSE_OFF:
-        raise ValueError(
-            f"trajectory too short to fit {FIT_PERIODS} pulse-free oscillation periods"
-        )
-
     K = float(traj.invariant_at(traj.t_end))
     if K < 0.5 - 1e-9:
         raise RuntimeError(
             f"post-pulse invariant K = {K} < 1/2: unphysical, integration failed"
         )
-
-    ts = np.linspace(t_lo, traj.t_end, FIT_SAMPLES)
-    B, _, _ = traj.state_at(ts)
-    design = np.column_stack([np.ones_like(ts), np.cos(2 * om * ts), np.sin(2 * om * ts)])
-    (_, c1, c2), *_ = np.linalg.lstsq(design, B * B, rcond=None)
-    delta = math.remainder(math.atan2(c2, -c1), 2.0 * math.pi)
-    if delta <= -math.pi:
-        delta += 2.0 * math.pi
-    return ReflectionResult(R=max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0)), delta=delta)
+    return ReflectionResult(R=max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0)))
 
 
 def _log_sinh(x: float) -> float:
@@ -498,18 +480,20 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
     computed cosine is rounding residue of its argument (cos(3 pi/2)
     evaluates to -1.8e-16), so any |cos| at or below ZERO_COS_RTOL times
     the argument counts as an exact zero and gives R = 0.
+
+    Every observable takes R from here; ``extract_reflection`` of an
+    integrated trajectory is its ODE oracle.
     """
-    if not (math.isfinite(mode_frequency) and mode_frequency > 0):
-        raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
+    _check_mode_frequency(mode_frequency)
     if pulse.coupling == 0.0:
-        return ReflectionResult(R=0.0, delta=None)
+        return ReflectionResult(R=0.0)
     radicand = 1.0 + pulse.coupling / pulse.beta**2
     v = 0.5 * math.pi * mode_frequency / pulse.beta
     if radicand >= 0.0:
         arg = 0.5 * math.pi * math.sqrt(radicand)
         c = abs(math.cos(arg))
         if c <= ZERO_COS_RTOL * arg:
-            return ReflectionResult(R=0.0, delta=None)
+            return ReflectionResult(R=0.0)
         log_rho = 2.0 * math.log(c) - 2.0 * _log_sinh(v)
     else:
         u = 0.5 * math.pi * math.sqrt(-radicand)
@@ -519,7 +503,7 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
             "reflection coefficient approaches 1: pulse outside the admissible range"
         )
     rho = math.exp(log_rho)
-    return ReflectionResult(R=rho / (1.0 + rho), delta=None)
+    return ReflectionResult(R=rho / (1.0 + rho))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ overlap, the abrupt-quench reflection, and the Berry connection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .dynamics import (
     analytic_reflection,
     check_admissible,
     omega_squared,
+    _check_mode_frequency,
     _log_sinh,
 )
 from .model import ModeSet, mode_frequencies
@@ -91,17 +92,10 @@ class EnergyShiftReport:
     natural: float
 
     def as_record(self) -> dict:
+        """The fields in order, with ``lam`` under its CLI name ``lambda``."""
         return {
-            "omega0": self.omega0,
-            "lambda": self.lam,
-            "Lambda": self.Lambda,
-            "beta": self.beta,
-            "shift_mode1": self.shift_mode1,
-            "shift_mode2": self.shift_mode2,
-            "exact": self.exact,
-            "hf": self.hf,
-            "ks": self.ks,
-            "natural": self.natural,
+            "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+            for f in fields(self)
         }
 
 
@@ -131,6 +125,7 @@ def born_shift(mode_frequency: float, pulse: Pulse) -> float:
 
     Quadratic in the drive, hence blind to its sign.
     """
+    _check_mode_frequency(mode_frequency)
     if pulse.coupling == 0.0:
         return 0.0
     v = 0.5 * math.pi * mode_frequency / pulse.beta
@@ -153,6 +148,7 @@ def sudden_shift(mode_frequency: float, pulse: Pulse) -> SuddenShift:
     ``valid`` is a coarse asymptotic check (beta well above the mode
     frequency and the drive scale).
     """
+    _check_mode_frequency(mode_frequency)
     om, beta = mode_frequency, pulse.beta
     coupling = pulse.coupling
     value = (
@@ -238,6 +234,11 @@ def abrupt_reflection(mode_frequency: float, Lambda: float, omega0: float) -> fl
     The drive switches on at full strength and stays on, unlike the
     switch-on-and-off pulse; the two protocols are not comparable limits.
     """
+    _check_mode_frequency(mode_frequency)
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, got {Lambda}")
+    if not (math.isfinite(omega0) and omega0 > 0):
+        raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
     final_sq = mode_frequency**2 + Lambda * omega0**2
     if final_sq <= 0.0:
         raise ValueError(

@@ -100,7 +100,9 @@ class TestTotalShift:
         for kind in KINDS:
             assert getattr(rep, kind) == total_shift(modes_ref, pulse_ref, kind)
         record = rep.as_record()
-        assert list(record)[:4] == ["omega0", "lambda", "Lambda", "beta"]
+        assert list(record) == ["omega0", "lambda", "Lambda", "beta", "shift_mode1",
+                                "shift_mode2", "exact", "hf", "ks", "natural"]
+        assert record["lambda"] == rep.lam
 
 
 class TestBornShift:
@@ -284,6 +286,35 @@ class TestAbruptReflection:
         assert r_quench == pytest.approx(expected, rel=1e-14)
         assert r_pulse < 1e-8
         assert r_pulse < 1e-3 * r_quench
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("Lambda", math.nan, "Lambda must be finite"),
+        ("Lambda", math.inf, "Lambda must be finite"),
+        ("omega0", math.nan, "omega0 must be finite and > 0"),
+        ("omega0", math.inf, "omega0 must be finite and > 0"),
+        ("omega0", 0.0, "omega0 must be finite and > 0"),
+        ("omega0", -3.0, "omega0 must be finite and > 0"),
+    ])
+    def test_rejects_bad_drive(self, name, value, message):
+        args = {"mode_frequency": 2.0, "Lambda": LAMBDA, "omega0": 3.0, name: value}
+        with pytest.raises(ValueError, match=message):
+            abrupt_reflection(**args)
+
+
+_P = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.5])
+@pytest.mark.parametrize("function", [
+    lambda om: born_shift(om, _P),
+    lambda om: sudden_shift(om, _P),
+    lambda om: abrupt_reflection(om, 2.0 / 9.0, 3.0),
+], ids=["born_shift", "sudden_shift", "abrupt_reflection"])
+def test_rejects_bad_mode_frequency(function, omega):
+    # these used to return garbage (abrupt_reflection(-1.5, 2/9, 3) = 40.2,
+    # a negative sudden shift flagged valid) or a bare math domain error
+    with pytest.raises(ValueError, match="mode frequency must be > 0"):
+        function(omega)
 
 
 class TestBerryConnection:
