@@ -146,6 +146,7 @@ def omega_squared(mode_frequency: float, pulse: Pulse, t):
     Raises IonizationRegimeError if the value is not positive anywhere,
     which signals the excluded inverted-confinement regime.
     """
+    _check_mode_frequency(mode_frequency)
     val = mode_frequency**2 + pulse.coupling * pulse.envelope(t)
     if np.any(val <= 0.0):
         raise IonizationRegimeError(
@@ -508,23 +509,18 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
 
 @dataclass(frozen=True)
 class OneMatrixSnapshot:
-    """Parameters of the time-dependent one-matrix at one instant, or at
-    every instant of an array of times.
+    """The time-dependent one-matrix at one instant, or at every instant of
+    an array of times.
 
     ``omega_d_t`` is the mode-mixed density frequency, ``D_t`` the pair
     Gaussian exponent, ``alpha_t`` the current coefficient (probability
-    current j = x n alpha), and ``Z_t`` the geometric occupation ratio.
-    Every field is a float for a scalar time and a 1-d numpy array for a
-    1-d array of times.
+    current j = x n alpha), and ``Z_t`` the geometric occupation ratio; the
+    mode widths behind them are read with ``Trajectory.state_at``.  Every
+    field is a float for a scalar time and a 1-d numpy array for a 1-d array
+    of times.
     """
 
     t: float
-    omega1_t: float
-    omega2_t: float
-    B1: float
-    B1dot: float
-    B2: float
-    B2dot: float
     omega_d_t: float
     D_t: float
     alpha_t: float
@@ -534,14 +530,14 @@ class OneMatrixSnapshot:
 def onematrix_snapshot(
     modes: ModeSet, traj1: Trajectory, traj2: Trajectory, t
 ) -> OneMatrixSnapshot:
-    """Evaluate the time-dependent one-matrix parameters at time(s) t.
+    """Evaluate the time-dependent one-matrix at time(s) t.
 
     ``traj1``/``traj2`` must be the center-of-mass and relative mode
     trajectories integrated under the same pulse.  ``t`` is a scalar or a
     1-d array; either way each trajectory is read by one ``state_at`` call and
     the formulas run once over arrays, so a scalar time gives exactly the
     element an array holding it would give.  A scalar ``t`` returns float
-    fields.
+    fields: the one-matrix alone, not the mode states it is built from.
     """
     if traj1.pulse != traj2.pulse:
         raise ValueError("trajectories were not integrated under the same pulse")
@@ -562,7 +558,7 @@ def onematrix_snapshot(
     alpha = od * 0.5 * (B1 * B1d / w1 + B2 * B2d / w2)
     root = np.sqrt(1.0 + 2.0 * D_t / od)
     Z_t = (root - 1.0) / (root + 1.0)
-    values = (ts, o1, o2, B1, B1d, B2, B2d, od, D_t, alpha, Z_t)
+    values = (ts, od, D_t, alpha, Z_t)
     if t.ndim == 0:
         return OneMatrixSnapshot(*(float(v[0]) for v in values))
     return OneMatrixSnapshot(*values)
@@ -582,7 +578,8 @@ def gamma1_time(snapshot: OneMatrixSnapshot, x1, x2):
 class SnapshotSeries:
     """One-matrix snapshots on a uniform time grid for stencil derivatives.
 
-    ``snapshots`` holds one scalar OneMatrixSnapshot per entry of ``times``.
+    ``snapshots`` holds one scalar OneMatrixSnapshot per entry of ``times``,
+    which ``effective_potential`` and ``energy_expectation_ks`` read.
     """
 
     modes: ModeSet

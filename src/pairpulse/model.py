@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,8 +48,15 @@ LAMBDA_MAX = 0.5
 # The contract is validated up to this bound; larger requests are rejected.
 MAX_ORBITAL_INDEX = 1000
 
-# The exact two-mode model and its three independent-particle references.
-KINDS = ("exact", "hf", "ks", "natural")
+# The exact two-mode model and its three independent-particle references,
+# each with the ModeSet fields of its two mode frequencies.
+_MODE_FREQUENCIES = {
+    "exact": attrgetter("omega1", "omega2"),
+    "hf": attrgetter("omega_e", "omega_e"),
+    "ks": attrgetter("omega_d", "omega_d"),
+    "natural": attrgetter("omega_w", "omega_w"),
+}
+KINDS = tuple(_MODE_FREQUENCIES)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -307,13 +315,10 @@ def mode_frequencies(modes: ModeSet, kind: str) -> tuple[float, float]:
     ``hf``, ``ks`` and ``natural`` put both particles at omega_e, omega_d
     and omega_w respectively.
     """
-    if kind == "exact":
-        return (modes.omega1, modes.omega2)
-    try:
-        freq = {"hf": modes.omega_e, "ks": modes.omega_d, "natural": modes.omega_w}[kind]
-    except KeyError:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}") from None
-    return (freq, freq)
+    frequencies = _MODE_FREQUENCIES.get(kind)
+    if frequencies is None:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return frequencies(modes)
 
 
 def model_wavefunction(kind: str, modes: ModeSet, x1, x2):

@@ -24,7 +24,7 @@ from .dynamics import (
     _check_mode_frequency,
     _log_sinh,
 )
-from .model import ModeSet, mode_frequencies
+from .model import KINDS, ModeSet, mode_frequencies
 
 __all__ = [
     "EnergyShiftReport",
@@ -106,6 +106,7 @@ def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
     """
     check_admissible(modes, pulse)
     d1, d2, exact = _two_mode_shifts(modes.omega1, modes.omega2, pulse)
+    hf, ks, natural = [_two_mode_shifts(*mode_frequencies(modes, k), pulse)[2] for k in KINDS[1:]]
     return EnergyShiftReport(
         omega0=modes.params.omega0,
         lam=modes.params.lam,
@@ -114,9 +115,9 @@ def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
         shift_mode1=d1,
         shift_mode2=d2,
         exact=exact,
-        hf=_two_mode_shifts(modes.omega_e, modes.omega_e, pulse)[2],
-        ks=_two_mode_shifts(modes.omega_d, modes.omega_d, pulse)[2],
-        natural=_two_mode_shifts(modes.omega_w, modes.omega_w, pulse)[2],
+        hf=hf,
+        ks=ks,
+        natural=natural,
     )
 
 
@@ -209,6 +210,7 @@ def statistical_shift(weights: TransitionWeights, mode_frequency: float) -> floa
     negative residue at tiny R.  Equals the closed form Omega0*R/(1-R) up
     to the truncation tail.
     """
+    _check_mode_frequency(mode_frequency)
     n = np.arange(len(weights.weights))
     return mode_frequency * 2.0 * float(np.sum(n * weights.weights))
 

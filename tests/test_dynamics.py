@@ -495,7 +495,7 @@ class TestOneMatrixSnapshot:
             for f in fields(OneMatrixSnapshot):
                 value = getattr(snap, f.name)
                 assert type(value) is float
-                if f.name == "t" or f.name.startswith("B"):
+                if f.name == "t":
                     assert value == getattr(table, f.name)[i]
                 else:
                     assert value == pytest.approx(getattr(table, f.name)[i], rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pairpulse import ModelParams, derive_modes
-from pairpulse.dynamics import Pulse, analytic_reflection, integrate_mode
+from pairpulse.dynamics import Pulse, analytic_reflection, integrate_mode, omega_squared
 from pairpulse.model import KINDS, mode_frequencies
 from pairpulse.observables import (
     abrupt_reflection,
@@ -309,10 +309,13 @@ _P = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
     lambda om: born_shift(om, _P),
     lambda om: sudden_shift(om, _P),
     lambda om: abrupt_reflection(om, 2.0 / 9.0, 3.0),
-], ids=["born_shift", "sudden_shift", "abrupt_reflection"])
+    lambda om: omega_squared(om, _P, 0.0),
+    lambda om: statistical_shift(transition_weights(0.1), om),
+], ids=["born_shift", "sudden_shift", "abrupt_reflection", "omega_squared", "statistical_shift"])
 def test_rejects_bad_mode_frequency(function, omega):
     # these used to return garbage (abrupt_reflection(-1.5, 2/9, 3) = 40.2,
-    # a negative sudden shift flagged valid) or a bare math domain error
+    # a negative sudden shift flagged valid, omega_squared(nan, ...) = nan,
+    # a negative ladder shift) or a bare math domain error
     with pytest.raises(ValueError, match="mode frequency must be > 0"):
         function(omega)
 
