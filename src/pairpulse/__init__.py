@@ -3,7 +3,7 @@
 Static spectral structure of the pair's one-matrix, exact time evolution
 under a finite confinement pulse via the Ermakov width equation, the
 resulting sign-dependent energy shifts, overlaps and Berry connection, and
-a classical collision-time mapping from projectile velocity to pulse rate.
+the sign effect as a function of projectile velocity at beta = v.
 
 The package namespace is the union of its modules' ``__all__``.
 """

@@ -202,6 +202,8 @@ def _propagators(om: float, pulse: Pulse, t, h):
     Scalar t and h give numpy scalars, which keeps one-time reads cheap.
     Returns the entries (u00, u01, u10, u11).
     """
+    # omega_squared inline: integrate_mode has checked positivity once for
+    # the whole window, so this hot loop skips the per-call check.
     w1, w2, w3 = om * om + pulse.coupling * pulse.envelope(t + np.multiply.outer(_GAUSS, h))
     W, D1, D2 = h * w2, h * (w3 - w1), h * (w1 + w3 - 2.0 * w2)
     E = D1 * D1
@@ -649,8 +651,7 @@ def effective_potential(series: SnapshotSeries, x, t: float, variant: str) -> np
     """
     x2 = np.square(np.asarray(x, dtype=float))
     if variant == "preoptimized":
-        od = series.modes.omega_d
-        return 0.5 * x2 * (od * od + series.pulse.coupling * series.pulse.envelope(t))
+        return 0.5 * x2 * omega_squared(series.modes.omega_d, series.pulse, t)
     if variant == "inverted":
         i = series.index_at(t)
         od_t = series.snapshots[i].omega_d_t

@@ -190,18 +190,21 @@ class OccupationSpectrum:
     def total(self) -> float:
         return float(np.sum(self.weights) + self.tail_mass)
 
-    def escort(self, q: float) -> "OccupationSpectrum":
-        """Escort transform Z -> Z**q, again a normalized geometric spectrum."""
-        if q <= 0:
-            raise ValueError(f"escort order must be > 0, got {q}")
-        return occupation_spectrum_from_ratio(self.Z**q, self.k_max)
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; rejects one that is not a finite integer >= minimum.
+
+    Integral floats and numpy integers pass.
+    """
+    if not (math.isfinite(value) and value >= minimum and value == int(value)):
+        raise ValueError(f"{name} must be a finite integer >= {minimum}, got {value}")
+    return int(value)
 
 
 def occupation_spectrum_from_ratio(Z: float, k_max: int) -> OccupationSpectrum:
     if not (0.0 <= Z < 1.0):
         raise ValueError(f"geometric ratio must lie in [0, 1), got {Z}")
-    if not (math.isfinite(k_max) and k_max >= 0 and k_max == int(k_max)):
-        raise ValueError(f"k_max must be a finite integer >= 0, got {k_max}")
+    k_max = _check_count("k_max", k_max, 0)
     k = np.arange(k_max + 1)
     if Z == 0.0:
         weights = np.zeros(k_max + 1)
@@ -223,10 +226,9 @@ def hermite_function(k: int, xi):
 
     Evaluated through the three-term recurrence on the *normalized*
     functions (never on raw Hermite polynomials), which keeps every
-    intermediate bounded.  Valid for 0 <= k <= MAX_ORBITAL_INDEX.
+    intermediate bounded.  Valid for integers 0 <= k <= MAX_ORBITAL_INDEX.
     """
-    if k < 0:
-        raise ValueError(f"orbital index must be >= 0, got {k}")
+    k = _check_count("k", k, 0)
     if k > MAX_ORBITAL_INDEX:
         raise ValueError(
             f"orbital index {k} exceeds the validated recurrence range "
@@ -344,10 +346,14 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_min < self.x_max:
             raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be >= 3, got {self.n_points}")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"x_max - x_min overflows, got [{self.x_min}, {self.x_max}]")
+        object.__setattr__(self, "n_points", _check_count("n_points", self.n_points, 3))
 
     @property
     def spacing(self) -> float:

@@ -5,7 +5,7 @@ quantity is closed form: the one-mode energy shift Omega0*R/(1-R), the
 two-mode exact total and its three independent-particle counterparts, the
 perturbative (Born) and sudden expansions, the statistical transition
 weights whose weighted ladder reproduces the same shift, the ground-state
-overlap, the abrupt-quench reflection, and the Berry connection.
+overlap, and the Berry connection.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .dynamics import (
     _check_mode_frequency,
     _log_sinh,
 )
-from .model import KINDS, ModeSet, mode_frequencies
+from .model import KINDS, ModeSet, _check_count, mode_frequencies
 
 __all__ = [
     "EnergyShiftReport",
@@ -38,7 +38,6 @@ __all__ = [
     "transition_weights",
     "statistical_shift",
     "overlap",
-    "abrupt_reflection",
     "berry_connection",
 ]
 
@@ -185,8 +184,7 @@ def transition_weights(R: float, n_max: int = 200) -> TransitionWeights:
     """
     if not (0.0 <= R < 1.0):
         raise ValueError(f"reflection coefficient must lie in [0, 1), got {R}")
-    if not (math.isfinite(n_max) and n_max >= 0 and n_max == int(n_max)):
-        raise ValueError(f"n_max must be a finite integer >= 0, got {n_max}")
+    n_max = _check_count("n_max", n_max, 0)
     n = np.arange(n_max + 1)
     if R == 0.0:
         weights = np.zeros(n_max + 1)
@@ -228,26 +226,6 @@ def overlap(modes: ModeSet, pulse: Pulse, kind: str) -> float:
     f1, f2 = mode_frequencies(modes, kind)
     R1, R2 = _reflections(f1, f2, pulse)
     return math.sqrt(1.0 - R1) * math.sqrt(1.0 - R2)
-
-
-def abrupt_reflection(mode_frequency: float, Lambda: float, omega0: float) -> float:
-    """Reflection coefficient of an abrupt (one-sided) frequency quench.
-
-    The drive switches on at full strength and stays on, unlike the
-    switch-on-and-off pulse; the two protocols are not comparable limits.
-    """
-    _check_mode_frequency(mode_frequency)
-    if not math.isfinite(Lambda):
-        raise ValueError(f"Lambda must be finite, got {Lambda}")
-    if not (math.isfinite(omega0) and omega0 > 0):
-        raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
-    final_sq = mode_frequency**2 + Lambda * omega0**2
-    if final_sq <= 0.0:
-        raise ValueError(
-            f"final squared frequency {final_sq} <= 0: quench unbinds the mode"
-        )
-    om_f = math.sqrt(final_sq)
-    return ((mode_frequency - om_f) / (mode_frequency + om_f)) ** 2
 
 
 def berry_connection(traj: Trajectory, pulse: Pulse, t: float) -> float:

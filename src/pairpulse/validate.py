@@ -93,7 +93,7 @@ def check_wronskian_and_ermakov(traj):
     Bp, _, gp = traj.state_at(ts + h)
     wr_err = float(np.max(np.abs((gp - gm) / (2 * h) * B0**2 - om)))
     Bdd = (Bp - 2 * B0 + Bm) / h**2
-    o2 = om**2 + traj.pulse.coupling * traj.pulse.envelope(ts)
+    o2 = dynamics.omega_squared(om, traj.pulse, ts)
     resid = float(np.max(np.abs(Bdd + o2 * B0 - om**2 / B0**3)))
     ok = resid < 1e-6 and wr_err < 1e-6
     return ok, f"max Ermakov residual {resid:.2e}, Wronskian error {wr_err:.2e}"

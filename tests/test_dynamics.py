@@ -448,11 +448,12 @@ class TestAnalyticReflection:
         assert vals[2] == pytest.approx(vals[1], rel=1e-5)
 
     def test_extreme_rates_underflow_gracefully(self):
-        for beta in (1e-3, 1e5):
-            for Lam in (2.0 / 9.0, -2.0 / 9.0):
-                p = Pulse(Lambda=Lam, beta=beta, omega0=3.0)
-                r = analytic_reflection(1.5, p).R
-                assert 0.0 <= r < 1e-8
+        cases = [(1.5, Lam, beta) for beta in (1e-3, 1e5) for Lam in (2.0 / 9.0, -2.0 / 9.0)]
+        # a fast switch-on-and-off pulse excites nothing, unlike a one-sided quench
+        cases.append((2.0, LAMBDA, 1e4))
+        for om, Lam, beta in cases:
+            r = analytic_reflection(om, Pulse(Lambda=Lam, beta=beta, omega0=3.0)).R
+            assert 0.0 <= r < 1e-8
 
 
 @pytest.fixture(scope="module")

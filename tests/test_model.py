@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,12 +143,6 @@ class TestOccupationSpectrum:
         spec = occupation_spectrum(modes_ref, 30)
         assert np.all(np.diff(spec.weights) < 0)
 
-    def test_escort_transform(self, modes_ref):
-        spec = occupation_spectrum(modes_ref, 50)
-        esc = spec.escort(2.5)
-        assert esc.Z == pytest.approx(modes_ref.Z**2.5, rel=1e-14)
-        assert esc.total() == pytest.approx(1.0, abs=1e-12)
-
     def test_rejects_negative_k_max(self, modes_ref):
         with pytest.raises(ValueError):
             occupation_spectrum(modes_ref, -1)
@@ -191,6 +186,20 @@ class TestNaturalOrbital:
             natural_orbital(modes_ref, -1, 0.0)
         with pytest.raises(ValueError):
             natural_orbital(modes_ref, model.MAX_ORBITAL_INDEX + 1, 0.0)
+
+    @pytest.mark.parametrize("function", [
+        hermite_function,
+        lambda k, x: natural_orbital(derive_modes(ModelParams(3.0, 0.375)), k, x),
+    ], ids=["hermite_function", "natural_orbital"])
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
+    def test_rejects_non_integer_index(self, function, k):
+        with pytest.raises(ValueError, match="k must be a finite integer >= 0"):
+            function(k, 0.3)
+
+    @pytest.mark.parametrize("k", [2.0, np.int64(2)], ids=["float", "numpy_int"])
+    def test_accepts_integral_index(self, k):
+        xi = np.linspace(-3, 3, 7)
+        assert np.array_equal(hermite_function(k, xi), hermite_function(2, xi))
 
     def test_hermite_recurrence_against_explicit_low_orders(self):
         xi = np.linspace(-3, 3, 7)
@@ -294,6 +303,23 @@ class TestGridSpec:
             GridSpec(1.0, -1.0, 10)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("x_min, x_max, n_points, field", [
+        (-math.inf, math.inf, 10, "x_min"),
+        (0.0, math.inf, 5, "x_max"),
+        (-1e308, 1e308, 10, "x_max - x_min"),
+        (0.0, 1.0, 3.5, "n_points"),
+        (0.0, 1.0, math.nan, "n_points"),
+        (0.0, 1.0, math.inf, "n_points"),
+    ])
+    def test_rejects_bad_fields(self, x_min, x_max, n_points, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            GridSpec(x_min, x_max, n_points)
+
+    def test_integral_float_size(self):
+        g = GridSpec(-1.0, 1.0, 5.0)
+        assert g.n_points == 5 and isinstance(g.n_points, int)
+        np.testing.assert_array_equal(g.points(), GridSpec(-1.0, 1.0, 5).points())
 
     def test_default_grid_tail_below_threshold(self, modes_ref):
         g = GridSpec.for_modes(modes_ref)

@@ -7,7 +7,6 @@ from pairpulse import ModelParams, derive_modes
 from pairpulse.dynamics import Pulse, analytic_reflection, integrate_mode, omega_squared
 from pairpulse.model import KINDS, mode_frequencies
 from pairpulse.observables import (
-    abrupt_reflection,
     berry_connection,
     born_shift,
     energy_shift,
@@ -264,43 +263,6 @@ class TestOverlap:
                 overlap(modes_ref, pulse_ref, kind)
 
 
-class TestAbruptReflection:
-    def test_zero_drive(self):
-        assert abrupt_reflection(2.0, 0.0, 3.0) == 0.0
-
-    def test_exact_fraction_at_triple_frequency(self):
-        # final frequency 3 Omega0 when Lambda omega0^2 = 8 Omega0^2
-        assert abrupt_reflection(1.0, 8.0 / 9.0, 3.0) == pytest.approx(0.25, rel=1e-14)
-
-    def test_rejects_unbinding_quench(self):
-        with pytest.raises(ValueError):
-            abrupt_reflection(1.0, -0.5, 3.0)
-
-    def test_fast_pulse_differs_from_quench(self):
-        # switch-on-and-off at beta -> inf excites nothing; the one-sided
-        # quench keeps a finite reflection: different protocols, no equality
-        p = Pulse(Lambda=LAMBDA, beta=1e4, omega0=3.0)
-        r_pulse = analytic_reflection(2.0, p).R
-        r_quench = abrupt_reflection(2.0, LAMBDA, 3.0)
-        expected = ((2.0 - math.sqrt(6.0)) / (2.0 + math.sqrt(6.0))) ** 2
-        assert r_quench == pytest.approx(expected, rel=1e-14)
-        assert r_pulse < 1e-8
-        assert r_pulse < 1e-3 * r_quench
-
-    @pytest.mark.parametrize("name, value, message", [
-        ("Lambda", math.nan, "Lambda must be finite"),
-        ("Lambda", math.inf, "Lambda must be finite"),
-        ("omega0", math.nan, "omega0 must be finite and > 0"),
-        ("omega0", math.inf, "omega0 must be finite and > 0"),
-        ("omega0", 0.0, "omega0 must be finite and > 0"),
-        ("omega0", -3.0, "omega0 must be finite and > 0"),
-    ])
-    def test_rejects_bad_drive(self, name, value, message):
-        args = {"mode_frequency": 2.0, "Lambda": LAMBDA, "omega0": 3.0, name: value}
-        with pytest.raises(ValueError, match=message):
-            abrupt_reflection(**args)
-
-
 _P = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
 
 
@@ -308,13 +270,11 @@ _P = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
 @pytest.mark.parametrize("function", [
     lambda om: born_shift(om, _P),
     lambda om: sudden_shift(om, _P),
-    lambda om: abrupt_reflection(om, 2.0 / 9.0, 3.0),
     lambda om: omega_squared(om, _P, 0.0),
     lambda om: statistical_shift(transition_weights(0.1), om),
-], ids=["born_shift", "sudden_shift", "abrupt_reflection", "omega_squared", "statistical_shift"])
+], ids=["born_shift", "sudden_shift", "omega_squared", "statistical_shift"])
 def test_rejects_bad_mode_frequency(function, omega):
-    # these used to return garbage (abrupt_reflection(-1.5, 2/9, 3) = 40.2,
-    # a negative sudden shift flagged valid, omega_squared(nan, ...) = nan,
+    # these used to return garbage (a negative sudden shift flagged valid, omega_squared(nan, ...) = nan,
     # a negative ladder shift) or a bare math domain error
     with pytest.raises(ValueError, match="mode frequency must be > 0"):
         function(omega)

@@ -15,9 +15,8 @@ EARLIER_EXPORTS = [
     "ReflectionResult", "Trajectory", "analytic_reflection", "check_admissible",
     "extract_reflection", "gamma1_time", "integrate_mode", "omega_squared",
     "onematrix_snapshot", "snapshot_series", "EnergyShiftReport", "TransitionWeights",
-    "abrupt_reflection", "berry_connection", "born_shift", "energy_shift",
-    "energy_shift_report", "overlap", "statistical_shift", "sudden_shift", "total_shift",
-    "transition_weights", "CollisionParams", "collision_time_avg", "collision_time_exact",
+    "berry_connection", "born_shift", "energy_shift", "energy_shift_report", "overlap",
+    "statistical_shift", "sudden_shift", "total_shift", "transition_weights",
     "sign_effect_ratio",
 ]
 
