@@ -146,10 +146,11 @@ class TestSuddenShift:
 
 class TestTransitionWeights:
     def test_no_reflection_single_weight(self):
-        tw = transition_weights(0.0, 50)
-        assert tw.weights[0] == 1.0
-        assert np.all(tw.weights[1:] == 0.0)
-        assert tw.tail_bound == 0.0
+        for n_max in (50, 50.0):
+            tw = transition_weights(0.0, n_max)
+            assert len(tw.weights) == 51 and tw.weights[0] == 1.0
+            assert np.all(tw.weights[1:] == 0.0)
+            assert tw.tail_bound == 0.0
 
     def test_normalization_with_tail(self):
         tw = transition_weights(0.5, 100)
