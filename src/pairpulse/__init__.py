@@ -5,18 +5,31 @@ under a finite confinement pulse via the Ermakov width equation, the
 resulting sign-dependent energy shifts, overlaps and Berry connection, and
 the sign effect as a function of projectile velocity at beta = v.
 
-The package namespace is the union of its modules' ``__all__``.
+The package namespace is the union of its modules' ``__all__``.  Names
+resolve lazily (PEP 562): the first access imports the modules in order
+until one declares the name, so ``import pairpulse`` loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .model import *
-from .dynamics import *
-from .observables import *
-from .collision import *
+_MODULES = ("model", "dynamics", "observables", "collision")
 
-__all__ = ["__version__"]
-__all__ += model.__all__
-__all__ += dynamics.__all__
-__all__ += observables.__all__
-__all__ += collision.__all__
+
+def _modules():
+    for name in _MODULES:
+        yield importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name):
+    if name == "__all__":
+        return ["__version__", *(n for module in _modules() for n in module.__all__)]
+    for module in _modules():
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -31,20 +31,16 @@ import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .collision import sign_effect_ratio
-from .dynamics import (
+from .closed_form import (
     IonizationRegimeError,
+    ModelParams,
     Pulse,
     check_admissible,
-    integrate_mode,
-    trajectory_table,
+    derive_modes,
+    energy_shift_report,
+    sign_effect_rows,
 )
-from .model import ModelParams, derive_modes, entropies, occupation_spectrum
-from .observables import energy_shift_report
-from .validate import run_validation
 
 FIGURE_BETA_MIN = 0.25
 FIGURE_BETA_MAX = 10.0
@@ -171,9 +167,22 @@ def _pulse(cfg: dict, beta: float | None = None) -> Pulse:
     )
 
 
-def _beta_grid(lo: float, hi: float, n: int) -> np.ndarray:
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """n evenly spaced points from start to stop: start + i*step, the last one stop.
+
+    The arithmetic of ``np.linspace``, so the points are the same floats.
+    """
+    step = (stop - start) / (n - 1)
+    points = [start + i * step for i in range(n)]
+    points[-1] = stop
+    return points
+
+
+def _beta_grid(lo: float, hi: float, n: int):
     if not (0 < lo < hi < math.inf and n >= 2):
         raise ValueError(f"bad beta grid: [{lo}, {hi}] with {n} points")
+    import numpy as np
+
     return np.geomspace(lo, hi, n)
 
 
@@ -187,6 +196,8 @@ def _cmd_modes(cfg: dict) -> None:
 
 
 def _cmd_static(cfg: dict) -> None:
+    from .model import entropies, occupation_spectrum
+
     m = _model(cfg)
     k_max = 40
     spec = occupation_spectrum(m, k_max)
@@ -200,6 +211,8 @@ def _cmd_static(cfg: dict) -> None:
 
 
 def _cmd_evolve(cfg: dict) -> None:
+    from .dynamics import integrate_mode, trajectory_table
+
     m = _model(cfg)
     pulse = _pulse(cfg)
     check_admissible(m, pulse)
@@ -219,7 +232,7 @@ def _cmd_shift(cfg: dict) -> None:
     _emit(cfg, "shift", list(record.keys()), [tuple(record.values())])
 
 
-def _sweep_common(cfg: dict, command: str, Lambda: float, grid: np.ndarray) -> None:
+def _sweep_common(cfg: dict, command: str, Lambda: float, grid) -> None:
     cfg = {**cfg, "Lambda": Lambda}  # echo the strength actually swept
     modes = _model(cfg)
     rows = []
@@ -242,18 +255,20 @@ def _cmd_figure(cfg: dict, which: int) -> None:
         return
     cfg = {**cfg, "Lambda": FIGURE_LAMBDA}  # drive magnitude, applied both-signed
     modes = _model(cfg)
-    v_grid = np.linspace(FIGURE3_V_MIN, FIGURE3_V_MAX, FIGURE3_V_POINTS)
-    table = sign_effect_ratio(modes, FIGURE_LAMBDA, v_grid)
-    zeros = table[np.isnan(table[:, 1]), 0]
-    if zeros.size:
+    v_grid = _linspace(FIGURE3_V_MIN, FIGURE3_V_MAX, FIGURE3_V_POINTS)
+    rows = sign_effect_rows(modes, FIGURE_LAMBDA, v_grid)
+    zeros = [v for v, ratio in rows if math.isnan(ratio)]
+    if zeros:
         raise ValueError(
-            f"sign-effect ratio undefined at v = {', '.join(_fmt(float(v)) for v in zeros)}: "
+            f"sign-effect ratio undefined at v = {', '.join(_fmt(v) for v in zeros)}: "
             "the +|Lambda| shift vanishes there (shift zero)"
         )
-    _emit(cfg, "figure3", ["v", "ratio"], [tuple(row) for row in table])
+    _emit(cfg, "figure3", ["v", "ratio"], rows)
 
 
 def _cmd_validate() -> int:
+    from .validate import run_validation
+
     results = run_validation()
     width = max(len(name) for name, _, _ in results)
     for name, ok, detail in results:

@@ -13,13 +13,9 @@ of swift protons and antiprotons in He.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .dynamics import Pulse
-from .model import ModeSet
-from .observables import total_shift
+from .closed_form import ModeSet, sign_effect_rows
 
 __all__ = ["sign_effect_ratio"]
 
@@ -32,19 +28,7 @@ def sign_effect_ratio(modes: ModeSet, Lambda_mag: float, v_grid) -> np.ndarray:
     ratio = dE_total(-|Lambda|) / dE_total(+|Lambda|) - 1.
 
     The ratio is NaN at a velocity where the +|Lambda| total is exactly 0,
-    a shift zero at which both modes stop reflecting.
+    a shift zero at which both modes stop reflecting.  The rows come from
+    ``closed_form.sign_effect_rows``, which needs no numpy.
     """
-    if Lambda_mag < 0:
-        raise ValueError(f"Lambda magnitude must be >= 0, got {Lambda_mag}")
-    omega0 = modes.params.omega0
-    rows = []
-    for v in np.asarray(v_grid, dtype=float):
-        # Built before the zero-drive shortcut so that Pulse validates every v.
-        pulses = [Pulse(Lambda=sign * Lambda_mag, beta=float(v), omega0=omega0)
-                  for sign in (-1.0, 1.0)]
-        if Lambda_mag == 0.0:
-            rows.append((float(v), 0.0))
-            continue
-        minus, plus = (total_shift(modes, p, "exact") for p in pulses)
-        rows.append((float(v), minus / plus - 1.0 if plus != 0.0 else math.nan))
-    return np.asarray(rows, dtype=float).reshape(-1, 2)
+    return np.asarray(sign_effect_rows(modes, Lambda_mag, v_grid), dtype=float).reshape(-1, 2)

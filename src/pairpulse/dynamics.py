@@ -22,7 +22,9 @@ exponential of a traceless 2 x 2 matrix (Blanes, Casas & Ros, BIT 40, 434
 the grid is fine only where the pulse acts, and each refinement level is
 one numpy pass (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009),
 section 5; Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  The
-module needs numpy alone.
+module needs numpy alone.  ``Pulse``, ``check_admissible`` and the
+closed-form ``analytic_reflection`` live in ``closed_form``, which needs no
+numpy, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import ModeSet
+from .closed_form import (
+    IonizationRegimeError,
+    ModeSet,
+    Pulse,
+    ReflectionResult,
+    analytic_reflection,
+    check_admissible,
+    _check_mode_frequency,
+)
 
 __all__ = [
     "IonizationRegimeError",
@@ -67,12 +77,6 @@ PULSE_OFF = 1e-10
 WINDOW = 15.0
 SETTLE_PERIODS = 6.0
 
-# Relative rounding error of the closed-form reflection's cosine argument
-# (pi/2) sqrt(radicand), with a factor 2 of margin: the coupling, the
-# radicand, its square root and the pi/2 product leave up to about 4 eps.
-# Near a zero of the cosine that error passes one-to-one into its value.
-ZERO_COS_RTOL = 8.0 * 2.0**-52
-
 # Magnus grids: the first one advances the phase at the peak frequency over
 # the window, and the pulse argument 2 beta (t - t0) over the pulse core, by
 # at most FIRST_STEP_ANGLE radians per step.  That keeps its steps inside the
@@ -87,57 +91,6 @@ ZERO_COS_RTOL = 8.0 * 2.0**-52
 # pi, and integrate_mode raises a RuntimeError on any advance outside (0, pi).
 FIRST_STEP_ANGLE = 1.0
 MAX_STEPS = 2**17
-
-_LN2 = math.log(2.0)
-
-
-class IonizationRegimeError(ValueError):
-    """Drive strong enough to invert the confinement at pulse maximum."""
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """Finite-duration confinement drive.
-
-    Attributes
-    ----------
-    Lambda : float
-        Signed dimensionless strength; admissible magnitudes satisfy
-        ``|Lambda| < (omega2/omega0)**2`` of the owning model.
-    beta : float
-        Inverse transition time, > 0.
-    omega0 : float
-        Confinement frequency of the owning model; sets the coupling
-        scale ``Lambda * omega0**2``.
-    t0 : float
-        Envelope center (F is maximal at t = t0).
-    """
-
-    Lambda: float
-    beta: float
-    omega0: float
-    t0: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if not math.isfinite(self.Lambda):
-            raise ValueError(f"Lambda must be finite, got {self.Lambda}")
-        if not (math.isfinite(self.omega0) and self.omega0 > 0):
-            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
-
-    @property
-    def coupling(self) -> float:
-        """Signed drive amplitude Lambda * omega0**2."""
-        return self.Lambda * self.omega0**2
-
-    def envelope(self, t):
-        """F(t) = sech^2(2 beta (t - t0)); F(t0) = 1, F(+-inf) = 0."""
-        x = np.abs(2.0 * self.beta * (np.asarray(t, dtype=float) - self.t0))
-        s = np.exp(-x)
-        return 4.0 * s * s / np.square(1.0 + s * s)
 
 
 def omega_squared(mode_frequency: float, pulse: Pulse, t):
@@ -154,28 +107,6 @@ def omega_squared(mode_frequency: float, pulse: Pulse, t):
             "drive inverts the confinement (ionization-like regime)"
         )
     return val
-
-
-def check_admissible(modes: ModeSet, pulse: Pulse) -> None:
-    """Reject pulses outside |Lambda| < (omega2/omega0)^2 or with a
-    coupling scale inconsistent with the model."""
-    if not math.isclose(pulse.omega0, modes.omega1, rel_tol=1e-12):
-        raise ValueError(
-            f"pulse coupling scale omega0={pulse.omega0} does not match the "
-            f"model confinement frequency {modes.omega1}"
-        )
-    bound = (modes.omega2 / modes.omega1) ** 2
-    if abs(pulse.Lambda) >= bound:
-        raise IonizationRegimeError(
-            f"|Lambda| = {abs(pulse.Lambda)} >= (omega2/omega0)^2 = {bound}: "
-            "ionization-like regime is excluded"
-        )
-
-
-def _check_mode_frequency(mode_frequency: float) -> None:
-    """Reject a mode frequency that is not finite and > 0."""
-    if not (math.isfinite(mode_frequency) and mode_frequency > 0):
-        raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
 
 
 # Gauss-Legendre nodes on [0, 1] of the 6th-order Magnus step.
@@ -433,17 +364,6 @@ def integrate_mode(
     )
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
-    """Reflection coefficient R of the associated scattering problem."""
-
-    R: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.R < 1.0):
-            raise ValueError(f"reflection coefficient must lie in [0, 1), got {self.R}")
-
-
 def extract_reflection(traj: Trajectory) -> ReflectionResult:
     """Reflection coefficient from the post-pulse invariant of a trajectory.
 
@@ -459,54 +379,6 @@ def extract_reflection(traj: Trajectory) -> ReflectionResult:
             f"post-pulse invariant K = {K} < 1/2: unphysical, integration failed"
         )
     return ReflectionResult(R=max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0)))
-
-
-def _log_sinh(x: float) -> float:
-    return x - _LN2 + math.log1p(-math.exp(-2.0 * x))
-
-
-def _log_cosh(x: float) -> float:
-    return x - _LN2 + math.log1p(math.exp(-2.0 * x))
-
-
-def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult:
-    """Closed-form reflection coefficient for the sech^2 envelope.
-
-    rho = cos^2[(pi/2) sqrt(1 + Lambda omega0^2/beta^2)] /
-          sinh^2[(pi/2) Omega0/beta]
-
-    with cos -> cosh of the real root when the radicand is negative, and
-    R = rho / (1 + rho).  Evaluated in log space so that extreme adiabatic
-    or sudden parameters neither overflow nor lose the tiny result.
-
-    At a zero of the cosine, ``sqrt(radicand)`` an odd integer, the
-    computed cosine is rounding residue of its argument (cos(3 pi/2)
-    evaluates to -1.8e-16), so any |cos| at or below ZERO_COS_RTOL times
-    the argument counts as an exact zero and gives R = 0.
-
-    Every observable takes R from here; ``extract_reflection`` of an
-    integrated trajectory is its ODE oracle.
-    """
-    _check_mode_frequency(mode_frequency)
-    if pulse.coupling == 0.0:
-        return ReflectionResult(R=0.0)
-    radicand = 1.0 + pulse.coupling / pulse.beta**2
-    v = 0.5 * math.pi * mode_frequency / pulse.beta
-    if radicand >= 0.0:
-        arg = 0.5 * math.pi * math.sqrt(radicand)
-        c = abs(math.cos(arg))
-        if c <= ZERO_COS_RTOL * arg:
-            return ReflectionResult(R=0.0)
-        log_rho = 2.0 * math.log(c) - 2.0 * _log_sinh(v)
-    else:
-        u = 0.5 * math.pi * math.sqrt(-radicand)
-        log_rho = 2.0 * (_log_cosh(u) - _log_sinh(v))
-    if log_rho > 700.0:
-        raise IonizationRegimeError(
-            "reflection coefficient approaches 1: pulse outside the admissible range"
-        )
-    rho = math.exp(log_rho)
-    return ReflectionResult(R=rho / (1.0 + rho))
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,19 @@ Jastrow-type representation, the point-wise spectral decomposition into
 Hermite natural orbitals with geometric occupation numbers (via Mehler's
 kernel identity), occupation entropies, and the three independent-particle
 reference models (energy-optimal, density-optimal, wavefunction-optimal).
+The model inputs and the derived frequencies (``ModelParams``, ``ModeSet``,
+``derive_modes``, ``mode_frequencies``) live in ``closed_form``, which
+needs no numpy, and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
+
+from .closed_form import KINDS, LAMBDA_MAX, ModelParams, ModeSet, derive_modes, mode_frequencies
 
 __all__ = [
     "KINDS",
@@ -40,115 +44,12 @@ __all__ = [
     "mehler_coefficients",
 ]
 
-# Coupling strengths lam >= 0.5 make the relative mode unbound.
-LAMBDA_MAX = 0.5
-
 # The orbital recurrence works on pre-normalized functions, so it neither
 # overflows nor loses orthogonality for any index of practical interest.
 # The contract is validated up to this bound; larger requests are rejected.
 MAX_ORBITAL_INDEX = 1000
 
-# The exact two-mode model and its three independent-particle references,
-# each with the ModeSet fields of its two mode frequencies.
-_MODE_FREQUENCIES = {
-    "exact": attrgetter("omega1", "omega2"),
-    "hf": attrgetter("omega_e", "omega_e"),
-    "ks": attrgetter("omega_d", "omega_d"),
-    "natural": attrgetter("omega_w", "omega_w"),
-}
-KINDS = tuple(_MODE_FREQUENCIES)
-
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical inputs of the correlated pair.
-
-    Attributes
-    ----------
-    omega0 : float
-        Confinement frequency (atomic units), > 0.
-    lam : float
-        Dimensionless repulsive coupling strength, 0 <= lam < 0.5.
-    """
-
-    omega0: float
-    lam: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega0) and self.omega0 > 0):
-            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0}")
-        if not (0.0 <= self.lam < LAMBDA_MAX):
-            raise ValueError(
-                "lam must lie in [0, 0.5); at lam >= 0.5 the pair is unbound "
-                f"(got {self.lam})"
-            )
-
-
-@dataclass(frozen=True)
-class ModeSet:
-    """All derived frequencies, kernel coefficients, and energies.
-
-    ``omega1``/``omega2`` are the center-of-mass and relative mode
-    frequencies.  ``omega_e`` (energy-optimal), ``omega_d`` (density-optimal)
-    and ``omega_w`` (wavefunction-optimal) define the three
-    independent-particle models.  ``D`` is the Gaussian pair-difference
-    exponent of the one-matrix, ``Z`` the geometric ratio of its occupation
-    spectrum, ``E0`` the two-particle ground-state energy, and ``C1`` the
-    constant offset that completes the density-optimal potential.
-    """
-
-    params: ModelParams
-    omega1: float
-    omega2: float
-    omega_e: float
-    omega_d: float
-    omega_w: float
-    D: float
-    Z: float
-    E0: float
-    C1: float
-
-
-def derive_modes(params: ModelParams) -> ModeSet:
-    """Compute all derived frequencies and kernel constants for one model.
-
-    Parameters
-    ----------
-    params : ModelParams
-        Validated physical inputs.
-
-    Returns
-    -------
-    ModeSet
-        With ``omega2 <= omega_d <= omega_w <= omega_e <= omega1`` (all
-        strict for lam > 0).
-    """
-    w0, lam = params.omega0, params.lam
-    w1 = w0
-    w2 = w0 * math.sqrt(1.0 - 2.0 * lam)
-    we = w0 * math.sqrt(1.0 - lam)
-    wd = 2.0 * w1 * w2 / (w1 + w2)
-    ww = math.sqrt(w1 * w2)
-    D = 0.25 * (w1 - w2) ** 2 / (w1 + w2)
-    Z = ((math.sqrt(w1) - math.sqrt(w2)) / (math.sqrt(w1) + math.sqrt(w2))) ** 2
-    E0 = 0.5 * (w1 + w2)
-    # Offset fixing the density-optimal single-particle Hamiltonian against
-    # the exact ground-state energy: (E0 - 2*(omega_d/2)) / 2 per particle.
-    C1 = 0.25 * (w0 + w2) - 0.5 * wd
-    return ModeSet(
-        params=params,
-        omega1=w1,
-        omega2=w2,
-        omega_e=we,
-        omega_d=wd,
-        omega_w=ww,
-        D=D,
-        Z=Z,
-        E0=E0,
-        C1=C1,
-    )
 
 
 def _gaussian_orbital(freq: float, x):
@@ -308,19 +209,6 @@ def normal_coordinates(x1, x2):
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     return (x1 + x2) / _SQRT2, (x1 - x2) / _SQRT2
-
-
-def mode_frequencies(modes: ModeSet, kind: str) -> tuple[float, float]:
-    """The two mode frequencies of the exact model or one reference model.
-
-    ``exact`` has the center-of-mass and relative modes (omega1, omega2);
-    ``hf``, ``ks`` and ``natural`` put both particles at omega_e, omega_d
-    and omega_w respectively.
-    """
-    frequencies = _MODE_FREQUENCIES.get(kind)
-    if frequencies is None:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return frequencies(modes)
 
 
 def model_wavefunction(kind: str, modes: ModeSet, x1, x2):

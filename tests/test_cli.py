@@ -313,6 +313,30 @@ class TestErrorPaths:
     def test_unwritable_output(self):
         assert run_cli(["modes", "--out", "/nonexistent-dir/m.csv"]) == 2
 
+    @pytest.mark.parametrize("Lambda", ["0.2", "-0.2"])
+    @pytest.mark.parametrize("beta", ["1e-170", "1e-300", "1e300"])
+    def test_extreme_beta_underflows_to_zero_shift(self, beta, Lambda, capsys):
+        # beta**2 under- or overflows here; R underflows to 0 for every mode
+        assert run_cli(["shift", "--beta", beta, "--Lambda", Lambda]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, row = [line.split(",") for line in captured.out.splitlines()
+                       if not line.startswith("#")]
+        assert [float(v) for v in row[header.index("shift_mode1"):]] == [0.0] * 6
+
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--omega0", "1e200"], ["modes", "--omega0", "1e160"],
+        ["static", "--omega0", "1e200"], ["shift", "--omega0", "1e200"],
+        ["figure", "1", "--omega0", "1e160"], ["modes", "--omega0", "1e-320"],
+        ["modes", "--omega0", "1e-160"],
+    ])
+    def test_omega0_outside_float_range_rejected(self, argv, capsys):
+        # omega0**2 overflowed (a traceback) or underflowed (omega_d = 0 printed)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pairpulse: omega0 must lie in")
+
 
 def _validate_rows(out):
     names = [name for name, _ in validate.CHECKS]
@@ -423,6 +447,47 @@ def import_probe(tmp_path_factory):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout), out, fig
+
+
+# The commands that need only the closed form, which must not load numpy,
+# and the two that integrate, which do.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import pairpulse
+loaded = {"import pairpulse": "numpy" in sys.modules}
+from pairpulse.cli import main
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    name = " ".join(argv)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = main(argv)
+    loaded[name] = "numpy" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "3"]]
+
+
+def _numpy_probe(commands):
+    src = str(Path(pairpulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestNumpyImport:
+    def test_closed_form_commands_do_not_load_numpy(self):
+        res = _numpy_probe(NUMPY_FREE_COMMANDS)
+        assert set(res["codes"].values()) == {0}
+        assert res["loaded"] == dict.fromkeys(
+            ["import pairpulse", *(" ".join(argv) for argv in NUMPY_FREE_COMMANDS)], False)
+
+    @pytest.mark.parametrize("command", ["evolve", "validate"])
+    def test_integrating_commands_load_numpy(self, command):
+        res = _numpy_probe([[command]])
+        assert res == {"codes": {command: 0}, "loaded": {"import pairpulse": False, command: True}}
 
 
 class TestImportCost:

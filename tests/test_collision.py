@@ -19,6 +19,7 @@ class TestSignEffectRatio:
 
     def test_reference_values(self, modes_ref):
         table = sign_effect_ratio(modes_ref, 2.0 / 9.0, [4.0, 5.0, 12.0])
+        assert isinstance(table, np.ndarray) and table.dtype == float and table.shape == (3, 2)
         assert table[0, 1] == pytest.approx(0.13315446620175653, rel=1e-10)
         assert table[1, 1] == pytest.approx(0.08328857449227511, rel=1e-10)
         assert table[2, 1] == pytest.approx(0.013985794971596466, rel=1e-10)

@@ -49,6 +49,9 @@ class TestPulse:
             Pulse(Lambda=float("nan"), beta=1.0, omega0=3.0)
         with pytest.raises(ValueError):
             Pulse(Lambda=0.1, beta=1.0, omega0=-3.0)
+        for omega0 in (1e200, 1e-320):  # the coupling Lambda*omega0**2 overflowed or vanished
+            with pytest.raises(ValueError, match="omega0 must lie in"):
+                Pulse(Lambda=0.1, beta=1.0, omega0=omega0)
 
     @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_center(self, t0):
@@ -448,12 +451,25 @@ class TestAnalyticReflection:
         assert vals[2] == pytest.approx(vals[1], rel=1e-5)
 
     def test_extreme_rates_underflow_gracefully(self):
-        cases = [(1.5, Lam, beta) for beta in (1e-3, 1e5) for Lam in (2.0 / 9.0, -2.0 / 9.0)]
+        # beta**2 underflows below ~1e-162 and overflows above ~1e154
+        cases = [(1.5, Lam, beta) for beta in (1e-300, 1e-170, 1e-158, 1e-3, 1e5, 1e155, 1e300)
+                 for Lam in (2.0 / 9.0, -2.0 / 9.0)]
         # a fast switch-on-and-off pulse excites nothing, unlike a one-sided quench
         cases.append((2.0, LAMBDA, 1e4))
         for om, Lam, beta in cases:
             r = analytic_reflection(om, Pulse(Lambda=Lam, beta=beta, omega0=3.0)).R
             assert 0.0 <= r < 1e-8
+
+    def test_radicand_outside_float_range(self):
+        # Lambda omega0^2 / beta^2 = 1e310 overflows; R is decided by the
+        # sign of Omega0 - sqrt(max(-coupling, 0)) where that gap over beta is
+        # large, and is rejected, naming beta, where it is not
+        assert analytic_reflection(2.0, Pulse(Lambda=0.2, beta=1e-150, omega0=1e150)).R == 0.0
+        assert analytic_reflection(2e150, Pulse(Lambda=-0.2, beta=1e-150, omega0=1e150)).R == 0.0
+        with pytest.raises(IonizationRegimeError):
+            analytic_reflection(1e-3, Pulse(Lambda=-1.0, beta=1e-5, omega0=1e150))
+        with pytest.raises(ValueError, match="beta = 1e-05 is too small"):
+            analytic_reflection(1e-3, Pulse(Lambda=1.0, beta=1e-5, omega0=1e150))
 
 
 @pytest.fixture(scope="module")

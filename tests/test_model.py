@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from pairpulse.model import (
     natural_orbital,
     occupation_spectrum,
 )
+
+# omega0 and omega0**2 finite and normal: the accepted confinement frequencies
+OMEGA0_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
 def quad_2d(f, half, n=501):
@@ -62,10 +66,21 @@ class TestDeriveModes:
         with pytest.raises(ValueError):
             ModelParams(3.0, lam)
 
-    @pytest.mark.parametrize("omega0", [0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize("omega0", [
+        0.0, -1.0, float("inf"), float("nan"), 1e200, 1e160, 1e-160, 1e-320,
+        math.nextafter(OMEGA0_RANGE[1], math.inf), math.nextafter(OMEGA0_RANGE[0], 0.0),
+    ])
     def test_rejects_bad_frequency(self, omega0):
-        with pytest.raises(ValueError):
+        # beyond the range omega0**2 overflowed in derive_modes or underflowed to 0
+        with pytest.raises(ValueError, match="omega0 must lie in"):
             ModelParams(omega0, 0.2)
+
+    @pytest.mark.parametrize("omega0", OMEGA0_RANGE)
+    def test_frequency_range_edges(self, omega0):
+        m = derive_modes(ModelParams(omega0, 0.375))
+        assert m.omega2 < m.omega_d < m.omega_w < m.omega_e < m.omega1
+        for value in (m.omega2, m.D, m.E0, m.C1, omega0**2):
+            assert sys.float_info.min <= value <= sys.float_info.max
 
     def test_strict_frequency_ordering_randomized(self):
         rng = np.random.default_rng(1902)

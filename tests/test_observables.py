@@ -74,10 +74,10 @@ class TestTotalShift:
     def test_reference_kinds_reflect_once(self, modes_ref, pulse_ref, monkeypatch):
         # a reference kind puts both particles at one frequency, so it is
         # reflected once and its shift counted twice
-        import pairpulse.observables as observables
+        import pairpulse.closed_form as closed_form
 
         calls = []
-        monkeypatch.setattr(observables, "analytic_reflection",
+        monkeypatch.setattr(closed_form, "analytic_reflection",
                             lambda f, p: calls.append(f) or analytic_reflection(f, p))
         for kind in KINDS:
             calls.clear()
@@ -120,6 +120,23 @@ class TestBornShift:
         approx = born_shift(2.0, p)
         assert abs(full - approx) / approx < 1e-3
 
+    @pytest.mark.parametrize("beta", [0.5, 3.0, 1e3, 1e5, 1e17, 1e100])
+    def test_matches_extended_precision(self, beta):
+        # 1 - exp(-2v) lost digits at small v = pi Omega0 / 2 beta (2.6e-10 relative
+        # at beta = 1e5) and had none left at beta = 1e17 (a math domain error)
+        mpmath = pytest.importorskip("mpmath")
+        p = Pulse(Lambda=LAMBDA, beta=beta, omega0=OMEGA0)
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta)
+            exact = (p.coupling * mpmath.pi / (4 * b**2)) ** 2 * 2 / mpmath.sinh(mpmath.pi / b) ** 2
+        assert born_shift(2.0, p) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("Lambda", [LAMBDA, -LAMBDA])
+    @pytest.mark.parametrize("beta", [1e-300, 1e-170, 1e300])
+    def test_extreme_rates_underflow_to_zero(self, beta, Lambda):
+        # beta**2 under- or overflows here
+        assert born_shift(2.0, Pulse(Lambda=Lambda, beta=beta, omega0=OMEGA0)) == 0.0
+
 
 class TestSuddenShift:
     def test_sign_effect_direction(self):
@@ -142,6 +159,16 @@ class TestSuddenShift:
 
     def test_validity_flag_lowers_at_slow_rate(self):
         assert not sudden_shift(2.0, Pulse(Lambda=0.2, beta=3.0, omega0=3.0)).valid
+
+    @pytest.mark.parametrize("Lambda", [LAMBDA, -LAMBDA])
+    def test_extreme_rates(self, Lambda):
+        # beta**2 overflowed at 1e300 and underflowed at 1e-170; the expansion
+        # underflows to 0 at the first and overflows at the second
+        fast = sudden_shift(2.0, Pulse(Lambda=Lambda, beta=1e300, omega0=OMEGA0))
+        assert fast.value == 0.0 and fast.valid
+        for beta in (1e-170, 1e-300):
+            with pytest.raises(ValueError, match=f"beta = {beta}"):
+                sudden_shift(2.0, Pulse(Lambda=Lambda, beta=beta, omega0=OMEGA0))
 
 
 class TestTransitionWeights:
