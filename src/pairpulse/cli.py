@@ -178,12 +178,19 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     return points
 
 
-def _beta_grid(lo: float, hi: float, n: int):
+def _beta_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n log-spaced points from lo to hi: ``10.0 ** y`` over the linspace of
+    the decimal logs, with the ends set to lo and hi.
+
+    The arithmetic of ``np.geomspace``, but with libm ``pow`` in place of
+    ``np.power``; on the figure grids the two differ by at most 1 ulp, and
+    ``pow`` is the correctly rounded one where they do.
+    """
     if not (0 < lo < hi < math.inf and n >= 2):
         raise ValueError(f"bad beta grid: [{lo}, {hi}] with {n} points")
-    import numpy as np
-
-    return np.geomspace(lo, hi, n)
+    points = [10.0 ** y for y in _linspace(math.log10(lo), math.log10(hi), n)]
+    points[0], points[-1] = lo, hi
+    return points
 
 
 def _cmd_modes(cfg: dict) -> None:
@@ -232,12 +239,12 @@ def _cmd_shift(cfg: dict) -> None:
     _emit(cfg, "shift", list(record.keys()), [tuple(record.values())])
 
 
-def _sweep_common(cfg: dict, command: str, Lambda: float, grid) -> None:
+def _sweep_common(cfg: dict, command: str, Lambda: float, grid: list[float]) -> None:
     cfg = {**cfg, "Lambda": Lambda}  # echo the strength actually swept
     modes = _model(cfg)
     rows = []
     for beta in grid:
-        rep = energy_shift_report(modes, _pulse(cfg, beta=float(beta)))
+        rep = energy_shift_report(modes, _pulse(cfg, beta=beta))
         rows.append((rep.beta, rep.exact, rep.hf, rep.ks, rep.natural))
     _emit(cfg, command, ["beta", "exact", "hf", "ks", "natural"], rows)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import pairpulse
-from pairpulse import validate
+from pairpulse import cli, validate
 from pairpulse.cli import main
 
 
@@ -464,7 +465,7 @@ for argv in json.loads(sys.argv[1]):
     loaded[name] = "numpy" in sys.modules
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
-NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "3"]]
+NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "1"], ["figure", "2"], ["figure", "3"], ["sweep"]]
 
 
 def _numpy_probe(commands):
@@ -475,6 +476,39 @@ def _numpy_probe(commands):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+class TestGrids:
+    """The pure-Python grids against numpy's, which they replace."""
+
+    @staticmethod
+    def _random_grids(seed, n_grids=300):
+        rng = np.random.default_rng(seed)
+        for _ in range(n_grids):
+            lo = float(rng.uniform(-50.0, 50.0)) * 10.0 ** float(rng.uniform(-3, 3))
+            hi = lo + float(rng.uniform(1e-3, 100.0)) * 10.0 ** float(rng.uniform(-3, 3))
+            yield lo, hi, int(rng.integers(2, 2000))
+
+    def test_linspace_is_np_linspace(self):
+        grids = [(cli.FIGURE3_V_MIN, cli.FIGURE3_V_MAX, cli.FIGURE3_V_POINTS),
+                 *self._random_grids(20261018)]
+        for lo, hi, n in grids:
+            assert cli._linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
+
+    @pytest.mark.parametrize("n", [cli.FIGURE_BETA_POINTS, 1024])
+    def test_beta_grid_within_an_ulp_of_np_geomspace(self, n):
+        # the figure grid and the benchmark's sweep grid; libm pow is correctly
+        # rounded wherever it differs from np.power
+        mpmath = pytest.importorskip("mpmath")
+        lo, hi = cli.FIGURE_BETA_MIN, cli.FIGURE_BETA_MAX
+        grid, ref = cli._beta_grid(lo, hi, n), np.geomspace(lo, hi, n)
+        assert grid[0] == lo and grid[-1] == hi
+        np.testing.assert_array_max_ulp(np.array(grid), ref, maxulp=1)
+        ys = cli._linspace(math.log10(lo), math.log10(hi), n)
+        differ = [i for i in range(n) if grid[i] != ref[i]]
+        assert differ
+        with mpmath.workdps(40):
+            assert [grid[i] for i in differ] == [float(mpmath.mpf(10) ** ys[i]) for i in differ]
 
 
 class TestNumpyImport:
