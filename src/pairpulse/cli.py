@@ -20,6 +20,10 @@ it reads; any other is an error (exit 2) and nothing is written.  The
 provenance header echoes every setting but `out`.  Output is CSV (default)
 or JSON with fixed 17-significant-digit formatting, so identical configs
 reproduce byte-identical artifacts.
+
+modes, shift, sweep and figure need only ``closed_form`` and never import
+numpy, which is most of a cold start; their grids are pure Python.  static,
+evolve and validate import the numpy modules inside their handlers.
 """
 
 from __future__ import annotations

@@ -71,6 +71,8 @@ ZERO_COS_RTOL = 8.0 * 2.0**-52
 # so R underflows to 0 for gap above this value and tends to 1 below its negative.
 _SLOW_GAP = 240.0
 
+_R_NEAR_ONE = "reflection coefficient approaches 1: pulse outside the admissible range"
+
 _LN2 = math.log(2.0)
 
 
@@ -325,9 +327,7 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
     if not log_rho <= 700.0:  # NaN too
         if not math.isfinite(radicand):
             return _slow_reflection(mode_frequency, pulse)
-        raise IonizationRegimeError(
-            "reflection coefficient approaches 1: pulse outside the admissible range"
-        )
+        raise IonizationRegimeError(_R_NEAR_ONE)
     rho = math.exp(log_rho)
     return ReflectionResult(R=rho / (1.0 + rho))
 
@@ -338,9 +338,7 @@ def _slow_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult:
     if gap > _SLOW_GAP:
         return ReflectionResult(R=0.0)
     if gap < -_SLOW_GAP:
-        raise IonizationRegimeError(
-            "reflection coefficient approaches 1: pulse outside the admissible range"
-        )
+        raise IonizationRegimeError(_R_NEAR_ONE)
     raise ValueError(
         f"beta = {pulse.beta} is too small to evaluate the reflection at Omega0 = "
         f"{mode_frequency}, coupling = {pulse.coupling}: coupling / beta**2 leaves "
