@@ -402,82 +402,6 @@ class TestDeterministicFormatting:
         assert format(float(val), ".17g") == val
 
 
-# Run in a fresh interpreter: this test process has already imported scipy.
-_IMPORT_PROBE = """
-import contextlib, io, json, sys
-from pairpulse import Pulse, analytic_reflection, extract_reflection, integrate_mode
-from pairpulse.cli import main
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-loaded, codes = {}, []
-codes.append(main(["figure", "1", "--out", sys.argv[2]]))
-loaded["figure 1"] = scipy_modules()
-pulse = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
-traj = integrate_mode(2.0, pulse)
-R_ode = extract_reflection(traj).R
-loaded["integrate_mode"] = scipy_modules()
-numpy_ma = "numpy.ma" in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    for name, argv in (("evolve", ["evolve", "--out", sys.argv[1]]), ("validate", ["validate"])):
-        codes.append(main(argv))
-        loaded[name] = scipy_modules()
-print(json.dumps({
-    "codes": codes,
-    "loaded": loaded,
-    "B_start": float(traj.state_at(traj.t_start)[0]),
-    "R_ode": R_ode,
-    "numpy_ma": numpy_ma,
-    "R_analytic": analytic_reflection(2.0, pulse).R,
-}))
-"""
-
-
-@pytest.fixture(scope="module")
-def import_probe(tmp_path_factory):
-    """Run _IMPORT_PROBE once in a fresh interpreter; its parsed report."""
-    tmp = tmp_path_factory.mktemp("import_probe")
-    src = str(Path(pairpulse.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out, fig = tmp / "evolve.csv", tmp / "fig1.csv"
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(out), str(fig)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout), out, fig
-
-
-# The commands that need only the closed form, which must not load numpy,
-# and the two that integrate, which do.
-_NUMPY_PROBE = """
-import contextlib, io, json, sys
-import pairpulse
-loaded = {"import pairpulse": "numpy" in sys.modules}
-from pairpulse.cli import main
-codes = {}
-for argv in json.loads(sys.argv[1]):
-    name = " ".join(argv)
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes[name] = main(argv)
-    loaded[name] = "numpy" in sys.modules
-print(json.dumps({"codes": codes, "loaded": loaded}))
-"""
-NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "1"], ["figure", "2"], ["figure", "3"], ["sweep"]]
-
-
-def _numpy_probe(commands):
-    src = str(Path(pairpulse.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 class TestGrids:
     """The pure-Python grids against numpy's, which they replace."""
 
@@ -511,17 +435,56 @@ class TestGrids:
             assert [grid[i] for i in differ] == [float(mpmath.mpf(10) ** ys[i]) for i in differ]
 
 
-class TestNumpyImport:
-    def test_closed_form_commands_do_not_load_numpy(self):
-        res = _numpy_probe(NUMPY_FREE_COMMANDS)
-        assert set(res["codes"].values()) == {0}
-        assert res["loaded"] == dict.fromkeys(
-            ["import pairpulse", *(" ".join(argv) for argv in NUMPY_FREE_COMMANDS)], False)
+# Run in a fresh interpreter: this test process has already imported scipy.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from pairpulse import Pulse, analytic_reflection, extract_reflection, integrate_mode
+from pairpulse.cli import main
 
-    @pytest.mark.parametrize("command", ["evolve", "validate"])
-    def test_integrating_commands_load_numpy(self, command):
-        res = _numpy_probe([[command]])
-        assert res == {"codes": {command: 0}, "loaded": {"import pairpulse": False, command: True}}
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded, codes = {}, []
+codes.append(main(["figure", "1", "--out", sys.argv[2]]))
+loaded["figure 1"] = scipy_modules()
+pulse = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
+traj = integrate_mode(2.0, pulse)
+R_ode = extract_reflection(traj).R
+loaded["integrate_mode"] = scipy_modules()
+numpy_ma = "numpy.ma" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, argv in (("evolve", ["evolve", "--out", sys.argv[1]]), ("validate", ["validate"])):
+        codes.append(main(argv))
+        loaded[name] = scipy_modules()
+print(json.dumps({
+    "codes": codes,
+    "loaded": loaded,
+    "B_start": float(traj.state_at(traj.t_start)[0]),
+    "R_ode": R_ode,
+    "numpy_ma": numpy_ma,
+    "R_analytic": analytic_reflection(2.0, pulse).R,
+}))
+"""
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(pairpulse.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """Run _IMPORT_PROBE once in a fresh interpreter; its parsed report."""
+    tmp = tmp_path_factory.mktemp("import_probe")
+    out, fig = tmp / "evolve.csv", tmp / "fig1.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(out), str(fig)],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), out, fig
 
 
 class TestImportCost:
@@ -544,3 +507,41 @@ class TestImportCost:
         # extract_reflection may load it
         res, _, _ = import_probe
         assert res["numpy_ma"] is False
+
+
+# The commands that need only the closed form, which must not load numpy,
+# and the two that integrate, which do.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import pairpulse
+loaded = {"import pairpulse": "numpy" in sys.modules}
+from pairpulse.cli import main
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    name = " ".join(argv)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = main(argv)
+    loaded[name] = "numpy" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "1"], ["figure", "2"], ["figure", "3"], ["sweep"]]
+
+
+def _numpy_probe(commands):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestNumpyImport:
+    def test_closed_form_commands_do_not_load_numpy(self):
+        res = _numpy_probe(NUMPY_FREE_COMMANDS)
+        assert set(res["codes"].values()) == {0}
+        assert res["loaded"] == dict.fromkeys(
+            ["import pairpulse", *(" ".join(argv) for argv in NUMPY_FREE_COMMANDS)], False)
+
+    @pytest.mark.parametrize("command", ["evolve", "validate"])
+    def test_integrating_commands_load_numpy(self, command):
+        res = _numpy_probe([[command]])
+        assert res == {"codes": {command: 0}, "loaded": {"import pairpulse": False, command: True}}
