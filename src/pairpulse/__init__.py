@@ -7,7 +7,8 @@ the sign effect as a function of projectile velocity at beta = v.
 
 The package namespace is the union of its modules' ``__all__``.  Names
 resolve lazily (PEP 562): the first access imports the modules in order
-until one declares the name, so ``import pairpulse`` loads no numpy.
+until one declares the name and stores it in the package, so later accesses
+are plain attribute reads and ``import pairpulse`` loads no numpy.
 """
 
 import importlib
@@ -27,7 +28,8 @@ def __getattr__(name):
         return ["__version__", *(n for module in _modules() for n in module.__all__)]
     for module in _modules():
         if name in module.__all__:
-            return getattr(module, name)
+            value = globals()[name] = getattr(module, name)
+            return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

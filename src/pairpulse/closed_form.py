@@ -52,28 +52,39 @@ _OMEGA0_MAX = math.sqrt(sys.float_info.max)
 
 # The exact two-mode model and its three independent-particle references,
 # each with the ModeSet fields of its two mode frequencies.
-_MODE_FREQUENCIES = {
-    "exact": attrgetter("omega1", "omega2"),
-    "hf": attrgetter("omega_e", "omega_e"),
-    "ks": attrgetter("omega_d", "omega_d"),
-    "natural": attrgetter("omega_w", "omega_w"),
+_MODE_FIELDS = {
+    "exact": ("omega1", "omega2"),
+    "hf": ("omega_e", "omega_e"),
+    "ks": ("omega_d", "omega_d"),
+    "natural": ("omega_w", "omega_w"),
 }
-KINDS = tuple(_MODE_FREQUENCIES)
+KINDS = tuple(_MODE_FIELDS)
+_MODE_FREQUENCIES = {kind: attrgetter(*pair) for kind, pair in _MODE_FIELDS.items()}
+# A report reflects each field once, omega1 and omega2 first, and sums each
+# kind's two shifts by their positions in that order.
+_REPORT_FIELDS = tuple(dict.fromkeys(f for pair in _MODE_FIELDS.values() for f in pair))
+_report_frequencies = attrgetter(*_REPORT_FIELDS)
+_KIND_POSITIONS = [tuple(map(_REPORT_FIELDS.index, pair)) for pair in _MODE_FIELDS.values()]
 
-# Relative rounding error of the closed-form reflection's cosine argument
-# (pi/2) sqrt(radicand), with a factor 2 of margin: the coupling, the
-# radicand, its square root and the pi/2 product leave up to about 4 eps.
-# Near a zero of the cosine that error passes one-to-one into its value.
+# Relative rounding error of the closed-form reflection's sine argument
+# arg = (pi/2) t, t = sqrt(1 + e) - 1, e = Lambda (omega0/beta)**2, with a
+# factor 4 of margin: e leaves up to 4 units of roundoff (2**-53), which pass
+# into t at most one-to-one; t is otherwise good to about 1 unit, and the
+# reduction of arg by a multiple of pi is exact.  That is about 2 * 2**-52
+# of arg, and near a zero of the sine it passes one-to-one into its value.
 ZERO_COS_RTOL = 8.0 * 2.0**-52
 
-# A pulse slower than the float range of coupling / beta**2 has
-# log rho <= -pi * gap + 2 ln 2, with gap = (Omega0 - sqrt(max(-coupling, 0))) / beta,
+# A pulse too slow for e = Lambda (omega0/beta)**2 to be a float has
+# log rho <= -pi * gap + 2 ln 2, with gap = (Omega0 - omega0 sqrt(max(-Lambda, 0))) / beta,
 # so R underflows to 0 for gap above this value and tends to 1 below its negative.
 _SLOW_GAP = 240.0
 
 _R_NEAR_ONE = "reflection coefficient approaches 1: pulse outside the admissible range"
 
 _LN2 = math.log(2.0)
+_HALF_PI = 0.5 * math.pi
+# cosh and sinh overflow above this argument.
+_COSH_MAX = math.acosh(sys.float_info.max)
 
 
 def _check_omega0(omega0: float) -> None:
@@ -187,6 +198,16 @@ def mode_frequencies(modes: ModeSet, kind: str) -> tuple[float, float]:
     return frequencies(modes)
 
 
+def _check_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+
+
+def _check_Lambda(Lambda: float) -> None:
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, got {Lambda}")
+
+
 class IonizationRegimeError(ValueError):
     """Drive strong enough to invert the confinement at pulse maximum."""
 
@@ -215,10 +236,8 @@ class Pulse:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if not math.isfinite(self.Lambda):
-            raise ValueError(f"Lambda must be finite, got {self.Lambda}")
+        _check_beta(self.beta)
+        _check_Lambda(self.Lambda)
         _check_omega0(self.omega0)
         if not math.isfinite(self.t0):
             raise ValueError(f"t0 must be finite, got {self.t0}")
@@ -245,10 +264,14 @@ def check_admissible(modes: ModeSet, pulse: Pulse) -> None:
             f"pulse coupling scale omega0={pulse.omega0} does not match the "
             f"model confinement frequency {modes.omega1}"
         )
+    _check_bound(modes, pulse.Lambda)
+
+
+def _check_bound(modes: ModeSet, Lambda: float) -> None:
     bound = (modes.omega2 / modes.omega1) ** 2
-    if abs(pulse.Lambda) >= bound:
+    if abs(Lambda) >= bound:
         raise IonizationRegimeError(
-            f"|Lambda| = {abs(pulse.Lambda)} >= (omega2/omega0)^2 = {bound}: "
+            f"|Lambda| = {abs(Lambda)} >= (omega2/omega0)^2 = {bound}: "
             "ionization-like regime is excluded"
         )
 
@@ -278,72 +301,129 @@ def _log_cosh(x: float) -> float:
     return x - _LN2 + math.log1p(math.exp(-2.0 * x))
 
 
-def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult:
-    """Closed-form reflection coefficient for the sech^2 envelope.
+def _rhos(Lambda: float, beta: float, omega0: float, frequencies) -> list[float]:
+    """rho = R / (1 - R) at each mode frequency under one sech^2 pulse.
 
-    rho = cos^2[(pi/2) sqrt(1 + Lambda omega0^2/beta^2)] /
-          sinh^2[(pi/2) Omega0/beta]
-
-    with cos -> cosh of the real root when the radicand is negative, and
-    R = rho / (1 + rho).  Evaluated in log space so that extreme adiabatic
-    or sudden parameters neither overflow nor lose the tiny result.
-
-    At a zero of the cosine, ``sqrt(radicand)`` an odd integer, the
-    computed cosine is rounding residue of its argument (cos(3 pi/2)
-    evaluates to -1.8e-16), so any |cos| at or below ZERO_COS_RTOL times
-    the argument counts as an exact zero and gives R = 0.
-
-    Where ``beta**2`` overflows the radicand is taken as
-    ``coupling / beta / beta``.  A pulse so slow that the radicand leaves
-    the float range gets R = 0 when ``(Omega0 - sqrt(max(-coupling, 0))) /
-    beta`` exceeds 240, which bounds rho below the smallest float; nearer
-    that gap it is rejected with a ValueError that names beta.
-
-    Every observable takes R from here; ``extract_reflection`` of an
-    integrated trajectory is its ODE oracle.
+    The kernel of every closed-form observable (the formula is in
+    ``analytic_reflection``).  The numerator depends on the pulse alone and
+    is evaluated once; each frequency adds one sinh, and a frequency equal
+    to the one before it adds nothing.  ``Lambda``, ``beta``
+    and ``omega0`` must have passed the ``Pulse`` checks; the frequencies
+    are checked here.
     """
-    _check_mode_frequency(mode_frequency)
-    if pulse.coupling == 0.0:
-        return ReflectionResult(R=0.0)
-    try:
-        radicand = 1.0 + pulse.coupling / pulse.beta**2
-    except OverflowError:
-        radicand = 1.0 + pulse.coupling / pulse.beta / pulse.beta
-    except ZeroDivisionError:
-        return _slow_reflection(mode_frequency, pulse)
-    v = 0.5 * math.pi * mode_frequency / pulse.beta
-    if radicand >= 0.0:
-        arg = 0.5 * math.pi * math.sqrt(radicand)
-        try:
-            c = abs(math.cos(arg))
-        except ValueError:  # an infinite radicand
-            return _slow_reflection(mode_frequency, pulse)
-        if c <= ZERO_COS_RTOL * arg:
-            return ReflectionResult(R=0.0)
-        log_rho = 2.0 * math.log(c) - 2.0 * _log_sinh(v)
+    for f in frequencies:
+        _check_mode_frequency(f)
+    if Lambda == 0.0:  # also where omega0 / beta overflows
+        return [0.0] * len(frequencies)
+    # omega0/beta first, as Lambda*omega0**2 may underflow, and rounded once:
+    # its square would double its rounding error.
+    r = omega0 / beta
+    e = Lambda * r * omega0 / beta
+    if math.isinf(e):
+        return [_slow_rho(f, Lambda, beta, omega0) for f in frequencies]
+    if e >= -1.0:
+        # |cos((pi/2) (1 + t))| = |sin((pi/2) t)|, t = sqrt(1 + e) - 1, with the
+        # angle reduced exactly by the nearest multiple of pi
+        t = _sqrt1pm1(e)
+        arg = _HALF_PI * t
+        c = abs(math.sin(_HALF_PI * (t - 2.0 * round(0.5 * t))))
+        if c <= ZERO_COS_RTOL * arg:  # e == 0 too
+            return [0.0] * len(frequencies)
+        log_c = math.log(c)
     else:
-        u = 0.5 * math.pi * math.sqrt(-radicand)
-        log_rho = 2.0 * (_log_cosh(u) - _log_sinh(v))
-    if not log_rho <= 700.0:  # NaN too
-        if not math.isfinite(radicand):
-            return _slow_reflection(mode_frequency, pulse)
-        raise IonizationRegimeError(_R_NEAR_ONE)
-    rho = math.exp(log_rho)
-    return ReflectionResult(R=rho / (1.0 + rho))
+        u = _HALF_PI * math.sqrt(-1.0 - e)
+        c = math.cosh(u) if u < _COSH_MAX else math.inf
+        log_c = _log_cosh(u)
+    rhos, last = [], None
+    for f in frequencies:
+        if f != last:  # a repeated frequency is reflected once
+            last = f
+            v = _HALF_PI * f / beta
+            try:
+                rho = (c / math.sinh(v)) ** 2
+            except OverflowError:  # sinh(v) or rho beyond the float range
+                rho = math.inf
+            if rho == math.inf:
+                rho = _log_space_rho(log_c, v)
+        rhos.append(rho)
+    return rhos
 
 
-def _slow_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult:
-    """R of a pulse too slow for ``coupling / beta**2`` to be a float."""
-    gap = (mode_frequency - math.sqrt(max(-pulse.coupling, 0.0))) / pulse.beta
+def _sqrt1pm1(e: float) -> float:
+    """sqrt(1 + e) - 1 for e >= -1, to within the rounding of e itself.
+
+    Up to e = 3 as e / (1 + sqrt(1 + e)), free of cancellation.  Above, as
+    s - 1 (exact there) plus one Newton step ((1 + e) - s**2) / 2s, whose
+    residual is exact: s**2 = p + p_err by Dekker's product (Veltkamp split).
+    """
+    s = math.sqrt(1.0 + e)
+    if e <= 3.0:
+        return e / (1.0 + s)
+    h = 134217729.0 * s  # 2**27 + 1
+    hi = h - (h - s)
+    lo = s - hi
+    p = s * s
+    p_err = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    return (s - 1.0) + ((e - (p - 1.0)) - p_err) / (2.0 * s)
+
+
+def _log_space_rho(log_c: float, v: float) -> float:
+    """rho = (c / sinh v)**2 from log c, where a factor or rho leaves the float range."""
+    log_sinh = v - _LN2 if v > 20.0 else math.log(math.sinh(v))  # exp(-2v) < 5e-18 above 20
+    try:
+        return math.exp(2.0 * (log_c - log_sinh))
+    except OverflowError:
+        raise IonizationRegimeError(_R_NEAR_ONE) from None
+
+
+def _slow_rho(mode_frequency: float, Lambda: float, beta: float, omega0: float) -> float:
+    """rho of a pulse too slow for ``Lambda (omega0/beta)**2`` to be a float."""
+    gap = (mode_frequency - omega0 * math.sqrt(max(-Lambda, 0.0))) / beta
     if gap > _SLOW_GAP:
-        return ReflectionResult(R=0.0)
+        return 0.0
     if gap < -_SLOW_GAP:
         raise IonizationRegimeError(_R_NEAR_ONE)
     raise ValueError(
-        f"beta = {pulse.beta} is too small to evaluate the reflection at Omega0 = "
-        f"{mode_frequency}, coupling = {pulse.coupling}: coupling / beta**2 leaves "
-        "the float range"
+        f"beta = {beta} is too small to evaluate the reflection at Omega0 = "
+        f"{mode_frequency}, Lambda = {Lambda}, omega0 = {omega0}: Lambda (omega0/beta)**2 "
+        "leaves the float range"
     )
+
+
+def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult:
+    """Closed-form reflection coefficient for the sech^2 envelope.
+
+    rho = cos^2[(pi/2) sqrt(1 + e)] / sinh^2[(pi/2) Omega0/beta],
+    e = Lambda (omega0/beta)^2,
+
+    with cos -> cosh of the real root when 1 + e < 0, and R = rho / (1 + rho).
+    The drive ratio e is formed from ``omega0/beta`` first, so a small
+    ``Lambda*omega0**2`` that underflows on its own still counts.  For
+    e >= -1 the cosine is evaluated as the sine of a small angle,
+
+        |cos((pi/2) sqrt(1 + e))| = |sin(arg)|,  arg = (pi/2) e / (1 + sqrt(1 + e)),
+
+    which keeps every digit of a sudden pulse (e -> 0), where the cosine's
+    argument sits next to pi/2; for e > 3 the angle is reduced exactly by the
+    nearest multiple of pi first.  rho is the ratio (c / sinh v)**2 where
+    that is a float, and is taken from logarithms only where a factor leaves
+    the float range.
+
+    At a zero of the sine, ``sqrt(1 + e)`` an odd integer, the computed sine
+    is rounding residue of its argument, so |sin(arg)| <= ZERO_COS_RTOL * arg
+    counts as an exact zero and gives R = 0.  The bound scales with arg
+    itself, so a tiny drive (arg ~ (pi/4) e) is never taken for a zero.
+
+    A pulse so slow that e leaves the float range gets R = 0 when
+    ``(Omega0 - omega0 sqrt(max(-Lambda, 0))) / beta`` exceeds 240, which
+    bounds rho below the smallest float; nearer that gap it is rejected with
+    a ValueError that names beta.
+
+    Every observable takes rho from the same kernel; ``extract_reflection``
+    of an integrated trajectory is its ODE oracle.
+    """
+    (rho,) = _rhos(pulse.Lambda, pulse.beta, pulse.omega0, (mode_frequency,))
+    return ReflectionResult(R=rho / (1.0 + rho))
 
 
 def energy_shift(mode_frequency: float, R: float) -> float:
@@ -353,30 +433,21 @@ def energy_shift(mode_frequency: float, R: float) -> float:
     return mode_frequency * R / (1.0 - R)
 
 
-def _reflections(f1: float, f2: float, pulse: Pulse) -> tuple[float, float]:
-    """(R1, R2) of two modes at frequencies f1 and f2; a repeated frequency
-    is reflected once."""
-    R1 = analytic_reflection(f1, pulse).R
-    R2 = R1 if f2 == f1 else analytic_reflection(f2, pulse).R
-    return R1, R2
-
-
-def _two_mode_shifts(f1: float, f2: float, pulse: Pulse) -> tuple[float, float, float]:
-    """(d1, d2, d1 + d2) for two modes at frequencies f1 and f2."""
-    R1, R2 = _reflections(f1, f2, pulse)
-    d1 = energy_shift(f1, R1)
-    d2 = energy_shift(f2, R2)
-    return d1, d2, d1 + d2
+def _two_mode_total(f1: float, f2: float, Lambda: float, beta: float, omega0: float) -> float:
+    """Omega1 rho1 + Omega2 rho2, the two-mode shift total."""
+    rho1, rho2 = _rhos(Lambda, beta, omega0, (f1, f2))
+    return f1 * rho1 + f2 * rho2
 
 
 def total_shift(modes: ModeSet, pulse: Pulse, kind: str) -> float:
     """Two-particle total energy shift for the exact model or a reference.
 
-    ``exact`` sums the shifts of the two independent modes; the reference
-    kinds count one independent-particle frequency twice, reflected once.
+    ``exact`` sums the shifts Omega * rho of the two independent modes; the
+    reference kinds count one independent-particle frequency twice,
+    reflected once.
     """
     check_admissible(modes, pulse)
-    return _two_mode_shifts(*mode_frequencies(modes, kind), pulse)[2]
+    return _two_mode_total(*mode_frequencies(modes, kind), pulse.Lambda, pulse.beta, pulse.omega0)
 
 
 @dataclass(frozen=True)
@@ -405,18 +476,20 @@ class EnergyShiftReport:
 def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
     """All shift observables for one (model, pulse) combination.
 
-    Every total is the ``total_shift`` of its kind.
+    One kernel call reflects the five distinct mode frequencies under the
+    pulse; every total equals the ``total_shift`` of its kind.
     """
     check_admissible(modes, pulse)
-    d1, d2, exact = _two_mode_shifts(modes.omega1, modes.omega2, pulse)
-    hf, ks, natural = [_two_mode_shifts(*mode_frequencies(modes, k), pulse)[2] for k in KINDS[1:]]
+    freqs = _report_frequencies(modes)
+    shifts = [f * rho for f, rho in zip(freqs, _rhos(pulse.Lambda, pulse.beta, pulse.omega0, freqs))]
+    exact, hf, ks, natural = [shifts[i] + shifts[j] for i, j in _KIND_POSITIONS]
     return EnergyShiftReport(
         omega0=modes.params.omega0,
         lam=modes.params.lam,
         Lambda=pulse.Lambda,
         beta=pulse.beta,
-        shift_mode1=d1,
-        shift_mode2=d2,
+        shift_mode1=shifts[0],
+        shift_mode2=shifts[1],
         exact=exact,
         hf=hf,
         ks=ks,
@@ -425,16 +498,22 @@ def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
 
 
 def born_shift(mode_frequency: float, pulse: Pulse) -> float:
-    """First-order shift (Lambda*omega0^2*pi / 4 beta^2)^2 * Omega0 / sinh^2.
+    """First-order shift (pi e / 4)^2 * Omega0 / sinh^2, e = Lambda (omega0/beta)^2.
 
     Quadratic in the drive, hence blind to its sign.  Evaluated from the
-    logarithms of its factors, so that no power of beta overflows or
+    logarithms of its factors, with ``Lambda`` and ``omega0/beta`` apart, so
+    that no power of beta and no ``Lambda*omega0**2`` overflows or
     underflows; a shift beyond the float range raises a ValueError that
     names beta.
     """
     _check_mode_frequency(mode_frequency)
-    if pulse.coupling == 0.0:
+    if pulse.Lambda == 0.0:
         return 0.0
+    r = pulse.omega0 / pulse.beta
+    if sys.float_info.min <= r < math.inf:
+        log_r = math.log(r)
+    else:
+        log_r = math.log(pulse.omega0) - math.log(pulse.beta)
     v = 0.5 * math.pi * mode_frequency / pulse.beta
     if v >= 1.0:
         log_sinh = _log_sinh(v)
@@ -443,8 +522,8 @@ def born_shift(mode_frequency: float, pulse: Pulse) -> float:
     else:  # sinh(v) = v to double precision, and v itself may underflow
         log_sinh = math.log(0.5 * math.pi * mode_frequency) - math.log(pulse.beta)
     log_shift = (
-        2.0 * math.log(abs(pulse.coupling) * math.pi / 4.0)
-        - 4.0 * math.log(pulse.beta)
+        2.0 * math.log(abs(pulse.Lambda) * math.pi / 4.0)
+        + 4.0 * log_r
         + math.log(mode_frequency)
         - 2.0 * log_sinh
     )
@@ -467,39 +546,41 @@ class SuddenShift:
 def sudden_shift(mode_frequency: float, pulse: Pulse) -> SuddenShift:
     """Sudden-limit expansion of the one-mode shift.
 
-    Keeps the leading sign-carrying factor (1 - Lambda*omega0^2 / 2 beta^2).
+    Keeps the leading sign-carrying factor (1 - e/2), e = Lambda (omega0/beta)^2.
     ``valid`` is a coarse asymptotic check (beta well above the mode
     frequency and the drive scale).  A value beyond the float range (a very
     slow pulse, far outside that check) raises a ValueError that names beta.
     """
     _check_mode_frequency(mode_frequency)
-    om, beta = mode_frequency, pulse.beta
-    coupling = pulse.coupling
-    # om (coupling / 2 beta om)^2 (1 - (pi om / 2 beta)^2 / 3) (1 - coupling / 2 beta^2),
-    # from ratios, so that no power of beta leaves the float range first
-    r = 0.5 * coupling / beta / om
+    om, beta, Lambda, omega0 = mode_frequency, pulse.beta, pulse.Lambda, pulse.omega0
+    # om (e beta / 2 om)^2 (1 - (pi om / 2 beta)^2 / 3) (1 - e / 2), from the ratios
+    # omega0/beta and omega0/om, so that neither a power of beta nor
+    # Lambda*omega0**2 leaves the float range first
+    q = omega0 / beta
+    e = Lambda * q * q
+    r = 0.5 * Lambda * q * (omega0 / om)
     x = 0.5 * math.pi * om / beta
-    value = om * r * r * (1.0 - x * x / 3.0) * (1.0 - 0.5 * coupling / beta / beta)
+    value = om * r * r * (1.0 - x * x / 3.0) * (1.0 - 0.5 * e)
     if not math.isfinite(value):
         raise ValueError(
             f"sudden_shift at beta = {beta}, Omega0 = {om} exceeds the float range"
         )
-    valid = beta >= 3.0 * om and beta * beta >= 3.0 * abs(coupling)
+    valid = beta >= 3.0 * om and 3.0 * abs(e) <= 1.0
     return SuddenShift(value=value, valid=valid)
 
 
 def overlap(modes: ModeSet, pulse: Pulse, kind: str) -> float:
     """Squared overlap of the long-time state with the initial ground state.
 
-    A product of per-mode factors sqrt(1-R) over
+    A product of per-mode factors sqrt(1-R), R = rho / (1 + rho), over
     ``mode_frequencies(modes, kind)``: (omega1, omega2) for ``exact``, and
     omega_d twice for the density-optimal ``ks``, reflected once.
     """
     if kind not in ("exact", "ks"):
         raise ValueError(f"kind must be 'exact' or 'ks', got {kind!r}")
     check_admissible(modes, pulse)
-    f1, f2 = mode_frequencies(modes, kind)
-    R1, R2 = _reflections(f1, f2, pulse)
+    frequencies = mode_frequencies(modes, kind)
+    R1, R2 = (rho / (1.0 + rho) for rho in _rhos(pulse.Lambda, pulse.beta, pulse.omega0, frequencies))
     return math.sqrt(1.0 - R1) * math.sqrt(1.0 - R2)
 
 
@@ -508,15 +589,15 @@ def sign_effect_rows(modes: ModeSet, Lambda_mag: float, v_grid) -> list[tuple[fl
     ``collision.sign_effect_ratio``, which returns them as an array."""
     if Lambda_mag < 0:
         raise ValueError(f"Lambda magnitude must be >= 0, got {Lambda_mag}")
-    omega0 = modes.params.omega0
+    _check_Lambda(Lambda_mag)
+    _check_bound(modes, Lambda_mag)
+    f1, f2, omega0 = modes.omega1, modes.omega2, modes.params.omega0
     rows = []
     for v in map(float, v_grid):
-        # Built before the zero-drive shortcut so that Pulse validates every v.
-        pulses = [Pulse(Lambda=sign * Lambda_mag, beta=v, omega0=omega0)
-                  for sign in (-1.0, 1.0)]
+        _check_beta(v)
         if Lambda_mag == 0.0:
             rows.append((v, 0.0))
             continue
-        minus, plus = (total_shift(modes, p, "exact") for p in pulses)
+        minus, plus = (_two_mode_total(f1, f2, sign * Lambda_mag, v, omega0) for sign in (-1.0, 1.0))
         rows.append((v, minus / plus - 1.0 if plus != 0.0 else math.nan))
     return rows

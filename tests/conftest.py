@@ -15,6 +15,17 @@ MODE_GRID = (1.5, 2.0, 2.121, 2.372, 3.0)
 BETA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 
+def mp_rho(mpmath, mode_frequency, Lambda, beta, omega0):
+    """rho = R / (1 - R) of the sech^2 closed form in mpmath's working precision.
+
+    cos^2[(pi/2) sqrt(1 + e)] / sinh^2[(pi/2) Omega0 / beta], e = Lambda (omega0/beta)^2,
+    from the exact values of the float inputs; cos of an imaginary root is cosh.
+    """
+    om, Lam, b, w0 = map(mpmath.mpf, (mode_frequency, Lambda, beta, omega0))
+    c = mpmath.cos(mpmath.pi / 2 * mpmath.sqrt(1 + Lam * (w0 / b) ** 2))
+    return abs(c) ** 2 / mpmath.sinh(mpmath.pi / 2 * om / b) ** 2
+
+
 @pytest.fixture(scope="session")
 def modes_ref():
     return derive_modes(ModelParams(OMEGA0, LAM))

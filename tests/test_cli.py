@@ -438,8 +438,20 @@ class TestGrids:
 # Run in a fresh interpreter: this test process has already imported scipy.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-from pairpulse import Pulse, analytic_reflection, extract_reflection, integrate_mode
+import __future__, dataclasses, math, operator  # what closed_form itself imports
+before = set(sys.modules)
+import pairpulse.closed_form as cf
+m = cf.derive_modes(cf.ModelParams(3.0, 0.375))
+p = cf.Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
+cf.energy_shift_report(m, p), cf.overlap(m, p, "ks"), cf.sign_effect_rows(m, 2.0 / 9.0, [4.0, 8.0])
+closed_form_modules = sorted(set(sys.modules) - before)
 from pairpulse.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    closed_form_codes = [main(["figure", "3"]), main(["sweep"])]
+closed_form_numpy = "numpy" in sys.modules
+import pairpulse
+from pairpulse import Pulse, analytic_reflection, extract_reflection, integrate_mode
+cached = [n for n in ("Pulse", "analytic_reflection") if vars(pairpulse).get(n) is getattr(cf, n)]
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -463,6 +475,10 @@ print(json.dumps({
     "R_ode": R_ode,
     "numpy_ma": numpy_ma,
     "R_analytic": analytic_reflection(2.0, pulse).R,
+    "closed_form_modules": closed_form_modules,
+    "closed_form_codes": closed_form_codes,
+    "closed_form_numpy": closed_form_numpy,
+    "cached": cached,
 }))
 """
 
@@ -500,6 +516,15 @@ class TestImportCost:
                                  "validate": []}
         assert res["B_start"] == pytest.approx(1.0, abs=1e-12)
         assert res["R_ode"] == pytest.approx(res["R_analytic"], abs=1e-8)
+
+    def test_closed_form_imports_math_only(self, import_probe):
+        # after the kernel runs, closed_form has added only the package to the
+        # standard modules it imports; figure 3 and sweep then load no numpy,
+        # and a resolved package export is stored in the package
+        res, _, _ = import_probe
+        assert res["closed_form_modules"] == ["pairpulse", "pairpulse.closed_form"]
+        assert res["closed_form_codes"] == [0, 0] and res["closed_form_numpy"] is False
+        assert res["cached"] == ["Pulse", "analytic_reflection"]
 
     def test_integrator_does_not_load_numpy_ma(self, import_probe):
         # numpy.ma (pulled in by np.unique and np.union1d) costs ~1.2 MiB of

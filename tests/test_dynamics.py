@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -26,7 +27,7 @@ from pairpulse.dynamics import (
 )
 from pairpulse.observables import energy_shift
 
-from conftest import BETA, BETA_GRID, LAMBDA, MODE_GRID, OMEGA0
+from conftest import BETA, BETA_GRID, LAMBDA, MODE_GRID, OMEGA0, mp_rho
 
 
 class TestPulse:
@@ -432,6 +433,26 @@ class TestAnalyticReflection:
             beta = math.sqrt(2.0 / ((2 * n + 1) ** 2 - 1))
             p = Pulse(Lambda=2.0 / 9.0, beta=beta, omega0=3.0)
             assert analytic_reflection(2.0, p).R == 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_extended_precision_near_the_bound(self, modes_ref, sign):
+        # relative error against 50 digits from slow (beta = 1e-3) to sudden
+        # (1e7) pulses with |Lambda| 1e-12 below (omega2/omega0)^2; the cosine
+        # of (pi/2) sqrt(1 + e) lost 1.4e-7 at beta = 1e5 and 5e-4 at 1e7.  A
+        # subnormal R only keeps its absolute spacing.
+        mpmath = pytest.importorskip("mpmath")
+        Lam = sign * ((modes_ref.omega2 / modes_ref.omega1) ** 2 - 1e-12)
+        worst = {}
+        with mpmath.workdps(50):
+            for k in range(41):
+                p = Pulse(Lambda=Lam, beta=10.0 ** (-3.0 + k / 4.0), omega0=OMEGA0)
+                for om in (modes_ref.omega1, modes_ref.omega2, modes_ref.omega_e,
+                           modes_ref.omega_d, modes_ref.omega_w):
+                    rho = mp_rho(mpmath, om, p.Lambda, p.beta, p.omega0)
+                    exact = rho / (1 + rho)
+                    err = abs(analytic_reflection(om, p).R - exact) / max(exact, sys.float_info.min)
+                    worst[p.beta] = max(worst.get(p.beta, 0.0), float(err))
+        assert {b: e for b, e in worst.items() if not e <= 1e-12} == {}
 
     def test_reference_value_frozen_from_ode_oracle(self, pulse_ref):
         # ODE pipeline at rtol 1e-11 gives R = 0.017147968811; Eq. value frozen

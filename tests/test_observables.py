@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pairpulse import ModelParams, derive_modes
+from pairpulse.closed_form import sign_effect_rows
 from pairpulse.dynamics import Pulse, analytic_reflection, integrate_mode, omega_squared
 from pairpulse.model import KINDS, mode_frequencies
 from pairpulse.observables import (
@@ -18,7 +19,7 @@ from pairpulse.observables import (
     transition_weights,
 )
 
-from conftest import LAMBDA, OMEGA0
+from conftest import LAM, LAMBDA, OMEGA0, mp_rho
 
 
 class TestEnergyShift:
@@ -72,26 +73,57 @@ class TestTotalShift:
             total_shift(modes_ref, p, "exact")
 
     def test_reference_kinds_reflect_once(self, modes_ref, pulse_ref, monkeypatch):
-        # a reference kind puts both particles at one frequency, so it is
-        # reflected once and its shift counted twice
+        # one kernel call per pulse evaluates one numerator (a sine, or a cosh
+        # for 1 + e < 0) and one sinh per distinct frequency; a reference kind
+        # puts both particles at one frequency, so it is reflected once and
+        # its shift counted twice
         import pairpulse.closed_form as closed_form
 
-        calls = []
-        monkeypatch.setattr(closed_form, "analytic_reflection",
-                            lambda f, p: calls.append(f) or analytic_reflection(f, p))
-        for kind in KINDS:
+        kernel = closed_form._rhos
+        calls, counts = [], {"sin": 0, "cosh": 0, "sinh": 0}
+
+        class CountingMath:
+            def __getattr__(self, name):
+                fn = getattr(math, name)
+                if name not in counts:
+                    return fn
+
+                def counted(x):
+                    counts[name] += 1
+                    return fn(x)
+
+                return counted
+
+        def counting_kernel(Lambda, beta, omega0, frequencies):
+            calls.append(tuple(frequencies))
+            return kernel(Lambda, beta, omega0, frequencies)
+
+        def evaluations(fn, *args):
             calls.clear()
-            total_shift(modes_ref, pulse_ref, kind)
-            assert calls == list(dict.fromkeys(mode_frequencies(modes_ref, kind)))
-        calls.clear()
-        overlap(modes_ref, pulse_ref, "ks")
-        assert calls == [modes_ref.omega_d]
-        calls.clear()
+            counts.update(dict.fromkeys(counts, 0))
+            fn(*args)
+            return calls[:], counts["sin"] + counts["cosh"], counts["sinh"]
+
+        monkeypatch.setattr(closed_form, "_rhos", counting_kernel)
+        monkeypatch.setattr(closed_form, "math", CountingMath())
+        for kind in KINDS:
+            pair = mode_frequencies(modes_ref, kind)
+            assert evaluations(total_shift, modes_ref, pulse_ref, kind) == ([pair], 1, len(set(pair)))
+        assert evaluations(overlap, modes_ref, pulse_ref, "ks") == ([(modes_ref.omega_d,) * 2], 1, 1)
+        five = (modes_ref.omega1, modes_ref.omega2, modes_ref.omega_e, modes_ref.omega_d,
+                modes_ref.omega_w)
+        assert evaluations(energy_shift_report, modes_ref, pulse_ref) == ([five], 1, 5)
+        slow = Pulse(Lambda=-LAMBDA, beta=0.5, omega0=OMEGA0)  # 1 + e < 0: cosh numerator
+        assert evaluations(energy_shift_report, modes_ref, slow) == ([five], 1, 5)
+        assert counts["cosh"] == 1
+        # two pulses per velocity, both modes each
+        exact = (modes_ref.omega1, modes_ref.omega2)
+        assert evaluations(sign_effect_rows, modes_ref, LAMBDA, [4.0, 5.0]) == ([exact] * 4, 4, 8)
+        # every shift is Omega * rho exactly, and R = rho / (1 + rho)
         rep = energy_shift_report(modes_ref, pulse_ref)
-        assert calls == [modes_ref.omega1, modes_ref.omega2, modes_ref.omega_e,
-                         modes_ref.omega_d, modes_ref.omega_w]
-        assert rep.hf == 2.0 * energy_shift(modes_ref.omega_e, analytic_reflection(
-            modes_ref.omega_e, pulse_ref).R)
+        (rho,) = kernel(pulse_ref.Lambda, pulse_ref.beta, pulse_ref.omega0, (modes_ref.omega_e,))
+        assert rep.hf == 2.0 * (modes_ref.omega_e * rho)
+        assert analytic_reflection(modes_ref.omega_e, pulse_ref).R == rho / (1.0 + rho)
 
     def test_report_consistency(self, modes_ref, pulse_ref):
         rep = energy_shift_report(modes_ref, pulse_ref)
@@ -102,6 +134,35 @@ class TestTotalShift:
         assert list(record) == ["omega0", "lambda", "Lambda", "beta", "shift_mode1",
                                 "shift_mode2", "exact", "hf", "ks", "natural"]
         assert record["lambda"] == rep.lam
+
+
+def test_small_drive_at_the_bottom_of_the_omega0_range():
+    # Lambda*omega0**2 = 2.25e-325 underflows to 0, yet e = Lambda (omega0/beta)**2
+    # = 2.25e-17: every closed form must see the drive
+    mpmath = pytest.importorskip("mpmath")
+    m = derive_modes(ModelParams(1.5e-154, LAM))
+    p = Pulse(Lambda=1e-17, beta=1e-154, omega0=1.5e-154)
+    assert p.coupling == 0.0
+    om = m.omega1
+    with mpmath.workdps(50):
+        rho = {f: mp_rho(mpmath, f, p.Lambda, p.beta, p.omega0) for f in (m.omega1, m.omega2)}
+        e = mpmath.mpf(p.Lambda) * (mpmath.mpf(p.omega0) / mpmath.mpf(p.beta)) ** 2
+        x = mpmath.pi / 2 * mpmath.mpf(om) / mpmath.mpf(p.beta)
+        exact = {
+            "R": rho[om] / (1 + rho[om]),
+            "exact": sum(f * r for f, r in rho.items()),
+            "born": (mpmath.pi * e / 4) ** 2 * om / mpmath.sinh(x) ** 2,
+            "sudden": om * (e * mpmath.mpf(p.beta) / (2 * om)) ** 2 * (1 - x**2 / 3) * (1 - e / 2),
+        }
+    computed = {
+        "R": analytic_reflection(om, p).R,
+        "exact": energy_shift_report(m, p).exact,
+        "born": born_shift(om, p),
+        "sudden": sudden_shift(om, p).value,
+    }
+    for name, value in computed.items():
+        assert value != 0.0, name
+        assert value == pytest.approx(float(exact[name]), rel=1e-12, abs=0.0), name
 
 
 class TestBornShift:
