@@ -343,6 +343,8 @@ def _rhos(Lambda: float, beta: float, omega0: float, frequencies) -> list[float]
                 rho = (c / math.sinh(v)) ** 2
             except OverflowError:  # sinh(v) or rho beyond the float range
                 rho = math.inf
+            except ZeroDivisionError:  # f / beta underflows: rho = (c / v)**2 is infinite
+                raise IonizationRegimeError(_R_NEAR_ONE) from None
             if rho == math.inf:
                 rho = _log_space_rho(log_c, v)
         rhos.append(rho)

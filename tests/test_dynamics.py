@@ -491,6 +491,11 @@ class TestAnalyticReflection:
             analytic_reflection(1e-3, Pulse(Lambda=-1.0, beta=1e-5, omega0=1e150))
         with pytest.raises(ValueError, match="beta = 1e-05 is too small"):
             analytic_reflection(1e-3, Pulse(Lambda=1.0, beta=1e-5, omega0=1e150))
+        # a mode frequency so far below beta that (pi/2) Omega0 / beta underflows
+        # to 0 has rho = (c / v)**2 beyond every float, not R = 0
+        for om in (1e-300, 1e-320):
+            with pytest.raises(IonizationRegimeError):
+                analytic_reflection(om, Pulse(Lambda=0.2, beta=1e10, omega0=3.0))
 
 
 @pytest.fixture(scope="module")
