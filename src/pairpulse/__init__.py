@@ -5,17 +5,20 @@ under a finite confinement pulse via the Ermakov width equation, the
 resulting sign-dependent energy shifts, overlaps and Berry connection, and
 the sign effect as a function of projectile velocity at beta = v.
 
-The package namespace is the union of its modules' ``__all__``.  Names
-resolve lazily (PEP 562): the first access imports the modules in order
-until one declares the name and stores it in the package, so later accesses
-are plain attribute reads and ``import pairpulse`` loads no numpy.
+The package namespace is the union of its modules' ``__all__``, each name
+declared by the module that defines it.  Names resolve lazily (PEP 562):
+the first access imports the modules in order until one declares the name
+and stores it in the package, so later accesses are plain attribute reads.
+``closed_form`` comes first, so ``import pairpulse`` and the closed-form
+names (``ModelParams``, ``Pulse``, ``derive_modes``, ``energy_shift_report``,
+...) load no numpy.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("model", "dynamics", "observables", "collision")
+_MODULES = ("closed_form", "model", "dynamics", "observables", "collision")
 
 
 def _modules():

@@ -8,7 +8,7 @@ module holds that chain: the model constants, the pulse, the reflection,
 the shift totals and the sign-effect rows.  It imports ``math`` alone, so
 the commands that only need the closed form start without numpy; the array
 code (one-matrix, spectra, integrator) lives in ``model``, ``dynamics``,
-``observables`` and ``collision``, which re-export these names.
+``observables`` and ``collision``.
 """
 
 from __future__ import annotations
@@ -247,14 +247,6 @@ class Pulse:
         """Signed drive amplitude Lambda * omega0**2."""
         return self.Lambda * self.omega0**2
 
-    def envelope(self, t):
-        """F(t) = sech^2(2 beta (t - t0)); F(t0) = 1, F(+-inf) = 0."""
-        import numpy as np  # the closed form never calls this; keep numpy out of its import
-
-        x = np.abs(2.0 * self.beta * (np.asarray(t, dtype=float) - self.t0))
-        s = np.exp(-x)
-        return 4.0 * s * s / np.square(1.0 + s * s)
-
 
 def check_admissible(modes: ModeSet, pulse: Pulse) -> None:
     """Reject pulses outside |Lambda| < (omega2/omega0)^2 or with a
@@ -289,8 +281,20 @@ class ReflectionResult:
     R: float
 
     def __post_init__(self):
-        if not (0.0 <= self.R < 1.0):
-            raise ValueError(f"reflection coefficient must lie in [0, 1), got {self.R}")
+        _check_R(self.R)
+
+
+def _check_R(R: float) -> None:
+    if not (0.0 <= R < 1.0):
+        raise ValueError(f"reflection coefficient must lie in [0, 1), got {R}")
+
+
+def _reflection(rho: float) -> float:
+    """R = rho / (1 + rho); rejects a rho so large that R rounds to 1."""
+    R = rho / (1.0 + rho)
+    if R == 1.0:
+        raise IonizationRegimeError(_R_NEAR_ONE)
+    return R
 
 
 def _log_sinh(x: float) -> float:
@@ -425,13 +429,12 @@ def analytic_reflection(mode_frequency: float, pulse: Pulse) -> ReflectionResult
     of an integrated trajectory is its ODE oracle.
     """
     (rho,) = _rhos(pulse.Lambda, pulse.beta, pulse.omega0, (mode_frequency,))
-    return ReflectionResult(R=rho / (1.0 + rho))
+    return ReflectionResult(R=_reflection(rho))
 
 
 def energy_shift(mode_frequency: float, R: float) -> float:
     """One-mode time-independent energy shift Omega0 * R / (1 - R)."""
-    if not (0.0 <= R < 1.0):
-        raise ValueError(f"reflection coefficient must lie in [0, 1), got {R}")
+    _check_R(R)
     return mode_frequency * R / (1.0 - R)
 
 
@@ -582,7 +585,7 @@ def overlap(modes: ModeSet, pulse: Pulse, kind: str) -> float:
         raise ValueError(f"kind must be 'exact' or 'ks', got {kind!r}")
     check_admissible(modes, pulse)
     frequencies = mode_frequencies(modes, kind)
-    R1, R2 = (rho / (1.0 + rho) for rho in _rhos(pulse.Lambda, pulse.beta, pulse.omega0, frequencies))
+    R1, R2 = map(_reflection, _rhos(pulse.Lambda, pulse.beta, pulse.omega0, frequencies))
     return math.sqrt(1.0 - R1) * math.sqrt(1.0 - R2)
 
 

@@ -22,9 +22,9 @@ exponential of a traceless 2 x 2 matrix (Blanes, Casas & Ros, BIT 40, 434
 the grid is fine only where the pulse acts, and each refinement level is
 one numpy pass (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009),
 section 5; Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  The
-module needs numpy alone.  ``Pulse``, ``check_admissible`` and the
-closed-form ``analytic_reflection`` live in ``closed_form``, which needs no
-numpy, and are re-exported here.
+module needs numpy alone.  ``Pulse`` and the closed-form
+``analytic_reflection`` live in ``closed_form``, which needs no numpy; the
+pulse's envelope ``F(t)``, evaluated on arrays, lives here.
 """
 
 from __future__ import annotations
@@ -34,28 +34,25 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+# analytic_reflection stays importable from here: perfbench/workloads.py
+# LIBRARY_FUNCTIONS binds it as dynamics.analytic_reflection.
 from .closed_form import (
     IonizationRegimeError,
     ModeSet,
     Pulse,
     ReflectionResult,
     analytic_reflection,
-    check_admissible,
     _check_mode_frequency,
 )
 
 __all__ = [
-    "IonizationRegimeError",
-    "Pulse",
     "Trajectory",
-    "ReflectionResult",
     "OneMatrixSnapshot",
     "SnapshotSeries",
+    "envelope",
     "omega_squared",
-    "check_admissible",
     "integrate_mode",
     "extract_reflection",
-    "analytic_reflection",
     "onematrix_snapshot",
     "snapshot_series",
     "gamma1_time",
@@ -93,6 +90,13 @@ FIRST_STEP_ANGLE = 1.0
 MAX_STEPS = 2**17
 
 
+def envelope(pulse: Pulse, t):
+    """F(t) = sech^2(2 beta (t - t0)); F(t0) = 1, F(+-inf) = 0."""
+    x = np.abs(2.0 * pulse.beta * (np.asarray(t, dtype=float) - pulse.t0))
+    s = np.exp(-x)
+    return 4.0 * s * s / np.square(1.0 + s * s)
+
+
 def omega_squared(mode_frequency: float, pulse: Pulse, t):
     """Instantaneous squared frequency Omega0^2 + Lambda*omega0^2*F(t).
 
@@ -100,7 +104,7 @@ def omega_squared(mode_frequency: float, pulse: Pulse, t):
     which signals the excluded inverted-confinement regime.
     """
     _check_mode_frequency(mode_frequency)
-    val = mode_frequency**2 + pulse.coupling * pulse.envelope(t)
+    val = mode_frequency**2 + pulse.coupling * envelope(pulse, t)
     if np.any(val <= 0.0):
         raise IonizationRegimeError(
             f"Omega^2(t) <= 0 for Omega0={mode_frequency}, Lambda={pulse.Lambda}: "
@@ -135,7 +139,7 @@ def _propagators(om: float, pulse: Pulse, t, h):
     """
     # omega_squared inline: integrate_mode has checked positivity once for
     # the whole window, so this hot loop skips the per-call check.
-    w1, w2, w3 = om * om + pulse.coupling * pulse.envelope(t + np.multiply.outer(_GAUSS, h))
+    w1, w2, w3 = om * om + pulse.coupling * envelope(pulse, t + np.multiply.outer(_GAUSS, h))
     W, D1, D2 = h * w2, h * (w3 - w1), h * (w1 + w3 - 2.0 * w2)
     E = D1 * D1
     a = (math.sqrt(15.0) / 3.0) * h * D1 * (h * (W + D2 / 12.0) / 180.0 + 1.0 / 12.0)
@@ -371,7 +375,7 @@ def extract_reflection(traj: Trajectory) -> ReflectionResult:
     from K at ``t_end`` alone.  This is the ODE oracle for
     ``analytic_reflection``, which every observable uses.
     """
-    if traj.pulse.envelope(traj.t_end) > PULSE_OFF:
+    if envelope(traj.pulse, traj.t_end) > PULSE_OFF:
         raise ValueError("trajectory does not extend beyond the pulse support")
     K = float(traj.invariant_at(traj.t_end))
     if K < 0.5 - 1e-9:

@@ -10,7 +10,7 @@ kernel identity), occupation entropies, and the three independent-particle
 reference models (energy-optimal, density-optimal, wavefunction-optimal).
 The model inputs and the derived frequencies (``ModelParams``, ``ModeSet``,
 ``derive_modes``, ``mode_frequencies``) live in ``closed_form``, which
-needs no numpy, and are re-exported here.
+needs no numpy.
 """
 
 from __future__ import annotations
@@ -20,27 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import KINDS, LAMBDA_MAX, ModelParams, ModeSet, derive_modes, mode_frequencies
+# derive_modes stays importable from here: perfbench/workloads.py
+# LIBRARY_FUNCTIONS binds it as model.derive_modes.
+from .closed_form import ModeSet, derive_modes, mode_frequencies
 
 __all__ = [
-    "KINDS",
-    "LAMBDA_MAX",
     "MAX_ORBITAL_INDEX",
-    "ModelParams",
-    "ModeSet",
     "OccupationSpectrum",
     "Entropies",
-    "GridSpec",
-    "derive_modes",
     "gamma1_static",
     "density",
     "occupation_spectrum",
     "natural_orbital",
     "hermite_function",
     "entropies",
-    "mode_frequencies",
     "model_wavefunction",
-    "normal_coordinates",
     "mehler_coefficients",
 ]
 
@@ -204,55 +198,17 @@ def entropies(spectrum: OccupationSpectrum, renyi_orders=()) -> Entropies:
     return Entropies(von_neumann=svn, renyi=tuple(out))
 
 
-def normal_coordinates(x1, x2):
-    """Center-of-mass / relative coordinates of a particle pair."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return (x1 + x2) / _SQRT2, (x1 - x2) / _SQRT2
-
-
 def model_wavefunction(kind: str, modes: ModeSet, x1, x2):
     """Ground-state wavefunction of the exact model or one reference model.
 
-    A product of two Gaussians at ``mode_frequencies(modes, kind)``, in
-    normal coordinates for ``exact`` and in particle coordinates otherwise.
+    A product of two Gaussians at ``mode_frequencies(modes, kind)``, in the
+    center-of-mass and relative coordinates ``(x1 +- x2) / sqrt(2)`` for
+    ``exact`` and in particle coordinates otherwise.
     """
     f1, f2 = mode_frequencies(modes, kind)
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
     if kind == "exact":
-        x1, x2 = normal_coordinates(x1, x2)
-    return _gaussian_orbital(f1, np.asarray(x1, dtype=float)) * _gaussian_orbital(
-        f2, np.asarray(x2, dtype=float)
-    )
+        x1, x2 = (x1 + x2) / _SQRT2, (x1 - x2) / _SQRT2
+    return _gaussian_orbital(f1, x1) * _gaussian_orbital(f2, x2)
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform spatial grid specification."""
-
-    x_min: float
-    x_max: float
-    n_points: int
-
-    def __post_init__(self):
-        for name in ("x_min", "x_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.x_min < self.x_max:
-            raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
-        if not math.isfinite(self.x_max - self.x_min):
-            raise ValueError(f"x_max - x_min overflows, got [{self.x_min}, {self.x_max}]")
-        object.__setattr__(self, "n_points", _check_count("n_points", self.n_points, 3))
-
-    @property
-    def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
-
-    @classmethod
-    def for_modes(cls, modes: ModeSet, n_points: int = 512, half_width: float = 8.0) -> "GridSpec":
-        # half_width sigmas of the density-optimal Gaussian; 8 puts the
-        # tails below 1e-13 at the bounds.
-        sigma = 1.0 / math.sqrt(modes.omega_d)
-        return cls(-half_width * sigma, half_width * sigma, n_points)

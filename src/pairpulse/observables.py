@@ -5,9 +5,9 @@ quantity is closed form: the one-mode energy shift Omega0*R/(1-R), the
 two-mode exact total and its three independent-particle counterparts, the
 perturbative (Born) and sudden expansions, the statistical transition
 weights whose weighted ladder reproduces the same shift, the ground-state
-overlap, and the Berry connection.  The closed-form shifts, totals and
-overlaps live in ``closed_form``, which needs no numpy, and are re-exported
-here.
+overlap, and the Berry connection.  The closed-form shifts, totals,
+expansions and overlaps live in ``closed_form``, which needs no numpy; the
+transition weights, their ladder sum and the Berry connection live here.
 """
 
 from __future__ import annotations
@@ -17,33 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The five closed-form functions stay importable from here: perfbench/workloads.py
+# LIBRARY_FUNCTIONS binds them as observables.<name>.
 from .closed_form import (
-    EnergyShiftReport,
     Pulse,
-    SuddenShift,
     born_shift,
-    energy_shift,
     energy_shift_report,
     overlap,
     sudden_shift,
     total_shift,
     _check_mode_frequency,
+    _check_R,
 )
 from .dynamics import Trajectory, omega_squared
 from .model import _check_count
 
 __all__ = [
-    "EnergyShiftReport",
     "TransitionWeights",
-    "SuddenShift",
-    "energy_shift",
-    "total_shift",
-    "energy_shift_report",
-    "born_shift",
-    "sudden_shift",
     "transition_weights",
     "statistical_shift",
-    "overlap",
     "berry_connection",
 ]
 
@@ -68,8 +60,7 @@ def transition_weights(R: float, n_max: int = 200) -> TransitionWeights:
     in log space so that no factorial overflows.  The n_max = 200 default
     keeps the tail below 1e-12 for R <= 0.9.
     """
-    if not (0.0 <= R < 1.0):
-        raise ValueError(f"reflection coefficient must lie in [0, 1), got {R}")
+    _check_R(R)
     n_max = _check_count("n_max", n_max, 0)
     n = np.arange(n_max + 1)
     if R == 0.0:

@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from . import dynamics, model, observables
-from .dynamics import Pulse, analytic_reflection, extract_reflection, integrate_mode
-from .model import ModelParams, derive_modes
+from .closed_form import ModelParams, Pulse, analytic_reflection, derive_modes, overlap
+from .dynamics import extract_reflection, integrate_mode
 
 
 def check_mode_ordering(n_draws):
@@ -55,9 +55,12 @@ def check_spectral_oracle(models):
     """Eigenvalues of the discretized kernel equal the closed-form occupations."""
     errs = []
     for m in models:
-        grid = model.GridSpec.for_modes(m, n_points=400)
-        x = grid.points()
-        kernel = model.gamma1_static(m, x[:, None], x[None, :]) * grid.spacing
+        # 8 sigmas of the density-optimal Gaussian on either side put its
+        # tails below 1e-13 at the bounds
+        sigma = 1.0 / math.sqrt(m.omega_d)
+        lo, hi = -8.0 * sigma, 8.0 * sigma
+        x = np.linspace(lo, hi, 400)
+        kernel = model.gamma1_static(m, x[:, None], x[None, :]) * ((hi - lo) / 399)
         eigs = np.linalg.eigvalsh(kernel)[::-1]
         errs.append(np.max(np.abs(eigs[:11] - model.occupation_spectrum(m, 10).weights)))
     err = float(np.max(errs))
@@ -137,9 +140,9 @@ def check_shift_zero(trajs):
 def check_overlap_limits(m):
     """Unit overlap without a drive; exact and KS overlaps agree without interaction."""
     w0 = m.params.omega0
-    unit_err = abs(observables.overlap(m, Pulse(Lambda=0.0, beta=2.0, omega0=w0), "exact") - 1.0)
+    unit_err = abs(overlap(m, Pulse(Lambda=0.0, beta=2.0, omega0=w0), "exact") - 1.0)
     m0, p0 = derive_modes(ModelParams(w0, 0.0)), Pulse(Lambda=0.2, beta=2.0, omega0=w0)
-    ks_err = abs(observables.overlap(m0, p0, "exact") - observables.overlap(m0, p0, "ks"))
+    ks_err = abs(overlap(m0, p0, "exact") - overlap(m0, p0, "ks"))
     ok = unit_err < 1e-12 and ks_err < 1e-12
     return ok, f"|overlap - 1| = {unit_err:.2e} at Lambda = 0, |exact - ks| = {ks_err:.2e} at lam = 0"
 

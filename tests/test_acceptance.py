@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from pairpulse import ModelParams, derive_modes
+from pairpulse import ModelParams, Pulse, derive_modes, total_shift
 from pairpulse.cli import main as cli_main
-from pairpulse.dynamics import Pulse, integrate_mode
-from pairpulse.observables import total_shift
+from pairpulse.dynamics import integrate_mode
 from pairpulse.collision import sign_effect_ratio
 from pairpulse.validate import (
     CHECKS,

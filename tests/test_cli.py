@@ -535,11 +535,15 @@ class TestImportCost:
 
 
 # The commands that need only the closed form, which must not load numpy,
-# and the two that integrate, which do.
+# and the two that integrate, which do; the closed-form package exports load
+# no numpy either.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 import pairpulse
 loaded = {"import pairpulse": "numpy" in sys.modules}
+from pairpulse import ModelParams, Pulse, derive_modes, energy_shift_report
+energy_shift_report(derive_modes(ModelParams(3.0, 0.375)), Pulse(2.0 / 9.0, 3.0, 3.0))
+loaded["closed-form exports"] = "numpy" in sys.modules
 from pairpulse.cli import main
 codes = {}
 for argv in json.loads(sys.argv[1]):
@@ -563,10 +567,11 @@ class TestNumpyImport:
     def test_closed_form_commands_do_not_load_numpy(self):
         res = _numpy_probe(NUMPY_FREE_COMMANDS)
         assert set(res["codes"].values()) == {0}
-        assert res["loaded"] == dict.fromkeys(
-            ["import pairpulse", *(" ".join(argv) for argv in NUMPY_FREE_COMMANDS)], False)
+        assert res["loaded"] == dict.fromkeys(["import pairpulse", "closed-form exports",
+                                               *(" ".join(argv) for argv in NUMPY_FREE_COMMANDS)], False)
 
     @pytest.mark.parametrize("command", ["evolve", "validate"])
     def test_integrating_commands_load_numpy(self, command):
         res = _numpy_probe([[command]])
-        assert res == {"codes": {command: 0}, "loaded": {"import pairpulse": False, command: True}}
+        assert res == {"codes": {command: 0},
+                       "loaded": {"import pairpulse": False, "closed-form exports": False, command: True}}

@@ -43,7 +43,7 @@ class TestSignEffectRatio:
         assert np.all(table[:, 1] >= 0.0)
 
     def test_rejects_inadmissible_magnitude(self, modes_ref):
-        from pairpulse.dynamics import IonizationRegimeError
+        from pairpulse import IonizationRegimeError
 
         with pytest.raises(IonizationRegimeError):
             sign_effect_ratio(modes_ref, 0.26, [5.0])

@@ -5,18 +5,23 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pairpulse import ModelParams, derive_modes
+from pairpulse import (
+    IonizationRegimeError,
+    ModelParams,
+    Pulse,
+    analytic_reflection,
+    derive_modes,
+    energy_shift,
+)
 from pairpulse.dynamics import (
     MAX_STEPS,
     _propagators,
-    IonizationRegimeError,
     OneMatrixSnapshot,
-    Pulse,
     Trajectory,
-    analytic_reflection,
     continuity_residual,
     effective_potential,
     energy_expectation_ks,
+    envelope,
     extract_reflection,
     gamma1_time,
     integrate_mode,
@@ -25,7 +30,6 @@ from pairpulse.dynamics import (
     snapshot_series,
     trajectory_table,
 )
-from pairpulse.observables import energy_shift
 
 from conftest import BETA, BETA_GRID, LAMBDA, MODE_GRID, OMEGA0, mp_rho
 
@@ -33,15 +37,15 @@ from conftest import BETA, BETA_GRID, LAMBDA, MODE_GRID, OMEGA0, mp_rho
 class TestPulse:
     def test_envelope_peak_and_decay(self):
         p = Pulse(Lambda=0.1, beta=2.0, omega0=3.0)
-        assert p.envelope(0.0) == 1.0
-        assert p.envelope(1e3) == 0.0
-        assert p.envelope(-1e3) == 0.0
+        assert envelope(p, 0.0) == 1.0
+        assert envelope(p, 1e3) == 0.0
+        assert envelope(p, -1e3) == 0.0
         # sech^2(2*beta*t) at a hand value
-        assert p.envelope(0.25) == pytest.approx(1.0 / math.cosh(1.0) ** 2, rel=1e-14)
+        assert envelope(p, 0.25) == pytest.approx(1.0 / math.cosh(1.0) ** 2, rel=1e-14)
 
     def test_envelope_center_shift(self):
         p = Pulse(Lambda=0.1, beta=2.0, omega0=3.0, t0=1.5)
-        assert p.envelope(1.5) == 1.0
+        assert envelope(p, 1.5) == 1.0
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -110,7 +114,7 @@ class TestIntegrateMode:
         Bp, _, _ = traj.state_at(ts + h)
         Bm, _, _ = traj.state_at(ts - h)
         bdd = (Bp - 2 * B0 + Bm) / h**2
-        o2 = traj.mode_frequency**2 + pulse_ref.coupling * pulse_ref.envelope(ts)
+        o2 = traj.mode_frequency**2 + pulse_ref.coupling * envelope(pulse_ref, ts)
         residual = np.abs(bdd + o2 * B0 - traj.mode_frequency**2 / B0**3)
         assert float(np.max(residual)) < 1e-6
 
@@ -236,7 +240,7 @@ def _magnus_by_expm(om, pulse, t, h):
 
     r = math.sqrt(15.0) / 10.0
     A1, A2, A3 = (
-        np.array([[0.0, 1.0], [-(om * om + pulse.coupling * pulse.envelope(t + c * h)), 0.0]])
+        np.array([[0.0, 1.0], [-(om * om + pulse.coupling * envelope(pulse, t + c * h)), 0.0]])
         for c in (0.5 - r, 0.5, 0.5 + r)
     )
     a1, a2, a3 = h * A2, math.sqrt(15.0) / 3.0 * h * (A3 - A1), 10.0 / 3.0 * h * (A3 - 2.0 * A2 + A1)
@@ -496,6 +500,9 @@ class TestAnalyticReflection:
         for om in (1e-300, 1e-320):
             with pytest.raises(IonizationRegimeError):
                 analytic_reflection(om, Pulse(Lambda=0.2, beta=1e10, omega0=3.0))
+        # rho between 2**53 and the float maximum, where R = rho / (1 + rho) rounds to 1
+        with pytest.raises(IonizationRegimeError):
+            analytic_reflection(1e-10, Pulse(Lambda=0.2, beta=1.0, omega0=3.0))
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,11 @@
 import math
-import re
 import sys
 
 import numpy as np
 import pytest
 
-from pairpulse import model
+from pairpulse import ModelParams, derive_modes, model
 from pairpulse.model import (
-    GridSpec,
-    ModelParams,
-    derive_modes,
     density,
     entropies,
     gamma1_static,
@@ -55,9 +51,9 @@ class TestDeriveModes:
         # independent spectral oracle for Z: the two largest eigenvalues of
         # the discretized kernel are (1-Z) and (1-Z)Z
         m = derive_modes(ModelParams(3.0, 0.375))
-        grid = GridSpec.for_modes(m, n_points=400)
-        x = grid.points()
-        eigs = np.linalg.eigvalsh(gamma1_static(m, x[:, None], x[None, :]) * grid.spacing)
+        half = 8.0 / math.sqrt(m.omega_d)
+        x, dx = np.linspace(-half, half, 400, retstep=True)
+        eigs = np.linalg.eigvalsh(gamma1_static(m, x[:, None], x[None, :]) * dx)
         eigs = eigs[::-1]
         assert eigs[1] / eigs[0] == pytest.approx(m.Z, abs=1e-9)
 
@@ -130,6 +126,10 @@ class TestGamma1Static:
         x = np.linspace(-3, 3, 17)
         np.testing.assert_allclose(density(modes_ref, x), gamma1_static(modes_ref, x, x), rtol=1e-14)
 
+    def test_density_tail_below_threshold_at_eight_sigma(self, modes_ref):
+        # the half width of the validate spectral-oracle grid
+        assert float(density(modes_ref, 8.0 / math.sqrt(modes_ref.omega_d))) < 1e-13
+
 
 class TestOccupationSpectrum:
     def test_noninteracting_is_pure(self):
@@ -142,11 +142,9 @@ class TestOccupationSpectrum:
     def test_leading_occupation_against_eigen_oracle(self, modes_ref):
         spec = occupation_spectrum(modes_ref, 5)
         assert spec.weights[0] == pytest.approx(0.9705627484771405, abs=1e-12)
-        grid = GridSpec.for_modes(modes_ref, n_points=400)
-        x = grid.points()
-        eigs = np.linalg.eigvalsh(
-            gamma1_static(modes_ref, x[:, None], x[None, :]) * grid.spacing
-        )
+        half = 8.0 / math.sqrt(modes_ref.omega_d)
+        x, dx = np.linspace(-half, half, 400, retstep=True)
+        eigs = np.linalg.eigvalsh(gamma1_static(modes_ref, x[:, None], x[None, :]) * dx)
         assert eigs[-1] == pytest.approx(spec.weights[0], abs=1e-9)
 
     @pytest.mark.parametrize("lam,k_max", [(0.0, 5), (0.1, 3), (0.375, 60), (0.49, 200)])
@@ -300,33 +298,3 @@ class TestModelWavefunction:
         with pytest.raises(ValueError):
             model_wavefunction("mp2", modes_ref, 0.0, 0.0)
 
-
-class TestGridSpec:
-    def test_spacing_and_points(self):
-        for n_points in (5, 5.0):
-            g = GridSpec(-1.0, 1.0, n_points)
-            assert g.spacing == pytest.approx(0.5)
-            np.testing.assert_allclose(g.points(), [-1, -0.5, 0, 0.5, 1])
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            GridSpec(1.0, -1.0, 10)
-        with pytest.raises(ValueError):
-            GridSpec(0.0, 1.0, 2)
-
-    @pytest.mark.parametrize("x_min, x_max, n_points, field", [
-        (-math.inf, math.inf, 10, "x_min"),
-        (0.0, math.inf, 5, "x_max"),
-        (-1e308, 1e308, 10, "x_max - x_min"),
-        (0.0, 1.0, 3.5, "n_points"),
-        (0.0, 1.0, math.nan, "n_points"),
-        (0.0, 1.0, math.inf, "n_points"),
-    ])
-    def test_rejects_bad_fields(self, x_min, x_max, n_points, field):
-        with pytest.raises(ValueError, match=re.escape(field)):
-            GridSpec(x_min, x_max, n_points)
-
-    def test_default_grid_tail_below_threshold(self, modes_ref):
-        g = GridSpec.for_modes(modes_ref)
-        assert g.n_points == 512
-        assert float(density(modes_ref, g.x_max)) < 1e-13

@@ -3,21 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from pairpulse import ModelParams, derive_modes
-from pairpulse.closed_form import sign_effect_rows
-from pairpulse.dynamics import Pulse, analytic_reflection, integrate_mode, omega_squared
-from pairpulse.model import KINDS, mode_frequencies
-from pairpulse.observables import (
-    berry_connection,
+from pairpulse import (
+    KINDS,
+    ModelParams,
+    Pulse,
+    analytic_reflection,
     born_shift,
+    derive_modes,
     energy_shift,
     energy_shift_report,
+    mode_frequencies,
     overlap,
-    statistical_shift,
+    sign_effect_rows,
     sudden_shift,
     total_shift,
-    transition_weights,
 )
+from pairpulse.dynamics import integrate_mode, omega_squared
+from pairpulse.observables import berry_connection, statistical_shift, transition_weights
 
 from conftest import LAM, LAMBDA, OMEGA0, mp_rho
 
@@ -66,7 +68,7 @@ class TestTotalShift:
         assert rels[2] < 1e-3
 
     def test_inadmissible_pulse_rejected(self, modes_ref):
-        from pairpulse.dynamics import IonizationRegimeError
+        from pairpulse import IonizationRegimeError
 
         p = Pulse(Lambda=-0.3, beta=2.0, omega0=OMEGA0)  # |Lambda| >= 1 - 2 lam = 0.25
         with pytest.raises(IonizationRegimeError):
