@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
+from operator import add, attrgetter, itemgetter, mul
+from typing import NamedTuple
 
 __all__ = [
     "KINDS",
@@ -61,10 +62,13 @@ _MODE_FIELDS = {
 KINDS = tuple(_MODE_FIELDS)
 _MODE_FREQUENCIES = {kind: attrgetter(*pair) for kind, pair in _MODE_FIELDS.items()}
 # A report reflects each field once, omega1 and omega2 first, and sums each
-# kind's two shifts by their positions in that order.
+# kind's two shifts, picked by their positions in that order.
 _REPORT_FIELDS = tuple(dict.fromkeys(f for pair in _MODE_FIELDS.values() for f in pair))
 _report_frequencies = attrgetter(*_REPORT_FIELDS)
-_KIND_POSITIONS = [tuple(map(_REPORT_FIELDS.index, pair)) for pair in _MODE_FIELDS.values()]
+_first_shifts, _second_shifts = (
+    itemgetter(*(_REPORT_FIELDS.index(pair[i]) for pair in _MODE_FIELDS.values()))
+    for i in (0, 1)
+)
 
 # Relative rounding error of the closed-form reflection's sine argument
 # arg = (pi/2) t, t = sqrt(1 + e) - 1, e = Lambda (omega0/beta)**2, with a
@@ -311,48 +315,68 @@ def _rhos(Lambda: float, beta: float, omega0: float, frequencies) -> list[float]
     The kernel of every closed-form observable (the formula is in
     ``analytic_reflection``).  The numerator depends on the pulse alone and
     is evaluated once; each frequency adds one sinh, and a frequency equal
-    to the one before it adds nothing.  ``Lambda``, ``beta``
-    and ``omega0`` must have passed the ``Pulse`` checks; the frequencies
-    are checked here.
+    to the one before it adds nothing.  ``Lambda``, ``beta`` and ``omega0``
+    must have passed the ``Pulse`` checks; the frequencies are checked here.
+    The numerator c is 0 where rho vanishes at every frequency and NaN for a
+    pulse too slow for e to be a float.  Those pulses, and the ranges where
+    ``(c / sinh v)**2`` is not a finite float, go to ``_fallback_rho``, so
+    the common path computes no logarithm and makes no call it does not need.
     """
-    for f in frequencies:
-        _check_mode_frequency(f)
+    u = 0.0
     if Lambda == 0.0:  # also where omega0 / beta overflows
-        return [0.0] * len(frequencies)
-    # omega0/beta first, as Lambda*omega0**2 may underflow, and rounded once:
-    # its square would double its rounding error.
-    r = omega0 / beta
-    e = Lambda * r * omega0 / beta
-    if math.isinf(e):
-        return [_slow_rho(f, Lambda, beta, omega0) for f in frequencies]
-    if e >= -1.0:
-        # |cos((pi/2) (1 + t))| = |sin((pi/2) t)|, t = sqrt(1 + e) - 1, with the
-        # angle reduced exactly by the nearest multiple of pi
-        t = _sqrt1pm1(e)
-        arg = _HALF_PI * t
-        c = abs(math.sin(_HALF_PI * (t - 2.0 * round(0.5 * t))))
-        if c <= ZERO_COS_RTOL * arg:  # e == 0 too
-            return [0.0] * len(frequencies)
-        log_c = math.log(c)
+        c = 0.0
     else:
-        u = _HALF_PI * math.sqrt(-1.0 - e)
-        c = math.cosh(u) if u < _COSH_MAX else math.inf
-        log_c = _log_cosh(u)
+        # omega0/beta first, as Lambda*omega0**2 may underflow, and rounded once:
+        # its square would double its rounding error.
+        r = omega0 / beta
+        e = Lambda * r * omega0 / beta
+        if math.isinf(e):
+            c = math.nan
+        elif e >= -1.0:
+            # |cos((pi/2) (1 + t))| = |sin((pi/2) t)|, t = sqrt(1 + e) - 1, with the
+            # angle reduced exactly by the nearest multiple of pi
+            t = _sqrt1pm1(e)
+            arg = _HALF_PI * t
+            c = abs(math.sin(_HALF_PI * (t - 2.0 * round(0.5 * t))))
+            if c <= ZERO_COS_RTOL * arg:  # e == 0 too
+                c = 0.0
+        else:
+            u = _HALF_PI * math.sqrt(-1.0 - e)
+            c = math.cosh(u) if u < _COSH_MAX else math.inf
     rhos, last = [], None
     for f in frequencies:
+        if not 0.0 < f < math.inf:  # NaN fails
+            _check_mode_frequency(f)
         if f != last:  # a repeated frequency is reflected once
             last = f
             v = _HALF_PI * f / beta
             try:
                 rho = (c / math.sinh(v)) ** 2
-            except OverflowError:  # sinh(v) or rho beyond the float range
-                rho = math.inf
-            except ZeroDivisionError:  # f / beta underflows: rho = (c / v)**2 is infinite
-                raise IonizationRegimeError(_R_NEAR_ONE) from None
-            if rho == math.inf:
-                rho = _log_space_rho(log_c, v)
+            except (OverflowError, ZeroDivisionError):  # sinh v or rho overflows, or v is 0
+                rho = math.nan
+            if not rho < math.inf:  # NaN too
+                rho = _fallback_rho(f, v, Lambda, beta, omega0, c, u)
         rhos.append(rho)
     return rhos
+
+
+def _fallback_rho(f: float, v: float, Lambda: float, beta: float, omega0: float, c: float,
+                  u: float) -> float:
+    """rho at frequency f where ``(c / sinh v)**2`` is not a finite float.
+
+    c is NaN for a pulse too slow for e to be a float (``_slow_rho``), and
+    0.0 where rho vanishes at every frequency.  Otherwise v = 0 (f / beta
+    underflows) makes rho = (c / v)**2 infinite, and a factor or rho beyond
+    the float range is taken from logarithms, log c from the cosh argument u
+    where 1 + e < 0 (u > 0).
+    """
+    if c != c:
+        return _slow_rho(f, Lambda, beta, omega0)
+    if c == 0.0:
+        return 0.0
+    if v == 0.0:
+        raise IonizationRegimeError(_R_NEAR_ONE)
+    return _log_space_rho(_log_cosh(u) if u else math.log(c), v)
 
 
 def _sqrt1pm1(e: float) -> float:
@@ -455,9 +479,11 @@ def total_shift(modes: ModeSet, pulse: Pulse, kind: str) -> float:
     return _two_mode_total(*mode_frequencies(modes, kind), pulse.Lambda, pulse.beta, pulse.omega0)
 
 
-@dataclass(frozen=True)
-class EnergyShiftReport:
-    """Per-mode shifts, exact total, and the three model totals."""
+class EnergyShiftReport(NamedTuple):
+    """Per-mode shifts, exact total, and the three model totals.
+
+    A ``NamedTuple``: it unpacks, and compares equal to the tuple of its fields.
+    """
 
     omega0: float
     lam: float
@@ -472,10 +498,7 @@ class EnergyShiftReport:
 
     def as_record(self) -> dict:
         """The fields in order, with ``lam`` under its CLI name ``lambda``."""
-        return {
-            "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
-            for f in fields(self)
-        }
+        return dict(zip(("lambda" if f == "lam" else f for f in self._fields), self))
 
 
 def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
@@ -486,19 +509,11 @@ def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
     """
     check_admissible(modes, pulse)
     freqs = _report_frequencies(modes)
-    shifts = [f * rho for f, rho in zip(freqs, _rhos(pulse.Lambda, pulse.beta, pulse.omega0, freqs))]
-    exact, hf, ks, natural = [shifts[i] + shifts[j] for i, j in _KIND_POSITIONS]
+    shifts = list(map(mul, freqs, _rhos(pulse.Lambda, pulse.beta, pulse.omega0, freqs)))
+    params = modes.params
     return EnergyShiftReport(
-        omega0=modes.params.omega0,
-        lam=modes.params.lam,
-        Lambda=pulse.Lambda,
-        beta=pulse.beta,
-        shift_mode1=shifts[0],
-        shift_mode2=shifts[1],
-        exact=exact,
-        hf=hf,
-        ks=ks,
-        natural=natural,
+        params.omega0, params.lam, pulse.Lambda, pulse.beta, shifts[0], shifts[1],
+        *map(add, _first_shifts(shifts), _second_shifts(shifts)),
     )
 
 

@@ -438,7 +438,7 @@ class TestGrids:
 # Run in a fresh interpreter: this test process has already imported scipy.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-import __future__, dataclasses, math, operator  # what closed_form itself imports
+import __future__, dataclasses, math, operator, typing  # what closed_form itself imports
 before = set(sys.modules)
 import pairpulse.closed_form as cf
 m = cf.derive_modes(cf.ModelParams(3.0, 0.375))

@@ -504,6 +504,11 @@ class TestAnalyticReflection:
         with pytest.raises(IonizationRegimeError):
             analytic_reflection(1e-10, Pulse(Lambda=0.2, beta=1.0, omega0=3.0))
 
+    def test_cosh_numerator_and_infinite_v(self):
+        # cosh u and sinh v both beyond the float range, with v = (pi/2) Omega0 / beta
+        # itself infinite: rho is 0 from their logarithms, not inf / inf = NaN
+        assert analytic_reflection(1e306, Pulse(Lambda=-0.2, beta=1e-3, omega0=3.0)).R == 0.0
+
 
 @pytest.fixture(scope="module")
 def traj_pair_free():

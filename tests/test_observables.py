@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pairpulse import (
     KINDS,
+    EnergyShiftReport,
     ModelParams,
     Pulse,
     analytic_reflection,
@@ -18,6 +20,7 @@ from pairpulse import (
     sudden_shift,
     total_shift,
 )
+from pairpulse import cli
 from pairpulse.dynamics import integrate_mode, omega_squared
 from pairpulse.observables import berry_connection, statistical_shift, transition_weights
 
@@ -129,13 +132,31 @@ class TestTotalShift:
 
     def test_report_consistency(self, modes_ref, pulse_ref):
         rep = energy_shift_report(modes_ref, pulse_ref)
-        assert rep.exact == rep.shift_mode1 + rep.shift_mode2
-        for kind in KINDS:
-            assert getattr(rep, kind) == total_shift(modes_ref, pulse_ref, kind)
         record = rep.as_record()
         assert list(record) == ["omega0", "lambda", "Lambda", "beta", "shift_mode1",
                                 "shift_mode2", "exact", "hf", "ks", "natural"]
+        assert list(record) == ["lambda" if f == "lam" else f for f in EnergyShiftReport._fields]
+        assert tuple(record.values()) == rep
         assert record["lambda"] == rep.lam
+        with pytest.raises(AttributeError):
+            rep.hf = 0.0
+
+    @pytest.mark.parametrize("Lambda", [LAMBDA, -LAMBDA], ids=["figure1", "figure2"])
+    def test_report_on_the_figure_grids(self, modes_ref, Lambda):
+        # every field is Omega * rho of one kernel call, and every total the
+        # total_shift of its kind, to the last bit
+        import pairpulse.closed_form as closed_form
+
+        freqs = (modes_ref.omega1, modes_ref.omega2, modes_ref.omega_e, modes_ref.omega_d,
+                 modes_ref.omega_w)
+        for beta in cli._beta_grid(cli.FIGURE_BETA_MIN, cli.FIGURE_BETA_MAX, cli.FIGURE_BETA_POINTS):
+            pulse = Pulse(Lambda=Lambda, beta=beta, omega0=OMEGA0)
+            rep = energy_shift_report(modes_ref, pulse)
+            rhos = closed_form._rhos(Lambda, beta, OMEGA0, freqs)
+            d1, d2, de, dd, dw = (f * rho for f, rho in zip(freqs, rhos))
+            assert rep == (OMEGA0, LAM, Lambda, beta, d1, d2, d1 + d2, de + de, dd + dd, dw + dw)
+            for kind in KINDS:
+                assert getattr(rep, kind) == total_shift(modes_ref, pulse, kind)
 
 
 def test_small_drive_at_the_bottom_of_the_omega0_range():
@@ -355,6 +376,7 @@ class TestOverlap:
 
 
 _P = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
+_M = derive_modes(ModelParams(3.0, 0.375))
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.5])
@@ -363,7 +385,16 @@ _P = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
     lambda om: sudden_shift(om, _P),
     lambda om: omega_squared(om, _P, 0.0),
     lambda om: statistical_shift(transition_weights(0.1), om),
-], ids=["born_shift", "sudden_shift", "omega_squared", "statistical_shift"])
+    # every entry to the closed-form kernel, also a pulse with no drive and one too
+    # slow for Lambda (omega0/beta)**2 to be a float
+    lambda om: analytic_reflection(om, Pulse(Lambda=0.0, beta=3.0, omega0=3.0)),
+    lambda om: analytic_reflection(om, Pulse(Lambda=2.0 / 9.0, beta=1e-160, omega0=3.0)),
+    lambda om: energy_shift_report(replace(_M, omega_w=om), _P),
+    lambda om: total_shift(replace(_M, omega_w=om), _P, "natural"),
+    lambda om: overlap(replace(_M, omega_d=om), _P, "ks"),
+], ids=["born_shift", "sudden_shift", "omega_squared", "statistical_shift",
+        "analytic_reflection_no_drive", "analytic_reflection_slow", "energy_shift_report",
+        "total_shift", "overlap"])
 def test_rejects_bad_mode_frequency(function, omega):
     # these used to return garbage (a negative sudden shift flagged valid, omega_squared(nan, ...) = nan,
     # a negative ladder shift) or a bare math domain error
