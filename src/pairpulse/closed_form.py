@@ -318,9 +318,9 @@ def _rhos(Lambda: float, beta: float, omega0: float, frequencies) -> list[float]
     to the one before it adds nothing.  ``Lambda``, ``beta`` and ``omega0``
     must have passed the ``Pulse`` checks; the frequencies are checked here.
     The numerator c is 0 where rho vanishes at every frequency and NaN for a
-    pulse too slow for e to be a float.  Those pulses, and the ranges where
-    ``(c / sinh v)**2`` is not a finite float, go to ``_fallback_rho``, so
-    the common path computes no logarithm and makes no call it does not need.
+    pulse too slow for e to be a float.  Wherever ``(c / sinh v)**2`` is not
+    a finite float, NaN c included, ``_fallback_rho`` takes over, so the
+    common path computes no logarithm and makes no call it does not need.
     """
     u = 0.0
     if Lambda == 0.0:  # also where omega0 / beta overflows
