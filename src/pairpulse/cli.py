@@ -29,7 +29,6 @@ evolve and validate import the numpy modules inside their handlers.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -151,6 +150,8 @@ def _emit(cfg: dict, command: str, columns: list[str], rows) -> None:
             parts.append(",".join(_fmt(v) for v in row) + "\n")
         _write_text(cfg["out"], "".join(parts))
     else:
+        import json  # only here: a csv command does not pay for its import
+
         payload = {
             "provenance": comments,
             "columns": columns,

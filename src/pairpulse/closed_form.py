@@ -351,9 +351,10 @@ def _rhos(Lambda: float, beta: float, omega0: float, frequencies) -> list[float]
             last = f
             v = _HALF_PI * f / beta
             try:
-                rho = (c / math.sinh(v)) ** 2
-            except (OverflowError, ZeroDivisionError):  # sinh v or rho overflows, or v is 0
-                rho = math.nan
+                q = c / math.sinh(v)
+            except (OverflowError, ZeroDivisionError):  # sinh v overflows, or v is 0
+                q = math.nan
+            rho = q * q  # correctly rounded, unlike libm pow's square
             if not rho < math.inf:  # NaN too
                 rho = _fallback_rho(f, v, Lambda, beta, omega0, c, u)
         rhos.append(rho)

@@ -30,7 +30,8 @@ pulse's envelope ``F(t)``, evaluated on arrays, lives here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -385,8 +386,7 @@ def extract_reflection(traj: Trajectory) -> ReflectionResult:
     return ReflectionResult(R=max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0)))
 
 
-@dataclass(frozen=True)
-class OneMatrixSnapshot:
+class OneMatrixSnapshot(NamedTuple):
     """The time-dependent one-matrix at one instant, or at every instant of
     an array of times.
 
@@ -395,7 +395,8 @@ class OneMatrixSnapshot:
     current j = x n alpha), and ``Z_t`` the geometric occupation ratio; the
     mode widths behind them are read with ``Trajectory.state_at``.  Every
     field is a float for a scalar time and a 1-d numpy array for a 1-d array
-    of times.
+    of times.  A ``NamedTuple``: immutable, it unpacks, and it compares equal
+    to the tuple of its fields.
     """
 
     t: float
@@ -456,8 +457,8 @@ def gamma1_time(snapshot: OneMatrixSnapshot, x1, x2):
 class SnapshotSeries:
     """One-matrix snapshots on a uniform time grid for stencil derivatives.
 
-    ``snapshots`` holds one scalar OneMatrixSnapshot per entry of ``times``,
-    which ``effective_potential`` and ``energy_expectation_ks`` read.
+    ``snapshots`` lists one scalar OneMatrixSnapshot per entry of ``times`` (its row
+    of the array read) for ``effective_potential`` and ``energy_expectation_ks``.
     """
 
     modes: ModeSet
@@ -495,7 +496,7 @@ def snapshot_series(
     The spacing min(0.01/omega1, 0.02/beta) keeps the 5-point stencil
     truncation error far below the asymptotic observables.  All times are
     evaluated by one array ``onematrix_snapshot`` call, that is one
-    ``state_at`` call per trajectory, and then split into scalar snapshots.
+    ``state_at`` call per trajectory, whose rows become the float snapshots.
     The window must lie inside the time range of both trajectories.
     """
     spacing = min(0.01 / modes.omega1, 0.02 / traj1.pulse.beta)
@@ -510,8 +511,7 @@ def snapshot_series(
     n = int(math.floor((t_max - t_min) / spacing)) + 1
     times = t_min + spacing * np.arange(n)
     table = onematrix_snapshot(modes, traj1, traj2, times)
-    columns = (getattr(table, f.name).tolist() for f in fields(OneMatrixSnapshot))
-    snaps = [OneMatrixSnapshot(*row) for row in zip(*columns)]
+    snaps = list(map(OneMatrixSnapshot._make, zip(*(column.tolist() for column in table))))
     return SnapshotSeries(
         modes=modes, pulse=traj1.pulse, times=times, snapshots=snaps, spacing=spacing
     )

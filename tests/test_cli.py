@@ -575,3 +575,23 @@ class TestNumpyImport:
         res = _numpy_probe([[command]])
         assert res == {"codes": {command: 0},
                        "loaded": {"import pairpulse": False, "closed-form exports": False, command: True}}
+
+
+# A csv command leaves json unloaded; the probe imports nothing that loads it.
+_JSON_PROBE = """
+import contextlib, io, sys
+from pairpulse.cli import main
+loaded = []
+for argv in (["modes"], ["modes", "--format", "json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded.append((main(argv), "json" in sys.modules))
+print(loaded)
+"""
+
+
+class TestJsonImport:
+    def test_csv_command_does_not_load_json(self):
+        proc = subprocess.run([sys.executable, "-c", _JSON_PROBE],
+                              env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[(0, False), (0, True)]"

@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -543,17 +542,17 @@ class TestOneMatrixSnapshot:
             m, t1, t2 = traj_pair_free
         times = np.linspace(t1.t_start, min(t1.t_end, t2.t_end), 97)
         table = onematrix_snapshot(m, t1, t2, times)
-        for f in fields(OneMatrixSnapshot):
-            assert getattr(table, f.name).shape == times.shape
+        for name in OneMatrixSnapshot._fields:
+            assert getattr(table, name).shape == times.shape
         for i, t in enumerate(times):
             snap = onematrix_snapshot(m, t1, t2, t)
-            for f in fields(OneMatrixSnapshot):
-                value = getattr(snap, f.name)
+            for name in OneMatrixSnapshot._fields:
+                value = getattr(snap, name)
                 assert type(value) is float
-                if f.name == "t":
-                    assert value == getattr(table, f.name)[i]
+                if name == "t":
+                    assert value == getattr(table, name)[i]
                 else:
-                    assert value == pytest.approx(getattr(table, f.name)[i], rel=1e-12)
+                    assert value == pytest.approx(getattr(table, name)[i], rel=1e-12)
 
     def test_series_splits_one_array_call(self, modes_ref, traj_pair_ref, state_at_calls):
         t1, t2 = traj_pair_ref
@@ -562,10 +561,33 @@ class TestOneMatrixSnapshot:
         table = onematrix_snapshot(modes_ref, t1, t2, series.times)
         assert len(series.snapshots) == len(series.times)
         for i, snap in enumerate(series.snapshots):
-            for f in fields(OneMatrixSnapshot):
-                value = getattr(snap, f.name)
+            for name in OneMatrixSnapshot._fields:
+                value = getattr(snap, name)
                 assert type(value) is float
-                assert value == getattr(table, f.name)[i]
+                assert value == getattr(table, name)[i]
+
+    def test_fields_in_order(self):
+        assert OneMatrixSnapshot._fields == ("t", "omega_d_t", "D_t", "alpha_t", "Z_t")
+
+    @pytest.mark.parametrize("name", ["t", "omega_d_t", "D_t", "alpha_t", "Z_t"])
+    def test_is_immutable(self, name, modes_ref, traj_pair_ref):
+        t1, t2 = traj_pair_ref
+        snap = onematrix_snapshot(modes_ref, t1, t2, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(snap, name, 1.0)
+
+    def test_series_rows_are_the_array_rows(self, modes_ref, traj_pair_ref, state_at_calls):
+        # every snapshot is a OneMatrixSnapshot holding exactly the doubles of
+        # its row in the array read: it unpacks and compares as a plain tuple
+        t1, t2 = traj_pair_ref
+        series = snapshot_series(modes_ref, t1, t2, -1.0, 2.0)
+        assert state_at_calls == [t1, t2]
+        table = onematrix_snapshot(modes_ref, t1, t2, series.times)
+        assert all(type(snap) is OneMatrixSnapshot for snap in series.snapshots)
+        assert series.snapshots == [tuple(column[i] for column in table)
+                                    for i in range(len(series.times))]
+        t, omega_d_t, D_t, alpha_t, Z_t = series.snapshots[7]
+        assert (t, omega_d_t, D_t, alpha_t, Z_t) == tuple(column[7] for column in table)
 
     def test_continuity_reads_each_trajectory_once(
         self, modes_ref, traj_pair_ref, x_grid_ref, state_at_calls
