@@ -561,33 +561,20 @@ class TestOneMatrixSnapshot:
         table = onematrix_snapshot(modes_ref, t1, t2, series.times)
         assert len(series.snapshots) == len(series.times)
         for i, snap in enumerate(series.snapshots):
+            assert type(snap) is OneMatrixSnapshot
+            assert snap == tuple(column[i] for column in table)
             for name in OneMatrixSnapshot._fields:
                 value = getattr(snap, name)
                 assert type(value) is float
                 assert value == getattr(table, name)[i]
 
-    def test_fields_in_order(self):
+    def test_fields_are_fixed_and_immutable(self, modes_ref, traj_pair_ref):
         assert OneMatrixSnapshot._fields == ("t", "omega_d_t", "D_t", "alpha_t", "Z_t")
-
-    @pytest.mark.parametrize("name", ["t", "omega_d_t", "D_t", "alpha_t", "Z_t"])
-    def test_is_immutable(self, name, modes_ref, traj_pair_ref):
         t1, t2 = traj_pair_ref
         snap = onematrix_snapshot(modes_ref, t1, t2, 0.5)
-        with pytest.raises(AttributeError):
-            setattr(snap, name, 1.0)
-
-    def test_series_rows_are_the_array_rows(self, modes_ref, traj_pair_ref, state_at_calls):
-        # every snapshot is a OneMatrixSnapshot holding exactly the doubles of
-        # its row in the array read: it unpacks and compares as a plain tuple
-        t1, t2 = traj_pair_ref
-        series = snapshot_series(modes_ref, t1, t2, -1.0, 2.0)
-        assert state_at_calls == [t1, t2]
-        table = onematrix_snapshot(modes_ref, t1, t2, series.times)
-        assert all(type(snap) is OneMatrixSnapshot for snap in series.snapshots)
-        assert series.snapshots == [tuple(column[i] for column in table)
-                                    for i in range(len(series.times))]
-        t, omega_d_t, D_t, alpha_t, Z_t = series.snapshots[7]
-        assert (t, omega_d_t, D_t, alpha_t, Z_t) == tuple(column[7] for column in table)
+        for name in OneMatrixSnapshot._fields:
+            with pytest.raises(AttributeError):
+                setattr(snap, name, 1.0)
 
     def test_continuity_reads_each_trajectory_once(
         self, modes_ref, traj_pair_ref, x_grid_ref, state_at_calls
