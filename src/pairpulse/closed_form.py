@@ -124,8 +124,7 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True)
-class ModeSet:
+class ModeSet(NamedTuple):
     """All derived frequencies, kernel coefficients, and energies.
 
     ``omega1``/``omega2`` are the center-of-mass and relative mode
@@ -231,20 +230,18 @@ class Pulse:
         Confinement frequency of the owning model; sets the coupling
         scale ``Lambda * omega0**2``.  Same range as ``ModelParams.omega0``.
     t0 : float
-        Envelope center (F is maximal at t = t0).
+        Envelope center, the class constant 0.0 (F is maximal at t = 0).
     """
 
     Lambda: float
     beta: float
     omega0: float
-    t0: float = 0.0
+    t0 = 0.0  # unannotated: a class constant, not a field
 
     def __post_init__(self):
         _check_beta(self.beta)
         _check_Lambda(self.Lambda)
         _check_omega0(self.omega0)
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
 
     @property
     def coupling(self) -> float:
@@ -278,14 +275,10 @@ def _check_mode_frequency(mode_frequency: float) -> None:
         raise ValueError(f"mode frequency must be > 0, got {mode_frequency}")
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
-    """Reflection coefficient R of the associated scattering problem."""
+class ReflectionResult(NamedTuple):
+    """Reflection coefficient R of the associated scattering problem, in [0, 1)."""
 
     R: float
-
-    def __post_init__(self):
-        _check_R(self.R)
 
 
 def _check_R(R: float) -> None:
@@ -556,8 +549,7 @@ def born_shift(mode_frequency: float, pulse: Pulse) -> float:
         ) from None
 
 
-@dataclass(frozen=True)
-class SuddenShift:
+class SuddenShift(NamedTuple):
     """Fast-drive expansion value with its validity flag."""
 
     value: float

@@ -44,7 +44,9 @@ from .closed_form import (
     ReflectionResult,
     analytic_reflection,
     _check_mode_frequency,
+    _R_NEAR_ONE,
 )
+from .model import _gaussian_density, _jastrow_kernel
 
 __all__ = [
     "Trajectory",
@@ -373,17 +375,21 @@ def extract_reflection(traj: Trajectory) -> ReflectionResult:
     """Reflection coefficient from the post-pulse invariant of a trajectory.
 
     K = (1/2)(1+R)/(1-R) is exact once the envelope is off, so R is read
-    from K at ``t_end`` alone.  This is the ODE oracle for
-    ``analytic_reflection``, which every observable uses.
+    from K at ``t_end`` alone.  A K below 1/2, infinite or NaN is rejected, and
+    so, as in ``analytic_reflection``, is an R that rounds to 1.  This is the
+    ODE oracle for ``analytic_reflection``, which every observable uses.
     """
     if envelope(traj.pulse, traj.t_end) > PULSE_OFF:
         raise ValueError("trajectory does not extend beyond the pulse support")
     K = float(traj.invariant_at(traj.t_end))
-    if K < 0.5 - 1e-9:
+    if not 0.5 - 1e-9 <= K < math.inf:  # NaN fails
         raise RuntimeError(
-            f"post-pulse invariant K = {K} < 1/2: unphysical, integration failed"
+            f"post-pulse invariant K = {K} outside [1/2, inf): unphysical, integration failed"
         )
-    return ReflectionResult(R=max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0)))
+    R = max(0.0, (2.0 * K - 1.0) / (2.0 * K + 1.0))
+    if R == 1.0:
+        raise IonizationRegimeError(_R_NEAR_ONE)
+    return ReflectionResult(R)
 
 
 class OneMatrixSnapshot(NamedTuple):
@@ -444,13 +450,12 @@ def onematrix_snapshot(
 
 
 def gamma1_time(snapshot: OneMatrixSnapshot, x1, x2):
-    """Time-dependent one-matrix Gamma_1(x1, x2, t); Hermitian, complex."""
+    """Time-dependent one-matrix Gamma_1(x1, x2, t), Hermitian and complex: the kernel of
+    ``gamma1_static`` at (omega_d_t, D_t) times the phase exp(i alpha_t (x1^2 - x2^2) / 2)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    od, D_t, alpha = snapshot.omega_d_t, snapshot.D_t, snapshot.alpha_t
-    amp = math.sqrt(od / math.pi) * np.exp(-0.5 * od * (x1 * x1 + x2 * x2))
-    phase = np.exp(0.5j * alpha * (x1 * x1 - x2 * x2))
-    return amp * phase * np.exp(-0.5 * D_t * np.square(x1 - x2))
+    phase = np.exp(0.5j * snapshot.alpha_t * (x1 * x1 - x2 * x2))
+    return _jastrow_kernel(snapshot.omega_d_t, snapshot.D_t, x1, x2) * phase
 
 
 @dataclass(eq=False)
@@ -576,8 +581,7 @@ def continuity_residual(
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     x = np.asarray(x, dtype=float)
     snap = onematrix_snapshot(modes, traj1, traj2, t + dt * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
-    od = snap.omega_d_t[:, None]
-    n = np.sqrt(od / math.pi) * np.exp(-od * x * x)
+    n = _gaussian_density(snap.omega_d_t[:, None], x)
     dndt = (n[0] - 8.0 * n[1] + 8.0 * n[3] - n[4]) / (12.0 * dt)
     djdx = snap.alpha_t[2] * n[2] * (1.0 - 2.0 * snap.omega_d_t[2] * x * x)
     return float(np.max(np.abs(dndt + djdx)) / np.max(np.abs(dndt)))

@@ -16,7 +16,7 @@ needs no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +50,14 @@ def _gaussian_orbital(freq: float, x):
     return (freq / math.pi) ** 0.25 * np.exp(-0.5 * freq * np.square(x))
 
 
+def _jastrow_kernel(omega_d: float, D: float, x1, x2):
+    """Gaussian orbitals at omega_d in x1 and x2 times the pair Gaussian exp(-D (x1 - x2)^2 / 2)."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    pair = np.exp(-0.5 * D * np.square(x1 - x2))
+    return _gaussian_orbital(omega_d, x1) * _gaussian_orbital(omega_d, x2) * pair
+
+
 def gamma1_static(modes: ModeSet, x1, x2):
     """One-particle reduced density matrix Gamma_1(x1, x2).
 
@@ -57,29 +65,28 @@ def gamma1_static(modes: ModeSet, x1, x2):
     Gaussian in the coordinate difference.  Symmetric and positive;
     accepts scalars or broadcastable arrays.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    pair = np.exp(-0.5 * modes.D * np.square(x1 - x2))
-    return _gaussian_orbital(modes.omega_d, x1) * _gaussian_orbital(modes.omega_d, x2) * pair
+    return _jastrow_kernel(modes.omega_d, modes.D, x1, x2)
+
+
+def _gaussian_density(omega_d, x):
+    """sqrt(omega_d / pi) exp(-omega_d x^2), elementwise in omega_d and x."""
+    return np.sqrt(omega_d / math.pi) * np.exp(-omega_d * x * x)
 
 
 def density(modes: ModeSet, x):
     """Ground-state one-particle probability density n(x), of unit norm."""
-    x = np.asarray(x, dtype=float)
-    return math.sqrt(modes.omega_d / math.pi) * np.exp(-modes.omega_d * np.square(x))
+    return _gaussian_density(modes.omega_d, np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class OccupationSpectrum:
+class OccupationSpectrum(NamedTuple):
     """Geometric occupation spectrum P_k = (1-Z) Z^k, k = 0..k_max.
 
-    ``tail_mass`` is the exact geometric remainder Z**(k_max+1), so
-    ``weights.sum() + tail_mass == 1`` analytically.
+    ``k_max`` is ``len(weights) - 1``.  ``tail_mass`` is the exact geometric
+    remainder Z**(k_max+1), so ``weights.sum() + tail_mass == 1`` analytically.
     """
 
     Z: float
     weights: np.ndarray
-    k_max: int
     tail_mass: float
 
     def total(self) -> float:
@@ -108,7 +115,7 @@ def occupation_spectrum_from_ratio(Z: float, k_max: int) -> OccupationSpectrum:
     else:
         weights = (1.0 - Z) * Z**k
         tail = Z ** (k_max + 1)
-    return OccupationSpectrum(Z=Z, weights=weights, k_max=k_max, tail_mass=tail)
+    return OccupationSpectrum(Z=Z, weights=weights, tail_mass=tail)
 
 
 def occupation_spectrum(modes: ModeSet, k_max: int) -> OccupationSpectrum:
@@ -158,8 +165,7 @@ def mehler_coefficients(Z: float, omega_w: float) -> tuple[float, float]:
     return same, cross
 
 
-@dataclass(frozen=True)
-class Entropies:
+class Entropies(NamedTuple):
     """Occupation entropies of one spectrum (natural logarithms)."""
 
     von_neumann: float

@@ -13,7 +13,7 @@ transition weights, their ladder sum and the Berry connection live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +40,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransitionWeights:
+class TransitionWeights(NamedTuple):
     """Even-ladder transition weights W_{2n,0}(R), n = 0..n_max.
 
     ``tail_bound`` is the geometric bound R^(n_max+1) / sqrt(1-R) on the
     discarded weight beyond n_max.
     """
 
-    R: float
     weights: np.ndarray
     tail_bound: float
 
@@ -66,7 +64,7 @@ def transition_weights(R: float, n_max: int = 200) -> TransitionWeights:
     if R == 0.0:
         weights = np.zeros(n_max + 1)
         weights[0] = 1.0
-        return TransitionWeights(R=R, weights=weights, tail_bound=0.0)
+        return TransitionWeights(weights=weights, tail_bound=0.0)
     # c_n = Gamma(n+1/2) / (sqrt(pi) n!) = C(2n, n) / 4^n starts at c_0 = 1
     # with ratios c_n / c_{n-1} = 1 - 1/(2n).  Summing the logs of those
     # ratios avoids the cancellation between two large log-Gammas, which
@@ -74,7 +72,7 @@ def transition_weights(R: float, n_max: int = 200) -> TransitionWeights:
     log_c = np.concatenate(([0.0], np.cumsum(np.log1p(-0.5 / n[1:]))))
     weights = np.exp(log_c + n * math.log(R) + 0.5 * math.log1p(-R))
     tail = R ** (n_max + 1) / math.sqrt(1.0 - R)
-    return TransitionWeights(R=R, weights=weights, tail_bound=tail)
+    return TransitionWeights(weights=weights, tail_bound=tail)
 
 
 def statistical_shift(weights: TransitionWeights, mode_frequency: float) -> float:

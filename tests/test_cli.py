@@ -435,52 +435,66 @@ class TestGrids:
             assert [grid[i] for i in differ] == [float(mpmath.mpf(10) ** ys[i]) for i in differ]
 
 
-# Run in a fresh interpreter: this test process has already imported scipy.
-_IMPORT_PROBE = """
-import contextlib, io, json, sys
+# The import contracts, checked in fresh interpreters: this test process has
+# already imported numpy and scipy.  The probe loads the package and the
+# closed-form exports, then runs the CLI commands given as its arguments, each
+# one argument with its words joined by tabs, and records after each one
+# whether numpy and json are loaded and which scipy modules are.  The last
+# command is the first that may integrate, so nothing else has loaded numpy
+# before it.  The probe itself imports json only after its own checks.
+_PROBE_COMMANDS = """
+import contextlib, io, sys
 import __future__, dataclasses, math, operator, typing  # what closed_form itself imports
 before = set(sys.modules)
+import pairpulse
+numpy_loaded = {"import pairpulse": "numpy" in sys.modules}
 import pairpulse.closed_form as cf
 m = cf.derive_modes(cf.ModelParams(3.0, 0.375))
 p = cf.Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
 cf.energy_shift_report(m, p), cf.overlap(m, p, "ks"), cf.sign_effect_rows(m, 2.0 / 9.0, [4.0, 8.0])
 closed_form_modules = sorted(set(sys.modules) - before)
+from pairpulse import ModelParams, Pulse, derive_modes, energy_shift_report
+energy_shift_report(derive_modes(ModelParams(3.0, 0.375)), Pulse(2.0 / 9.0, 3.0, 3.0))
+numpy_loaded["closed-form exports"] = "numpy" in sys.modules
 from pairpulse.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    closed_form_codes = [main(["figure", "3"]), main(["sweep"])]
-closed_form_numpy = "numpy" in sys.modules
-import pairpulse
-from pairpulse import Pulse, analytic_reflection, extract_reflection, integrate_mode
-cached = [n for n in ("Pulse", "analytic_reflection") if vars(pairpulse).get(n) is getattr(cf, n)]
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-loaded, codes = {}, []
-codes.append(main(["figure", "1", "--out", sys.argv[2]]))
-loaded["figure 1"] = scipy_modules()
+codes, json_loaded, scipy_loaded = {}, {}, {}
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[command] = main(command.split("\\t"))
+    numpy_loaded[command] = "numpy" in sys.modules
+    json_loaded[command] = "json" in sys.modules
+    scipy_loaded[command] = scipy_modules()
+report = {"codes": codes, "numpy": numpy_loaded, "json": json_loaded, "scipy": scipy_loaded,
+          "closed_form_modules": closed_form_modules}
+"""
+
+# After the commands: the integrator, and validate, which must not load scipy.
+_PROBE_INTEGRATOR = """
+from pairpulse import analytic_reflection, extract_reflection, integrate_mode
+report["cached"] = [n for n in ("Pulse", "analytic_reflection")
+                    if vars(pairpulse).get(n) is getattr(cf, n)]
 pulse = Pulse(Lambda=2.0 / 9.0, beta=3.0, omega0=3.0)
 traj = integrate_mode(2.0, pulse)
-R_ode = extract_reflection(traj).R
-loaded["integrate_mode"] = scipy_modules()
-numpy_ma = "numpy.ma" in sys.modules
+report["R_ode"] = extract_reflection(traj).R
+scipy_loaded["integrate_mode"] = scipy_modules()
+report["numpy_ma"] = "numpy.ma" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
-    for name, argv in (("evolve", ["evolve", "--out", sys.argv[1]]), ("validate", ["validate"])):
-        codes.append(main(argv))
-        loaded[name] = scipy_modules()
-print(json.dumps({
-    "codes": codes,
-    "loaded": loaded,
-    "B_start": float(traj.state_at(traj.t_start)[0]),
-    "R_ode": R_ode,
-    "numpy_ma": numpy_ma,
-    "R_analytic": analytic_reflection(2.0, pulse).R,
-    "closed_form_modules": closed_form_modules,
-    "closed_form_codes": closed_form_codes,
-    "closed_form_numpy": closed_form_numpy,
-    "cached": cached,
-}))
+    codes["validate"] = main(["validate"])
+scipy_loaded["validate"] = scipy_modules()
+report["B_start"] = float(traj.state_at(traj.t_start)[0])
+report["R_analytic"] = analytic_reflection(2.0, pulse).R
 """
+
+_PROBE_REPORT = """
+import json
+print(json.dumps(report))
+"""
+
+NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "1"], ["figure", "2"], ["figure", "3"], ["sweep"]]
 
 
 def _fresh_env():
@@ -490,30 +504,48 @@ def _fresh_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
+def _probe(commands, integrator=False):
+    """Run the probe on ``commands`` (argv lists) in a fresh interpreter; its report."""
+    code = _PROBE_COMMANDS + (_PROBE_INTEGRATOR if integrator else "") + _PROBE_REPORT
+    proc = subprocess.run([sys.executable, "-c", code, *("\t".join(argv) for argv in commands)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 @pytest.fixture(scope="module")
 def import_probe(tmp_path_factory):
-    """Run _IMPORT_PROBE once in a fresh interpreter; its parsed report."""
+    """One fresh interpreter: the closed-form commands (figure 1 written to a
+    file), csv then json output, evolve to a file, then the integrator and
+    validate.  Its report, the two files, and the command names it ran."""
     tmp = tmp_path_factory.mktemp("import_probe")
     out, fig = tmp / "evolve.csv", tmp / "fig1.csv"
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(out), str(fig)],
-        env=_fresh_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout), out, fig
+    free = [argv + ["--out", str(fig)] if argv == ["figure", "1"] else argv
+            for argv in NUMPY_FREE_COMMANDS]
+    commands = [*free, ["modes", "--format", "json"], ["evolve", "--out", str(out)]]
+    names = ["\t".join(argv) for argv in commands]
+    return _probe(commands, integrator=True), out, fig, names
+
+
+@pytest.fixture(scope="module")
+def validate_probe():
+    """validate alone, in its own fresh interpreter."""
+    return _probe([["validate"]])
 
 
 class TestImportCost:
     def test_closed_form_commands_do_not_load_scipy(self, import_probe):
-        res, _, fig = import_probe
-        assert res["codes"][0] == 0 and fig.exists()
-        assert res["loaded"]["figure 1"] == []
+        res, _, fig, names = import_probe
+        assert res["codes"][names[2]] == 0 and fig.exists()
+        assert res["scipy"][names[2]] == []
 
     def test_runtime_does_not_load_scipy(self, import_probe):
-        res, out, _ = import_probe
-        assert res["codes"] == [0, 0, 0] and out.exists()
-        assert res["loaded"] == {"figure 1": [], "integrate_mode": [], "evolve": [],
-                                 "validate": []}
+        res, out, _, names = import_probe
+        figure1, evolve = names[2], names[-1]
+        assert [res["codes"][name] for name in (figure1, evolve, "validate")] == [0, 0, 0]
+        assert out.exists()
+        assert [res["scipy"][name] for name in (figure1, "integrate_mode", evolve, "validate")] \
+            == [[], [], [], []]
         assert res["B_start"] == pytest.approx(1.0, abs=1e-12)
         assert res["R_ode"] == pytest.approx(res["R_analytic"], abs=1e-8)
 
@@ -521,77 +553,42 @@ class TestImportCost:
         # after the kernel runs, closed_form has added only the package to the
         # standard modules it imports; figure 3 and sweep then load no numpy,
         # and a resolved package export is stored in the package
-        res, _, _ = import_probe
+        res, _, _, _ = import_probe
         assert res["closed_form_modules"] == ["pairpulse", "pairpulse.closed_form"]
-        assert res["closed_form_codes"] == [0, 0] and res["closed_form_numpy"] is False
+        assert [res["codes"]["figure\t3"], res["codes"]["sweep"]] == [0, 0]
+        assert res["numpy"]["figure\t3"] is res["numpy"]["sweep"] is False
         assert res["cached"] == ["Pulse", "analytic_reflection"]
 
     def test_integrator_does_not_load_numpy_ma(self, import_probe):
         # numpy.ma (pulled in by np.unique and np.union1d) costs ~1.2 MiB of
-        # resident memory; neither figure 1 nor integrate_mode and
+        # resident memory; neither figure 1 nor evolve, integrate_mode and
         # extract_reflection may load it
-        res, _, _ = import_probe
+        res, _, _, _ = import_probe
         assert res["numpy_ma"] is False
 
 
-# The commands that need only the closed form, which must not load numpy,
-# and the two that integrate, which do; the closed-form package exports load
-# no numpy either.
-_NUMPY_PROBE = """
-import contextlib, io, json, sys
-import pairpulse
-loaded = {"import pairpulse": "numpy" in sys.modules}
-from pairpulse import ModelParams, Pulse, derive_modes, energy_shift_report
-energy_shift_report(derive_modes(ModelParams(3.0, 0.375)), Pulse(2.0 / 9.0, 3.0, 3.0))
-loaded["closed-form exports"] = "numpy" in sys.modules
-from pairpulse.cli import main
-codes = {}
-for argv in json.loads(sys.argv[1]):
-    name = " ".join(argv)
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes[name] = main(argv)
-    loaded[name] = "numpy" in sys.modules
-print(json.dumps({"codes": codes, "loaded": loaded}))
-"""
-NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "1"], ["figure", "2"], ["figure", "3"], ["sweep"]]
-
-
-def _numpy_probe(commands):
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
-                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 class TestNumpyImport:
-    def test_closed_form_commands_do_not_load_numpy(self):
-        res = _numpy_probe(NUMPY_FREE_COMMANDS)
-        assert set(res["codes"].values()) == {0}
-        assert res["loaded"] == dict.fromkeys(["import pairpulse", "closed-form exports",
-                                               *(" ".join(argv) for argv in NUMPY_FREE_COMMANDS)], False)
+    def test_closed_form_commands_do_not_load_numpy(self, import_probe):
+        res, _, _, names = import_probe
+        steps = ["import pairpulse", "closed-form exports", *names[:len(NUMPY_FREE_COMMANDS)]]
+        assert {res["codes"][name] for name in steps[2:]} == {0}
+        assert [res["numpy"][step] for step in steps] == [False] * len(steps)
 
     @pytest.mark.parametrize("command", ["evolve", "validate"])
-    def test_integrating_commands_load_numpy(self, command):
-        res = _numpy_probe([[command]])
-        assert res == {"codes": {command: 0},
-                       "loaded": {"import pairpulse": False, "closed-form exports": False, command: True}}
-
-
-# A csv command leaves json unloaded; the probe imports nothing that loads it.
-_JSON_PROBE = """
-import contextlib, io, sys
-from pairpulse.cli import main
-loaded = []
-for argv in (["modes"], ["modes", "--format", "json"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        loaded.append((main(argv), "json" in sys.modules))
-print(loaded)
-"""
+    def test_integrating_commands_load_numpy(self, command, import_probe, validate_probe):
+        # evolve is the probe's first command that may load numpy, validate
+        # the only command of its own probe
+        res, name = (import_probe[0], import_probe[3][-1]) if command == "evolve" else (
+            validate_probe, "validate")
+        before = [key for key in res["numpy"] if key != name]
+        assert res["codes"][name] == 0
+        assert res["numpy"] == {**dict.fromkeys(before, False), name: True}
 
 
 class TestJsonImport:
-    def test_csv_command_does_not_load_json(self):
-        proc = subprocess.run([sys.executable, "-c", _JSON_PROBE],
-                              env=_fresh_env(), capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[(0, False), (0, True)]"
+    def test_csv_command_does_not_load_json(self, import_probe):
+        # every closed-form command writes csv; the json one after them loads json
+        res, _, _, names = import_probe
+        free, json_command = names[:len(NUMPY_FREE_COMMANDS)], names[len(NUMPY_FREE_COMMANDS)]
+        assert [(res["codes"][name], res["json"][name]) for name in [*free, json_command]] \
+            == [(0, False)] * len(free) + [(0, True)]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -389,9 +388,9 @@ _M = derive_modes(ModelParams(3.0, 0.375))
     # slow for Lambda (omega0/beta)**2 to be a float
     lambda om: analytic_reflection(om, Pulse(Lambda=0.0, beta=3.0, omega0=3.0)),
     lambda om: analytic_reflection(om, Pulse(Lambda=2.0 / 9.0, beta=1e-160, omega0=3.0)),
-    lambda om: energy_shift_report(replace(_M, omega_w=om), _P),
-    lambda om: total_shift(replace(_M, omega_w=om), _P, "natural"),
-    lambda om: overlap(replace(_M, omega_d=om), _P, "ks"),
+    lambda om: energy_shift_report(_M._replace(omega_w=om), _P),
+    lambda om: total_shift(_M._replace(omega_w=om), _P, "natural"),
+    lambda om: overlap(_M._replace(omega_d=om), _P, "ks"),
 ], ids=["born_shift", "sudden_shift", "omega_squared", "statistical_shift",
         "analytic_reflection_no_drive", "analytic_reflection_slow", "energy_shift_report",
         "total_shift", "overlap"])

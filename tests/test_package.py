@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -26,6 +27,11 @@ PACKAGE_ALL = [
     "berry_connection", "sign_effect_ratio",
 ]
 PACKAGE_MODULES = ["closed_form", "model", "dynamics", "observables", "collision"]
+# The public classes that are not NamedTuples: the exception, the two inputs,
+# which must validate on every construction path (a NamedTuple's _make and
+# _replace skip any __new__), and the two array holders compared by identity.
+DATACLASSES = ["ModelParams", "Pulse", "SnapshotSeries", "Trajectory"]
+NOT_NAMEDTUPLES = ["IonizationRegimeError", *DATACLASSES]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -73,3 +79,20 @@ def test_benchmark_bindings_resolve():
                for name in names
                if not callable(getattr(importlib.import_module(f"pairpulse.{module}"), name, None))]
     assert missing == []
+
+
+def test_records_are_namedtuples():
+    classes = {n: cls for n in PACKAGE_ALL if inspect.isclass(cls := getattr(pairpulse, n))}
+    namedtuples = [n for n, cls in classes.items() if issubclass(cls, tuple) and hasattr(cls, "_fields")]
+    assert sorted(set(classes) - set(namedtuples)) == NOT_NAMEDTUPLES
+    assert sorted(n for n, cls in classes.items() if dataclasses.is_dataclass(cls)) == DATACLASSES
+
+
+def test_dataclass_replace_validates_inputs():
+    with pytest.raises(ValueError, match="lam must lie in"):
+        dataclasses.replace(pairpulse.ModelParams(3.0, 0.375), lam=0.5)
+    pulse = pairpulse.Pulse(Lambda=0.1, beta=2.0, omega0=3.0)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        dataclasses.replace(pulse, beta=0.0)
+    with pytest.raises(ValueError, match="omega0 must lie in"):
+        dataclasses.replace(pulse, omega0=-3.0)
