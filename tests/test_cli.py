@@ -536,8 +536,9 @@ def validate_probe():
 class TestImportCost:
     def test_closed_form_commands_do_not_load_scipy(self, import_probe):
         res, _, fig, names = import_probe
-        assert res["codes"][names[2]] == 0 and fig.exists()
-        assert res["scipy"][names[2]] == []
+        figure1 = names[2]  # NUMPY_FREE_COMMANDS[2], written to fig
+        assert res["codes"][figure1] == 0 and fig.exists()
+        assert res["scipy"][figure1] == []
 
     def test_runtime_does_not_load_scipy(self, import_probe):
         res, out, _, names = import_probe
