@@ -46,7 +46,7 @@ from .closed_form import (
     _check_mode_frequency,
     _R_NEAR_ONE,
 )
-from .model import _gaussian_density, _jastrow_kernel
+from .model import _gaussian_density
 
 __all__ = [
     "Trajectory",
@@ -58,7 +58,6 @@ __all__ = [
     "extract_reflection",
     "onematrix_snapshot",
     "snapshot_series",
-    "gamma1_time",
     "effective_potential",
     "energy_expectation_ks",
     "continuity_residual",
@@ -232,14 +231,6 @@ class Trajectory:
         B = B_k * np.sqrt(z2)
         return B, B * (dz_re * z_re + dz_im * z_im) / z2, gamma_k + np.arctan2(z_im, z_re)
 
-    def invariant_at(self, t):
-        """K(t) = (1/4 B^2) [1 + (B Bdot / Omega0)^2 + B^4].
-
-        Constant once the pulse is off; equals (1/2)(1+R)/(1-R).
-        """
-        B, Bdot, _ = self.state_at(t)
-        return 0.25 / B**2 * (1.0 + (B * Bdot / self.mode_frequency) ** 2 + B**4)
-
 
 def integrate_mode(
     mode_frequency: float,
@@ -374,14 +365,16 @@ def integrate_mode(
 def extract_reflection(traj: Trajectory) -> ReflectionResult:
     """Reflection coefficient from the post-pulse invariant of a trajectory.
 
-    K = (1/2)(1+R)/(1-R) is exact once the envelope is off, so R is read
+    The invariant K = (1/4 B^2) [1 + (B Bdot / Omega0)^2 + B^4] is constant
+    once the envelope is off and equals (1/2)(1+R)/(1-R) there, so R is read
     from K at ``t_end`` alone.  A K below 1/2, infinite or NaN is rejected, and
     so, as in ``analytic_reflection``, is an R that rounds to 1.  This is the
     ODE oracle for ``analytic_reflection``, which every observable uses.
     """
     if envelope(traj.pulse, traj.t_end) > PULSE_OFF:
         raise ValueError("trajectory does not extend beyond the pulse support")
-    K = float(traj.invariant_at(traj.t_end))
+    B, Bdot, _ = traj.state_at(traj.t_end)
+    K = float(0.25 / B**2 * (1.0 + (B * Bdot / traj.mode_frequency) ** 2 + B**4))
     if not 0.5 - 1e-9 <= K < math.inf:  # NaN fails
         raise RuntimeError(
             f"post-pulse invariant K = {K} outside [1/2, inf): unphysical, integration failed"
@@ -399,7 +392,9 @@ class OneMatrixSnapshot(NamedTuple):
     ``omega_d_t`` is the mode-mixed density frequency, ``D_t`` the pair
     Gaussian exponent, ``alpha_t`` the current coefficient (probability
     current j = x n alpha), and ``Z_t`` the geometric occupation ratio; the
-    mode widths behind them are read with ``Trajectory.state_at``.  Every
+    mode widths behind them are read with ``Trajectory.state_at``.  The
+    kernel Gamma_1(x1, x2, t) is ``gamma1_static`` at omega_d = omega_d_t and
+    D = D_t times the phase exp(i alpha_t (x1^2 - x2^2) / 2).  Every
     field is a float for a scalar time and a 1-d numpy array for a 1-d array
     of times.  A ``NamedTuple``: immutable, it unpacks, and it compares equal
     to the tuple of its fields.
@@ -447,15 +442,6 @@ def onematrix_snapshot(
     if t.ndim == 0:
         return OneMatrixSnapshot(*(float(v[0]) for v in values))
     return OneMatrixSnapshot(*values)
-
-
-def gamma1_time(snapshot: OneMatrixSnapshot, x1, x2):
-    """Time-dependent one-matrix Gamma_1(x1, x2, t), Hermitian and complex: the kernel of
-    ``gamma1_static`` at (omega_d_t, D_t) times the phase exp(i alpha_t (x1^2 - x2^2) / 2)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    phase = np.exp(0.5j * snapshot.alpha_t * (x1 * x1 - x2 * x2))
-    return _jastrow_kernel(snapshot.omega_d_t, snapshot.D_t, x1, x2) * phase
 
 
 @dataclass(eq=False)

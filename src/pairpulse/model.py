@@ -6,11 +6,13 @@ two independent harmonic modes with frequencies ``omega1 = omega0`` and
 from those two numbers: the one-particle reduced density matrix and its
 Jastrow-type representation, the point-wise spectral decomposition into
 Hermite natural orbitals with geometric occupation numbers (via Mehler's
-kernel identity), occupation entropies, and the three independent-particle
-reference models (energy-optimal, density-optimal, wavefunction-optimal).
-The model inputs and the derived frequencies (``ModelParams``, ``ModeSet``,
-``derive_modes``, ``mode_frequencies``) live in ``closed_form``, which
-needs no numpy.
+kernel identity), occupation entropies, and the ground-state wavefunctions
+of the exact model and of the three independent-particle reference models
+(energy-optimal, density-optimal, wavefunction-optimal).  ``validate``
+checks the decomposition and the Jastrow form against each other and
+against the exact wavefunction.  The model inputs and the derived
+frequencies (``ModelParams``, ``ModeSet``, ``derive_modes``,
+``mode_frequencies``) live in ``closed_form``, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ __all__ = [
     "density",
     "occupation_spectrum",
     "natural_orbital",
-    "hermite_function",
     "entropies",
     "model_wavefunction",
-    "mehler_coefficients",
 ]
 
 # The orbital recurrence works on pre-normalized functions, so it neither
@@ -50,22 +50,17 @@ def _gaussian_orbital(freq: float, x):
     return (freq / math.pi) ** 0.25 * np.exp(-0.5 * freq * np.square(x))
 
 
-def _jastrow_kernel(omega_d: float, D: float, x1, x2):
-    """Gaussian orbitals at omega_d in x1 and x2 times the pair Gaussian exp(-D (x1 - x2)^2 / 2)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    pair = np.exp(-0.5 * D * np.square(x1 - x2))
-    return _gaussian_orbital(omega_d, x1) * _gaussian_orbital(omega_d, x2) * pair
-
-
 def gamma1_static(modes: ModeSet, x1, x2):
     """One-particle reduced density matrix Gamma_1(x1, x2).
 
-    Jastrow form: product of two density-optimal Gaussians times a
-    Gaussian in the coordinate difference.  Symmetric and positive;
-    accepts scalars or broadcastable arrays.
+    Jastrow form: product of two density-optimal Gaussians times the pair
+    Gaussian exp(-D (x1 - x2)^2 / 2).  Symmetric and positive; accepts
+    scalars or broadcastable arrays.
     """
-    return _jastrow_kernel(modes.omega_d, modes.D, x1, x2)
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    pair = np.exp(-0.5 * modes.D * np.square(x1 - x2))
+    return _gaussian_orbital(modes.omega_d, x1) * _gaussian_orbital(modes.omega_d, x2) * pair
 
 
 def _gaussian_density(omega_d, x):
@@ -103,7 +98,9 @@ def _check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def occupation_spectrum_from_ratio(Z: float, k_max: int) -> OccupationSpectrum:
+def occupation_spectrum(modes: ModeSet, k_max: int) -> OccupationSpectrum:
+    """Natural-orbital occupation numbers of the static one-matrix."""
+    Z = modes.Z
     if not (0.0 <= Z < 1.0):
         raise ValueError(f"geometric ratio must lie in [0, 1), got {Z}")
     k_max = _check_count("k_max", k_max, 0)
@@ -118,17 +115,14 @@ def occupation_spectrum_from_ratio(Z: float, k_max: int) -> OccupationSpectrum:
     return OccupationSpectrum(Z=Z, weights=weights, tail_mass=tail)
 
 
-def occupation_spectrum(modes: ModeSet, k_max: int) -> OccupationSpectrum:
-    """Natural-orbital occupation numbers of the static one-matrix."""
-    return occupation_spectrum_from_ratio(modes.Z, k_max)
+def natural_orbital(modes: ModeSet, k: int, x):
+    """k-th natural orbital: the orthonormal oscillator eigenfunction of
+    index k at frequency omega_w.
 
-
-def hermite_function(k: int, xi):
-    """Orthonormal oscillator eigenfunction of index k at unit frequency.
-
-    Evaluated through the three-term recurrence on the *normalized*
-    functions (never on raw Hermite polynomials), which keeps every
-    intermediate bounded.  Valid for integers 0 <= k <= MAX_ORBITAL_INDEX.
+    Evaluated in xi = sqrt(omega_w) x through the three-term recurrence on
+    the *normalized* functions (never on raw Hermite polynomials), which
+    keeps every intermediate bounded.  Valid for integers
+    0 <= k <= MAX_ORBITAL_INDEX.
     """
     k = _check_count("k", k, 0)
     if k > MAX_ORBITAL_INDEX:
@@ -136,33 +130,13 @@ def hermite_function(k: int, xi):
             f"orbital index {k} exceeds the validated recurrence range "
             f"(<= {MAX_ORBITAL_INDEX})"
         )
-    xi = np.asarray(xi, dtype=float)
+    ww = modes.omega_w
+    xi = math.sqrt(ww) * np.asarray(x, dtype=float)
     h_prev = math.pi**-0.25 * np.exp(-0.5 * xi * xi)
-    if k == 0:
-        return h_prev
-    h = _SQRT2 * xi * h_prev
+    h = h_prev if k == 0 else _SQRT2 * xi * h_prev
     for n in range(2, k + 1):
         h, h_prev = xi * math.sqrt(2.0 / n) * h - math.sqrt((n - 1) / n) * h_prev, h
-    return h
-
-
-def natural_orbital(modes: ModeSet, k: int, x):
-    """k-th natural orbital: Hermite eigenfunction at frequency omega_w."""
-    ww = modes.omega_w
-    x = np.asarray(x, dtype=float)
-    return ww**0.25 * hermite_function(k, math.sqrt(ww) * x)
-
-
-def mehler_coefficients(Z: float, omega_w: float) -> tuple[float, float]:
-    """Quadratic-form coefficients of the bilinear Gaussian kernel.
-
-    Returns ``(same_coordinate, cross_coordinate)`` coefficients, i.e.
-    ``omega_d + D`` and ``D`` of the Jastrow representation.  Inverse of
-    the (Z, omega_w) solution of the kernel matching conditions.
-    """
-    same = omega_w * (1.0 + Z * Z) / (1.0 - Z * Z)
-    cross = omega_w * 2.0 * Z / (1.0 - Z * Z)
-    return same, cross
+    return ww**0.25 * h
 
 
 class Entropies(NamedTuple):

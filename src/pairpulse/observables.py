@@ -1,13 +1,14 @@
 """Asymptotic observables of the driven pair.
 
 Once the reflection coefficient R of a mode is known, every post-pulse
-quantity is closed form: the one-mode energy shift Omega0*R/(1-R), the
-two-mode exact total and its three independent-particle counterparts, the
-perturbative (Born) and sudden expansions, the statistical transition
-weights whose weighted ladder reproduces the same shift, the ground-state
-overlap, and the Berry connection.  The closed-form shifts, totals,
-expansions and overlaps live in ``closed_form``, which needs no numpy; the
-transition weights, their ladder sum and the Berry connection live here.
+quantity is closed form: the one-mode energy shift Omega0*R/(1-R) (the
+per-mode fields of ``energy_shift_report``), the two-mode exact total and
+its three independent-particle counterparts, the perturbative (Born) and
+sudden expansions, the statistical transition weights whose weighted
+ladder reproduces the same shift, the ground-state overlap, and the Berry
+connection.  The closed-form shifts, totals, expansions and overlaps live
+in ``closed_form``, which needs no numpy; the transition weights, their
+ladder sum and the Berry connection live here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .closed_form import (
     sudden_shift,
     total_shift,
     _check_mode_frequency,
-    _check_R,
 )
 from .dynamics import Trajectory, omega_squared
 from .model import _check_count
@@ -58,7 +58,8 @@ def transition_weights(R: float, n_max: int = 200) -> TransitionWeights:
     in log space so that no factorial overflows.  The n_max = 200 default
     keeps the tail below 1e-12 for R <= 0.9.
     """
-    _check_R(R)
+    if not (0.0 <= R < 1.0):
+        raise ValueError(f"reflection coefficient must lie in [0, 1), got {R}")
     n_max = _check_count("n_max", n_max, 0)
     n = np.arange(n_max + 1)
     if R == 0.0:

@@ -18,16 +18,17 @@ from .closed_form import ModelParams, Pulse, analytic_reflection, derive_modes, 
 from .dynamics import extract_reflection, integrate_mode
 
 
-def check_mode_ordering(n_draws):
-    """omega2 < omega_d < omega_w < omega_e < omega1 at random admissible models."""
-    rng = np.random.default_rng(20260810)
-    for _ in range(n_draws):
-        w0 = float(rng.uniform(0.2, 8.0))
-        lam = float(rng.uniform(1e-6, 0.5 - 1e-9))
-        m = derive_modes(ModelParams(w0, lam))
-        if not (m.omega2 < m.omega_d < m.omega_w < m.omega_e < m.omega1):
-            return False, f"ordering violated at omega0={w0}, lam={lam}"
-    return True, f"strict for {n_draws} random draws"
+def check_mode_ordering(n):
+    """omega2 < omega_d < omega_w < omega_e < omega1 on an n x n grid of models,
+    omega0 and lam log-spaced over [0.2, 8] and [1e-6, 0.5 - 1e-9], ends included."""
+    lams = np.geomspace(1e-6, 0.5 - 1e-9, n).tolist()
+    for w0 in np.geomspace(0.2, 8.0, n).tolist():
+        for lam in lams:
+            m = derive_modes(ModelParams(w0, lam))
+            if not (m.omega2 < m.omega_d < m.omega_w < m.omega_e < m.omega1):
+                return False, f"ordering violated at omega0={w0}, lam={lam}"
+    return True, (f"strict on a {n} x {n} log grid, omega0 in [0.2, 8], "
+                  "lam in [1e-6, 0.5 - 1e-9]")
 
 
 def check_frequency_table(m):
@@ -37,11 +38,39 @@ def check_frequency_table(m):
     return ok, f"omega2={m.omega2}, omega_e={m.omega_e:.4f}, omega_w={m.omega_w:.4f}, omega_d={m.omega_d}"
 
 
-def check_kernel_closure(m):
-    """The Mehler kernel coefficients reproduce omega_d + D and D."""
-    same, cross = model.mehler_coefficients(m.Z, m.omega_w)
-    err = float(np.max(np.abs([same - (m.omega_d + m.D), cross - m.D])))
-    return err < 1e-12, f"max closure error {err:.2e}"
+def _grid(m, n):
+    """n points over 8 sigmas of the density-optimal Gaussian on either side,
+    which put its tails below 1e-13 at the bounds, and their spacing."""
+    half = 8.0 / math.sqrt(m.omega_d)
+    return np.linspace(-half, half, n, retstep=True)
+
+
+def check_mehler_reconstruction(models):
+    """sum_k P_k phi_k(x1) phi_k(x2) over the natural orbitals, k <= 40, is the one-matrix."""
+    errs = []
+    for m in models:
+        x, _ = _grid(m, 200)
+        orbitals = np.array([model.natural_orbital(m, k, x) for k in range(41)])
+        weights = model.occupation_spectrum(m, 40).weights
+        recon = (orbitals.T * weights) @ orbitals
+        errs.append(np.max(np.abs(recon - model.gamma1_static(m, x[:, None], x[None, :]))))
+    err = float(np.max(errs))
+    return err < 1e-12, f"max |sum_k P_k phi_k phi_k - Gamma_1| = {err:.2e} for k <= 40"
+
+
+def check_partial_trace(models):
+    """Integrating Psi_exact(x1, y) Psi_exact(x2, y) over y gives the one-matrix, and its
+    diagonal the density."""
+    kernel_errs, density_errs = [], []
+    for m in models:
+        x, dx = _grid(m, 200)
+        psi = model.model_wavefunction("exact", m, x[:, None], x[None, :])
+        gamma = (psi @ psi.T) * dx  # a plain sum: the tails at the ends are below 1e-13
+        kernel_errs.append(np.max(np.abs(gamma - model.gamma1_static(m, x[:, None], x[None, :]))))
+        density_errs.append(np.max(np.abs(np.diag(gamma) - model.density(m, x))))
+    kernel_err, density_err = float(np.max(kernel_errs)), float(np.max(density_errs))
+    ok = kernel_err < 1e-12 and density_err < 1e-12
+    return ok, f"max |Tr_2 Psi Psi - Gamma_1| = {kernel_err:.2e}, max |diagonal - n| = {density_err:.2e}"
 
 
 def check_trace_identity(m, k_max):
@@ -55,13 +84,8 @@ def check_spectral_oracle(models):
     """Eigenvalues of the discretized kernel equal the closed-form occupations."""
     errs = []
     for m in models:
-        # 8 sigmas of the density-optimal Gaussian on either side put its
-        # tails below 1e-13 at the bounds
-        sigma = 1.0 / math.sqrt(m.omega_d)
-        lo, hi = -8.0 * sigma, 8.0 * sigma
-        x = np.linspace(lo, hi, 400)
-        kernel = model.gamma1_static(m, x[:, None], x[None, :]) * ((hi - lo) / 399)
-        eigs = np.linalg.eigvalsh(kernel)[::-1]
+        x, dx = _grid(m, 400)
+        eigs = np.linalg.eigvalsh(model.gamma1_static(m, x[:, None], x[None, :]) * dx)[::-1]
         errs.append(np.max(np.abs(eigs[:11] - model.occupation_spectrum(m, 10).weights)))
     err = float(np.max(errs))
     return err < 1e-6, f"max |eig - P_k| = {err:.2e} for k <= 10"
@@ -153,9 +177,10 @@ def _integrate(mode_frequency, Lambda, beta):
 
 # (name, check(m, pair)) at the quick inputs; for m and pair() see run_validation.
 CHECKS = (
-    ("mode-frequency ordering", lambda m, pair: check_mode_ordering(200)),
+    ("mode-frequency ordering", lambda m, pair: check_mode_ordering(15)),
     ("reference frequency table", lambda m, pair: check_frequency_table(m)),
-    ("kernel closure", lambda m, pair: check_kernel_closure(m)),
+    ("Mehler reconstruction", lambda m, pair: check_mehler_reconstruction([m])),
+    ("partial trace", lambda m, pair: check_partial_trace([m])),
     ("purity trace identity", lambda m, pair: check_trace_identity(m, 200)),
     ("occupation spectral oracle", lambda m, pair: check_spectral_oracle([m])),
     ("weight ladder equivalence", lambda m, pair: check_weight_ladder((0.01, 0.3, 0.8))),

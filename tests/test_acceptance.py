@@ -19,6 +19,8 @@ from pairpulse.validate import (
     check_berry_limits,
     check_continuity,
     check_frequency_table,
+    check_mehler_reconstruction,
+    check_partial_trace,
     check_reflection_agreement,
     check_shift_zero,
     check_spectral_oracle,
@@ -136,11 +138,15 @@ def test_criterion_06_interpretation_equivalence():
 
 
 def test_criterion_07_spectral_oracle():
+    # the eigenvalues, the natural-orbital sum and the exact wavefunction's
+    # partial trace each against the closed-form one-matrix
+    models = [derive_modes(ModelParams(OMEGA0, lam)) for lam in (0.1, LAM, 0.45)]
     start = time.perf_counter()
-    ok, detail = check_spectral_oracle(
-        [derive_modes(ModelParams(OMEGA0, lam)) for lam in (0.1, LAM, 0.45)]
-    )
+    results = [check(models) for check in
+               (check_spectral_oracle, check_mehler_reconstruction, check_partial_trace)]
     elapsed = time.perf_counter() - start
+    ok = all(passed for passed, _ in results)
+    detail = "; ".join(detail for _, detail in results)
     _report(7, "spectral oracle", ok and elapsed < 10.0, f"{detail} in {elapsed:.2f} s")
 
 

@@ -359,8 +359,8 @@ class TestValidateCommand:
         monkeypatch.setattr(validate, "integrate_mode", counting)
         assert run_cli(["validate"]) == 0
         statuses, summary = _validate_rows(capsys.readouterr().out)
-        assert statuses == ["PASS"] * 13
-        assert summary == "13/13 checks passed"
+        assert statuses == ["PASS"] * 14
+        assert summary == "14/14 checks passed"
         # the reference pair once, -2/9 at beta = 1, and the shift zero
         assert drives == [
             (3.0, 2.0 / 9.0, 3.0),
@@ -371,15 +371,19 @@ class TestValidateCommand:
 
     def test_failing_check_fails_the_run(self, capsys, monkeypatch):
         # the shift-zero row integrates its own trajectory; replacing it
-        # keeps this run the cheapest full pass over the other twelve
+        # keeps this run the cheapest full pass over the other thirteen
         checks = list(validate.CHECKS)
         index = [name for name, _ in checks].index("shift zero")
         checks[index] = ("shift zero", lambda m, pair: (False, "forced failure"))
         monkeypatch.setattr(validate, "CHECKS", tuple(checks))
         assert run_cli(["validate"]) == 1
         statuses, summary = _validate_rows(capsys.readouterr().out)
-        assert statuses == ["PASS"] * index + ["FAIL"] + ["PASS"] * (12 - index)
-        assert summary == "12/13 checks passed"
+        assert statuses == ["PASS"] * index + ["FAIL"] + ["PASS"] * (13 - index)
+        assert summary == "13/14 checks passed"
+
+    def test_rows_are_stable(self):
+        # no check draws anything: reruns print the same bytes
+        assert validate.run_validation() == validate.run_validation()
 
     @pytest.mark.parametrize("flags", [["--omega0", "5"], ["--out", "v.json"]])
     def test_rejects_scenario_flags(self, flags, tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from pairpulse import (
     analytic_reflection,
     born_shift,
     derive_modes,
-    energy_shift,
     energy_shift_report,
     mode_frequencies,
     overlap,
@@ -27,20 +26,12 @@ from conftest import LAM, LAMBDA, OMEGA0, mp_rho
 
 
 class TestEnergyShift:
-    def test_limits(self):
-        assert energy_shift(2.0, 0.0) == 0.0
-        assert energy_shift(2.0, 0.5) == pytest.approx(2.0)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            energy_shift(2.0, 1.0)
-        with pytest.raises(ValueError):
-            energy_shift(2.0, -0.1)
-
-    def test_reference_value(self, pulse_ref):
-        # frozen from the ODE oracle (rtol 1e-11): dE = 0.0348943040598
-        R = analytic_reflection(2.0, pulse_ref).R
-        assert energy_shift(2.0, R) == pytest.approx(0.034894304059766, abs=1e-9)
+    def test_reference_value(self, modes_ref, pulse_ref):
+        # frozen from the ODE oracle (rtol 1e-11): dE = 0.0348943040598 at Omega0 = 2,
+        # which is omega_d of the reference model; ks counts it twice
+        assert modes_ref.omega_d == 2.0
+        shift = energy_shift_report(modes_ref, pulse_ref).ks / 2.0
+        assert shift == pytest.approx(0.034894304059766, abs=1e-9)
 
 
 class TestTotalShift:
@@ -197,9 +188,9 @@ class TestBornShift:
     def test_zero_drive(self):
         assert born_shift(2.0, Pulse(Lambda=0.0, beta=2.0, omega0=3.0)) == 0.0
 
-    def test_agrees_with_full_formula_at_weak_drive(self):
+    def test_agrees_with_full_formula_at_weak_drive(self, modes_ref):
         p = Pulse(Lambda=1e-4, beta=3.0, omega0=3.0)
-        full = energy_shift(2.0, analytic_reflection(2.0, p).R)
+        full = energy_shift_report(modes_ref, p).ks / 2.0  # the one-mode shift at omega_d = 2
         approx = born_shift(2.0, p)
         assert abs(full - approx) / approx < 1e-3
 
@@ -229,9 +220,9 @@ class TestSuddenShift:
         assert plus.valid and minus.valid
         assert plus.value < minus.value
 
-    def test_agrees_with_full_formula_at_large_rate(self):
+    def test_agrees_with_full_formula_at_large_rate(self, modes_ref):
         p = Pulse(Lambda=LAMBDA, beta=50.0, omega0=3.0)
-        full = energy_shift(2.0, analytic_reflection(2.0, p).R)
+        full = energy_shift_report(modes_ref, p).ks / 2.0  # the one-mode shift at omega_d = 2
         est = sudden_shift(2.0, p)
         assert est.valid
         assert abs(est.value - full) / full < 1e-3
@@ -407,7 +398,7 @@ class TestBerryConnection:
         om = traj.mode_frequency
         R = analytic_reflection(om, pulse_ref).R
         val = berry_connection(traj, pulse_ref, traj.t_end)
-        assert val == pytest.approx(energy_shift(om, R) + om / 2.0, abs=1e-6)
+        assert val == pytest.approx(om * R / (1.0 - R) + om / 2.0, abs=1e-6)
 
     def test_rejects_other_pulse(self, traj_pair_ref, pulse_ref):
         # B(t) belongs to the trajectory's pulse; Omega^2(t) of another

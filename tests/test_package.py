@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -16,13 +17,12 @@ PACKAGE_ALL = [
     "__version__", "KINDS", "LAMBDA_MAX", "ModelParams", "ModeSet", "derive_modes",
     "mode_frequencies", "IonizationRegimeError", "Pulse", "ReflectionResult",
     "check_admissible", "analytic_reflection", "EnergyShiftReport", "SuddenShift",
-    "energy_shift", "total_shift", "energy_shift_report", "born_shift", "sudden_shift",
-    "overlap", "sign_effect_rows", "MAX_ORBITAL_INDEX", "OccupationSpectrum", "Entropies",
-    "gamma1_static", "density", "occupation_spectrum", "natural_orbital", "hermite_function",
-    "entropies", "model_wavefunction", "mehler_coefficients", "Trajectory",
-    "OneMatrixSnapshot", "SnapshotSeries", "envelope", "omega_squared", "integrate_mode",
-    "extract_reflection", "onematrix_snapshot", "snapshot_series", "gamma1_time",
-    "effective_potential", "energy_expectation_ks", "continuity_residual",
+    "total_shift", "energy_shift_report", "born_shift", "sudden_shift", "overlap",
+    "sign_effect_rows", "MAX_ORBITAL_INDEX", "OccupationSpectrum", "Entropies",
+    "gamma1_static", "density", "occupation_spectrum", "natural_orbital", "entropies",
+    "model_wavefunction", "Trajectory", "OneMatrixSnapshot", "SnapshotSeries", "envelope",
+    "omega_squared", "integrate_mode", "extract_reflection", "onematrix_snapshot",
+    "snapshot_series", "effective_potential", "energy_expectation_ks", "continuity_residual",
     "trajectory_table", "TransitionWeights", "transition_weights", "statistical_shift",
     "berry_connection", "sign_effect_ratio",
 ]
@@ -69,16 +69,36 @@ def test_package_exports():
         pairpulse.no_such_name
 
 
-def test_benchmark_bindings_resolve():
-    # the functions perfbench binds by module, as pairpulse.<module>.<name>
+def _library_functions():
+    """perfbench's LIBRARY_FUNCTIONS: the names it binds by module, as pairpulse.<module>.<name>."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    missing = [f"{module}.{name}" for module, names in workloads.LIBRARY_FUNCTIONS.items()
+    return workloads.LIBRARY_FUNCTIONS
+
+
+def test_benchmark_bindings_resolve():
+    missing = [f"{module}.{name}" for module, names in _library_functions().items()
                for name in names
                if not callable(getattr(importlib.import_module(f"pairpulse.{module}"), name, None))]
     assert missing == []
+
+
+def test_every_exported_function_has_a_caller():
+    # a function that only tests call has no place in the package: each one is
+    # read by code in src/pairpulse outside its own definition (imports,
+    # docstrings and __all__ do not count) or bound by perfbench
+    readers = {}
+    for path in Path(pairpulse.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                readers.setdefault(name, set()).add(owner)
+    bound = {name for names in _library_functions().values() for name in names}
+    functions = [n for n in pairpulse.__all__ if inspect.isfunction(getattr(pairpulse, n))]
+    assert [n for n in functions if not readers.get(n, set()) - {n} and n not in bound] == []
 
 
 def test_records_are_namedtuples():
