@@ -19,7 +19,8 @@ flags win.  A command accepts, as a flag or a config key, only the settings
 it reads; any other is an error (exit 2) and nothing is written.  The
 provenance header echoes every setting but `out`.  Output is CSV (default)
 or JSON with fixed 17-significant-digit formatting, so identical configs
-reproduce byte-identical artifacts.
+reproduce byte-identical artifacts, whichever BLAS kernel numpy picks: no
+command's arithmetic calls BLAS but validate's static one-matrix oracles.
 
 modes, shift, sweep and figure need only ``closed_form`` and never import
 numpy, which is most of a cold start; their grids are pure Python.  static,
@@ -147,7 +148,7 @@ def _emit(cfg: dict, command: str, columns: list[str], rows) -> None:
         parts = [f"# {line}\n" for line in comments]
         parts.append(",".join(columns) + "\n")
         for row in rows:
-            parts.append(",".join(_fmt(v) for v in row) + "\n")
+            parts.append(",".join(map(_fmt, row)) + "\n")
         _write_text(cfg["out"], "".join(parts))
     else:
         import json  # only here: a csv command does not pay for its import
@@ -232,8 +233,7 @@ def _cmd_evolve(cfg: dict) -> None:
     rows = []
     for om in (m.omega1, m.omega2):
         traj = integrate_mode(om, pulse, rtol=cfg["rtol"], atol=cfg["atol"])
-        for t, B, Bdot, gamma in trajectory_table(traj, n=2001):
-            rows.append((om, t, B, Bdot, gamma))
+        rows += [(om, *row) for row in trajectory_table(traj, n=2001).tolist()]
     _emit(cfg, "evolve", columns, rows)
 
 

@@ -22,9 +22,11 @@ exponential of a traceless 2 x 2 matrix (Blanes, Casas & Ros, BIT 40, 434
 the grid is fine only where the pulse acts, and each refinement level is
 one numpy pass (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009),
 section 5; Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  The
-module needs numpy alone.  ``Pulse`` and the closed-form
-``analytic_reflection`` live in ``closed_form``, which needs no numpy; the
-pulse's envelope ``F(t)``, evaluated on arrays, lives here.
+2 x 2 products, the prefix product over the steps included, run entry by
+entry on (2, 2, n) stacks, never through BLAS, so a trajectory's bits do not
+depend on the BLAS kernel.  The module needs numpy alone.  ``Pulse`` and the
+closed-form ``analytic_reflection`` live in ``closed_form``, which needs no
+numpy; the pulse's envelope ``F(t)``, evaluated on arrays, lives here.
 """
 
 from __future__ import annotations
@@ -162,16 +164,16 @@ def _propagators(om: float, pulse: Pulse, t, h):
 
 
 def _halves(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray, whole: bool = False):
-    """Midpoints of the steps [lo, hi] and the propagator entries, (4, m)
-    each, of their first and second halves, preceded with ``whole`` by those
-    of the steps themselves; all from one ``_propagators`` call."""
+    """Midpoints of the steps [lo, hi] and the propagators, (2, 2, m) each, of
+    their first and second halves, preceded with ``whole`` by those of the
+    steps themselves; all from one ``_propagators`` call."""
     mid = lo + 0.5 * (hi - lo)
     t, h = [lo, mid], [mid - lo, hi - mid]
     if whole:
         t, h = [lo, *t], [hi - lo, *h]
-    u = np.array(_propagators(om, pulse, np.concatenate(t), np.concatenate(h)))
+    u = np.array(_propagators(om, pulse, np.concatenate(t), np.concatenate(h))).reshape(2, 2, -1)
     m = len(lo)
-    return (mid, *(u[:, i : i + m] for i in range(0, len(u[0]), m)))
+    return (mid, *(u[..., i : i + m] for i in range(0, u.shape[2], m)))
 
 
 def _check_budget(om: float, pulse: Pulse, n: float) -> None:
@@ -307,7 +309,7 @@ def integrate_mode(
     nodes = nodes[np.concatenate([[True], nodes[1:] > nodes[:-1]])]  # no zero-width steps
 
     # the error check compares with the half steps: one entry per (xi, xi'/Omega0) pair
-    scale = np.array([1.0, om, 1.0 / om, 1.0])[:, None]
+    scale = np.array([[1.0, om], [1.0 / om, 1.0]])[..., None]
     lo, hi, whole = nodes[:-1], nodes[1:], None
     starts, halves, n_kept = [], [], 0  # accepted steps: their halves, and their count
     while True:
@@ -316,35 +318,32 @@ def integrate_mode(
             mid, whole, first, second = _halves(om, pulse, lo, hi, whole=True)
         else:
             mid, first, second = _halves(om, pulse, lo, hi)
-        a00, a01, a10, a11 = first
-        b00, b01, b10, b11 = second
-        # second @ first: the two halves in sequence
-        both = np.array([b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
-                         b10 * a00 + b11 * a10, b10 * a01 + b11 * a11])
-        ok = np.all(np.abs(whole - both) * scale <= atol + rtol, axis=0)
+        # second @ first, entry by entry: the two halves in sequence
+        both = second[:, :1] * first[:1] + second[:, 1:] * first[1:]
+        ok = np.all(np.abs(whole - both) * scale <= atol + rtol, axis=(0, 1))
         starts += [lo[ok], mid[ok]]
-        halves += [first[:, ok], second[:, ok]]
+        halves += [first[..., ok], second[..., ok]]
         n_ok = int(np.count_nonzero(ok))
         if n_ok == len(ok):
             break
         n_kept += n_ok
         fail = ~ok  # each failing step is replaced by its halves
         lo, hi = np.concatenate([lo[fail], mid[fail]]), np.concatenate([mid[fail], hi[fail]])
-        whole = np.concatenate([first[:, fail], second[:, fail]], axis=1)
+        whole = np.concatenate([first[..., fail], second[..., fail]], axis=2)
 
     starts = np.concatenate(starts)
     order = np.argsort(starts)
     nodes = np.append(starts[order], t_end)
-    prod = np.concatenate(halves, axis=1)[:, order].T.reshape(-1, 2, 2)
-    n, d = len(prod), 1
-    # inclusive prefix product of the steps: after it, prod[k] = step_k @ ... @ step_0
+    P = np.concatenate(halves, axis=2).take(order, axis=2)  # C-contiguous, unlike [..., order]
+    n, d = P.shape[2], 1
+    # inclusive prefix product, entry by entry: after it, P[..., k] = step_k @ ... @ step_0
     while d < n:
-        prod[d:] = prod[d:] @ prod[:-d]
+        P[..., d:] = P[:, :1, d:] * P[:1, :, :-d] + P[:, 1:, d:] * P[1:, :, :-d]
         d *= 2
     c, s = math.cos(om * t_start), math.sin(om * t_start)
-    x0 = np.array([[c, s], [-om * s, om * c]])
+    x0 = np.array([[c, s], [-om * s, om * c]])[..., None]
     # Re xi, Im xi, Re xi', Im xi' at every node
-    x, y, xd, yd = np.concatenate([x0[None], prod @ x0]).reshape(n + 1, 4).T
+    x, y, xd, yd = np.concatenate([x0, P[:, :1] * x0[:1] + P[:, 1:] * x0[1:]], 2).reshape(4, -1)
     # the angle of xi_{k+1} / xi_k, which is gamma's advance only inside (0, pi)
     advance = np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1], x[1:] * x[:-1] + y[1:] * y[:-1])
     if not np.all((advance > 0.0) & (advance < math.pi)):  # NaN fails
@@ -367,14 +366,14 @@ def extract_reflection(traj: Trajectory) -> ReflectionResult:
 
     The invariant K = (1/4 B^2) [1 + (B Bdot / Omega0)^2 + B^4] is constant
     once the envelope is off and equals (1/2)(1+R)/(1-R) there, so R is read
-    from K at ``t_end`` alone.  A K below 1/2, infinite or NaN is rejected, and
-    so, as in ``analytic_reflection``, is an R that rounds to 1.  This is the
-    ODE oracle for ``analytic_reflection``, which every observable uses.
+    from K at ``t_end``, the last node.  A K below 1/2, infinite or NaN is
+    rejected, and so, as in ``analytic_reflection``, is an R that rounds to 1.
+    The ODE oracle for ``analytic_reflection``, which every observable uses.
     """
     if envelope(traj.pulse, traj.t_end) > PULSE_OFF:
         raise ValueError("trajectory does not extend beyond the pulse support")
-    B, Bdot, _ = traj.state_at(traj.t_end)
-    K = float(0.25 / B**2 * (1.0 + (B * Bdot / traj.mode_frequency) ** 2 + B**4))
+    B, rate = traj.state[:2, -1]  # B and B'/B at the last node
+    K = float(0.25 / B**2 * (1.0 + (B * B * rate / traj.mode_frequency) ** 2 + B**4))
     if not 0.5 - 1e-9 <= K < math.inf:  # NaN fails
         raise RuntimeError(
             f"post-pulse invariant K = {K} outside [1/2, inf): unphysical, integration failed"

@@ -81,6 +81,18 @@ class TestEvolveCommand:
         assert first[2] == pytest.approx(1.0, abs=1e-10)
         assert first[3] == pytest.approx(0.0, abs=1e-10)
 
+    def test_bytes_do_not_depend_on_blas_kernel(self):
+        # the integrator makes no BLAS call, so OpenBLAS's kernel choice (FMA
+        # or not) cannot reach the output; a numpy on another BLAS ignores
+        # the variable and the two runs match trivially
+        outputs = []
+        for env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run([sys.executable, "-m", "pairpulse.cli", "evolve"],
+                                  env={**_fresh_env(), **env}, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
 
 class TestShiftCommand:
     def test_report_row(self, tmp_path):

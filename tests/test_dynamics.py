@@ -132,6 +132,25 @@ class TestIntegrateMode:
         advance = np.diff(traj.state_at(traj.t)[2])
         assert np.all((advance > 0) & (advance < math.pi))
 
+    @pytest.mark.parametrize("beta", [3.0, 0.5])
+    def test_node_states_follow_the_steps_in_order(self, beta):
+        # the node-to-node propagators are bit for bit the accepted half steps;
+        # multiplying them on from the left, one at a time, must give the
+        # prefix scan's states, and step_0 @ ... @ step_k would not
+        p = Pulse(LAMBDA, beta, OMEGA0)
+        traj = integrate_mode(OMEGA0, p)
+        steps = np.array(_propagators(OMEGA0, p, traj.t[:-1], np.diff(traj.t))).T.reshape(-1, 2, 2)
+        phase = OMEGA0 * traj.t_start
+        X = np.array([[math.cos(phase), math.sin(phase)],
+                      [-OMEGA0 * math.sin(phase), OMEGA0 * math.cos(phase)]])
+        states = [X]
+        for step in steps:
+            states.append(X := step @ X)
+        x, y, xd, yd = np.array(states).reshape(-1, 4).T
+        B2 = x * x + y * y
+        expected = [np.sqrt(B2), (x * xd + y * yd) / B2, (x * yd - y * xd) / B2]
+        np.testing.assert_allclose(traj.state[:3], expected, rtol=0, atol=1e-13)
+
     def test_work_budget_rejects_slow_pulse_before_allocating(self):
         import tracemalloc
 

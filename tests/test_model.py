@@ -174,6 +174,17 @@ class TestNaturalOrbital:
         gram = orbs @ orbs.T * (x[1] - x[0])
         np.testing.assert_allclose(gram, np.eye(11), atol=1e-10)
 
+    @pytest.mark.parametrize("x", [np.linspace(-9, 9, 301), 0.3, np.ones((2, 3))],
+                             ids=["grid", "scalar", "2-d"])
+    def test_orbital_table_rows_are_the_orbitals(self, modes_ref, x):
+        # validate's Mehler row reads the table; each row must be bit for bit
+        # the orbital natural_orbital returns
+        table = model._orbitals(modes_ref, 12, x)
+        assert table.shape == (13, *np.shape(x))
+        for k in range(13):
+            assert np.array_equal(table[k], natural_orbital(modes_ref, k, x))
+        assert model._orbitals(modes_ref, 0, x).shape == (1, *np.shape(x))
+
     def test_high_index_stays_bounded(self, modes_ref):
         vals = natural_orbital(modes_ref, 60, np.linspace(-10, 10, 101))
         assert np.all(np.isfinite(vals))

@@ -116,3 +116,15 @@ def test_dataclass_replace_validates_inputs():
         dataclasses.replace(pulse, beta=0.0)
     with pytest.raises(ValueError, match="omega0 must lie in"):
         dataclasses.replace(pulse, omega0=-3.0)
+
+
+def test_integrator_makes_no_blas_call():
+    # BLAS kernels differ in FMA use, so one BLAS call in the integrator would
+    # make evolve's bytes depend on the host (tests/test_cli.py checks the
+    # bytes directly wherever numpy runs on OpenBLAS)
+    tree = ast.parse(Path(pairpulse.__file__).with_name("dynamics.py").read_text())
+    found = [f"line {node.lineno}: " + (f".{node.attr}" if isinstance(node, ast.Attribute) else "@")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "linalg")
+             or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert found == []
