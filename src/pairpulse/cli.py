@@ -20,11 +20,15 @@ it reads; any other is an error (exit 2) and nothing is written.  The
 provenance header echoes every setting but `out`.  Output is CSV (default)
 or JSON with fixed 17-significant-digit formatting, so identical configs
 reproduce byte-identical artifacts, whichever BLAS kernel numpy picks: no
-command's arithmetic calls BLAS but validate's static one-matrix oracles.
+command's printed arithmetic calls BLAS but validate's spectral oracle, a
+LAPACK eigvalsh whose printed residue is the same under the Haswell and
+Prescott kernels.  A CSV row of floats is formatted by one ``%``-template,
+static's mixed rows cell by cell.
 
 modes, shift, sweep and figure need only ``closed_form`` and never import
-numpy, which is most of a cold start; their grids are pure Python.  static,
-evolve and validate import the numpy modules inside their handlers.
+numpy, which is most of a cold start, nor ``dataclasses`` and ``inspect``;
+their grids are pure Python.  static, evolve and validate import the numpy
+modules inside their handlers.
 """
 
 from __future__ import annotations
@@ -142,13 +146,19 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _emit(cfg: dict, command: str, columns: list[str], rows) -> None:
+def _emit(cfg: dict, command: str, columns: list[str], rows, floats: bool = True) -> None:
+    """Write ``rows`` (tuples) under the provenance header; ``floats`` says that
+    every cell is a float, so one ``%``-template formats a csv row."""
     comments = _config_echo(cfg, command)
     if cfg["format"] == "csv":
         parts = [f"# {line}\n" for line in comments]
         parts.append(",".join(columns) + "\n")
-        for row in rows:
-            parts.append(",".join(map(_fmt, row)) + "\n")
+        if floats:
+            # "%.17g" % v is format(v, ".17g"), what _fmt gives a float
+            template = ",".join(["%.17g"] * len(columns)) + "\n"
+            parts += [template % row for row in rows]
+        else:
+            parts += [",".join(map(_fmt, row)) + "\n" for row in rows]
         _write_text(cfg["out"], "".join(parts))
     else:
         import json  # only here: a csv command does not pay for its import
@@ -220,7 +230,7 @@ def _cmd_static(cfg: dict) -> None:
     rows.append(("tail", spec.tail_mass))
     rows.append(("S_vN", ent.von_neumann))
     rows.append(("S_2", ent.renyi[0]))
-    _emit(cfg, "static", columns, rows)
+    _emit(cfg, "static", columns, rows, floats=False)
 
 
 def _cmd_evolve(cfg: dict) -> None:

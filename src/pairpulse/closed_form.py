@@ -5,17 +5,19 @@ and a relative mode at ``omega2 = omega0*sqrt(1-2*lam)``.  Under a sech^2
 pulse each mode reflects with a closed-form coefficient ``R``, and every
 asymptotic shift, total and overlap follows from the two ``R`` values.  This
 module holds that chain: the model constants, the pulse, the reflection,
-the shift totals and the sign-effect rows.  It imports ``math`` alone, so
-the commands that only need the closed form start without numpy; the array
-code (one-matrix, spectra, integrator) lives in ``model``, ``dynamics``,
-``observables`` and ``collision``.
+the shift totals and the sign-effect rows.  It imports ``math``, ``sys``,
+``operator`` and ``typing`` and nothing else, so the commands that only need
+the closed form start without numpy, and without ``dataclasses``, whose
+``inspect`` import costs more than the module's own code; ``ModelParams`` and
+``Pulse`` are written out by hand.  The array code (one-matrix, spectra,
+integrator) lives in ``model``, ``dynamics``, ``observables`` and
+``collision``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from operator import add, attrgetter, itemgetter, mul
 from typing import NamedTuple
 
@@ -98,8 +100,35 @@ def _check_omega0(omega0: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Frozen:
+    """Base of the two validated inputs, ``ModelParams`` and ``Pulse``.
+
+    A subclass names its fields in ``__slots__`` and sets each one in
+    ``__init__`` after its checks; they then stay fixed.  Unpickling and
+    ``copy`` call the class with the field values (``__reduce__``), so they
+    validate too.  Each subclass compares and hashes the tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+_set_field = object.__setattr__
+
+
+class ModelParams(_Frozen):
     """Physical inputs of the correlated pair.
 
     Attributes
@@ -111,16 +140,27 @@ class ModelParams:
         Dimensionless repulsive coupling strength, 0 <= lam < 0.5.
     """
 
+    __slots__ = ("omega0", "lam")
     omega0: float
     lam: float
 
-    def __post_init__(self):
-        _check_omega0(self.omega0)
-        if not (0.0 <= self.lam < LAMBDA_MAX):
+    def __init__(self, omega0: float, lam: float):
+        _check_omega0(omega0)
+        if not (0.0 <= lam < LAMBDA_MAX):
             raise ValueError(
                 "lam must lie in [0, 0.5); at lam >= 0.5 the pair is unbound "
-                f"(got {self.lam})"
+                f"(got {lam})"
             )
+        _set_field(self, "omega0", omega0)
+        _set_field(self, "lam", lam)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.omega0, self.lam) == (other.omega0, other.lam)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.omega0, self.lam))
 
 
 class ModeSet(NamedTuple):
@@ -220,8 +260,7 @@ class IonizationRegimeError(ValueError):
     """Drive strong enough to invert the confinement at pulse maximum."""
 
 
-@dataclass(frozen=True)
-class Pulse:
+class Pulse(_Frozen):
     """Finite-duration confinement drive.
 
     Attributes
@@ -238,15 +277,27 @@ class Pulse:
         Envelope center, the class constant 0.0 (F is maximal at t = 0).
     """
 
+    __slots__ = ("Lambda", "beta", "omega0")
     Lambda: float
     beta: float
     omega0: float
-    t0 = 0.0  # unannotated: a class constant, not a field
+    t0 = 0.0
 
-    def __post_init__(self):
-        _check_beta(self.beta)
-        _check_Lambda(self.Lambda)
-        _check_omega0(self.omega0)
+    def __init__(self, Lambda: float, beta: float, omega0: float):
+        _check_beta(beta)
+        _check_Lambda(Lambda)
+        _check_omega0(omega0)
+        _set_field(self, "Lambda", Lambda)
+        _set_field(self, "beta", beta)
+        _set_field(self, "omega0", omega0)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.Lambda, self.beta, self.omega0) == (other.Lambda, other.beta, other.omega0)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.Lambda, self.beta, self.omega0))
 
     @property
     def coupling(self) -> float:

@@ -397,6 +397,17 @@ class TestValidateCommand:
         # no check draws anything: reruns print the same bytes
         assert validate.run_validation() == validate.run_validation()
 
+    def test_stdout_does_not_depend_on_blas_kernel(self):
+        # the printed sums are einsum loops, not BLAS (the spectral oracle's
+        # eigvalsh is LAPACK's); a numpy on another BLAS ignores the variable
+        outputs = []
+        for env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run([sys.executable, "-m", "pairpulse.cli", "validate"],
+                                  env={**_fresh_env(), **env}, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("flags", [["--omega0", "5"], ["--out", "v.json"]])
     def test_rejects_scenario_flags(self, flags, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -416,6 +427,41 @@ class TestDeterministicFormatting:
         assert float(val) == float(format(float(val), ".17g"))
         # round-trips exactly through the printed representation
         assert format(float(val), ".17g") == val
+
+    def test_percent_template_formats_as_fmt(self):
+        # csv rows of floats use "%.17g" in place of _fmt's format(v, ".17g"):
+        # the same digits for the signed zeros and infinities, nan, the
+        # extremes and random bit patterns, a tenth of them subnormal
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64)
+        bits[::10] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                  2.225073858507201e-308, sys.float_info.min, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 1.0 / 3.0, *bits.view(np.float64).tolist()]
+        assert sum(v != 0.0 and abs(v) < sys.float_info.min for v in values) > 400
+        assert ["%.17g" % v for v in values] == [cli._fmt(v) for v in values]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [["evolve"], ["sweep"], ["figure", "1"], ["figure", "3"],
+                                      ["modes"], ["shift"]])
+    def test_rows_format_as_fmt_join(self, argv, fmt, tmp_path, monkeypatch):
+        # every cell these commands emit is a float, so the one-template csv
+        # row is the _fmt join of its cells
+        emitted = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda *args, **kw: emitted.append(args) or emit(*args, **kw))
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli([*argv, "--format", fmt, "--out", str(out)]) == 0
+        [(_, _, columns, rows)] = emitted
+        template = ",".join(["%.17g"] * len(columns)) + "\n"
+        joined = [",".join(map(cli._fmt, row)) + "\n" for row in rows]
+        assert {type(v) for row in rows for v in row} == {float}
+        assert [template % row for row in rows] == joined
+        if fmt == "csv":
+            lines = out.read_text().splitlines(keepends=True)
+            assert lines[-len(rows):] == joined and lines[-len(rows) - 1] == ",".join(columns) + "\n"
+        else:
+            assert json.loads(out.read_text())["rows"] == [list(row) for row in rows]
 
 
 class TestGrids:
@@ -460,7 +506,7 @@ class TestGrids:
 # before it.  The probe itself imports json only after its own checks.
 _PROBE_COMMANDS = """
 import contextlib, io, sys
-import __future__, dataclasses, math, operator, typing  # what closed_form itself imports
+import __future__, math, operator, typing  # what closed_form itself imports
 before = set(sys.modules)
 import pairpulse
 numpy_loaded = {"import pairpulse": "numpy" in sys.modules}
@@ -477,15 +523,16 @@ from pairpulse.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-codes, json_loaded, scipy_loaded = {}, {}, {}
+codes, json_loaded, scipy_loaded, inspect_loaded = {}, {}, {}, {}
 for command in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         codes[command] = main(command.split("\\t"))
     numpy_loaded[command] = "numpy" in sys.modules
     json_loaded[command] = "json" in sys.modules
     scipy_loaded[command] = scipy_modules()
+    inspect_loaded[command] = [m for m in ("dataclasses", "inspect") if m in sys.modules]
 report = {"codes": codes, "numpy": numpy_loaded, "json": json_loaded, "scipy": scipy_loaded,
-          "closed_form_modules": closed_form_modules}
+          "inspect": inspect_loaded, "closed_form_modules": closed_form_modules}
 """
 
 # After the commands: the integrator, and validate, which must not load scipy.
@@ -590,6 +637,26 @@ class TestNumpyImport:
         steps = ["import pairpulse", "closed-form exports", *names[:len(NUMPY_FREE_COMMANDS)]]
         assert {res["codes"][name] for name in steps[2:]} == {0}
         assert [res["numpy"][step] for step in steps] == [False] * len(steps)
+
+    def test_closed_form_commands_do_not_load_dataclasses(self, import_probe):
+        # dataclasses imports inspect (with ast, dis and tokenize), ~10 ms of a
+        # cold start; evolve loads numpy, which imports inspect itself
+        res, _, _, names = import_probe
+        free = names[:len(NUMPY_FREE_COMMANDS) + 1]  # and the json one
+        assert [res["inspect"][name] for name in free] == [[]] * len(free)
+
+    def test_from_import_of_a_submodule_loads_no_numpy(self):
+        # `from pairpulse import cli` probes the package for the name first;
+        # that probe imports the named submodule alone
+        code = ("import sys\n"
+                "from pairpulse import cli, closed_form\n"
+                "import pairpulse.cli, pairpulse.closed_form\n"
+                "assert (cli, closed_form) == (pairpulse.cli, pairpulse.closed_form)\n"
+                "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("command", ["evolve", "validate"])
     def test_integrating_commands_load_numpy(self, command, import_probe, validate_probe):

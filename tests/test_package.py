@@ -1,9 +1,12 @@
 import ast
+import copy
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import pickle
 import pkgutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -29,9 +32,10 @@ PACKAGE_ALL = [
 PACKAGE_MODULES = ["closed_form", "model", "dynamics", "observables", "collision"]
 # The public classes that are not NamedTuples: the exception, the two inputs,
 # which must validate on every construction path (a NamedTuple's _make and
-# _replace skip any __new__), and the two array holders compared by identity.
-DATACLASSES = ["ModelParams", "Pulse", "SnapshotSeries", "Trajectory"]
-NOT_NAMEDTUPLES = ["IonizationRegimeError", *DATACLASSES]
+# _replace skip any __new__), and the two array holders compared by identity,
+# the only dataclasses (closed_form does not import dataclasses).
+DATACLASSES = ["SnapshotSeries", "Trajectory"]
+NOT_NAMEDTUPLES = ["IonizationRegimeError", "ModelParams", "Pulse", *DATACLASSES]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -108,23 +112,122 @@ def test_records_are_namedtuples():
     assert sorted(n for n, cls in classes.items() if dataclasses.is_dataclass(cls)) == DATACLASSES
 
 
-def test_dataclass_replace_validates_inputs():
-    with pytest.raises(ValueError, match="lam must lie in"):
-        dataclasses.replace(pairpulse.ModelParams(3.0, 0.375), lam=0.5)
-    pulse = pairpulse.Pulse(Lambda=0.1, beta=2.0, omega0=3.0)
+def _inputs():
+    return pairpulse.ModelParams(3.0, 0.375), pairpulse.Pulse(Lambda=0.1, beta=2.0, omega0=3.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pairpulse.ModelParams(3.0, 0.5),
+    lambda: pairpulse.ModelParams(omega0=3.0, lam=0.5),
+    lambda: pairpulse.Pulse(0.1, 0.0, 3.0),
+    lambda: pairpulse.Pulse(Lambda=0.1, beta=0.0, omega0=3.0),
+    lambda: pairpulse.Pulse(Lambda=0.1, beta=2.0, omega0=-3.0),
+], ids=["params-positional", "params-keyword", "pulse-positional", "pulse-keyword", "pulse-omega0"])
+def test_inputs_validate_positional_and_keyword(make):
+    with pytest.raises(ValueError, match="lam must lie in|beta must be finite|omega0 must lie in"):
+        make()
+
+
+def test_inputs_round_trip_through_pickle_and_copy():
+    for value in _inputs():
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value
+
+
+def test_unpickling_validates():
+    # the pickle of beta = 2.0 edited to beta = 0.0 is rejected on loading
+    data = pickle.dumps(_inputs()[1], protocol=pickle.HIGHEST_PROTOCOL)
+    good, bad = struct.pack(">d", 2.0), struct.pack(">d", 0.0)
+    assert data.count(good) == 1
     with pytest.raises(ValueError, match="beta must be finite"):
-        dataclasses.replace(pulse, beta=0.0)
-    with pytest.raises(ValueError, match="omega0 must lie in"):
-        dataclasses.replace(pulse, omega0=-3.0)
+        pickle.loads(data.replace(good, bad))
+
+
+def test_copy_validates(monkeypatch):
+    from pairpulse import closed_form
+
+    params, pulse = _inputs()
+
+    def reject(value):
+        raise ValueError("checked")
+
+    monkeypatch.setattr(closed_form, "_check_beta", reject)
+    monkeypatch.setattr(closed_form, "_check_omega0", reject)
+    for value in (params, pulse):
+        with pytest.raises(ValueError, match="checked"):
+            copy.copy(value)
+
+
+@pytest.mark.parametrize("name", ["omega0", "lam", "Lambda", "beta", "t0", "other"])
+def test_inputs_are_immutable(name):
+    for value in _inputs():
+        before = repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert repr(value) == before
+
+
+def test_inputs_compare_and_hash_by_value():
+    params, pulse = _inputs()
+    for value, twin, other in (
+        (params, pairpulse.ModelParams(3.0, 0.375), pairpulse.ModelParams(3.0, 0.25)),
+        (pulse, pairpulse.Pulse(0.1, 2.0, 3.0), pairpulse.Pulse(-0.1, 2.0, 3.0)),
+    ):
+        assert twin is not value and twin == value and not twin != value
+        assert hash(twin) == hash(value) and len({value, twin}) == 1
+        assert other != value and not other == value
+    # only an instance of the same class can be equal, not a tuple of the values
+    assert params != (3.0, 0.375) and pulse != (0.1, 2.0, 3.0)
+    assert pairpulse.Pulse(0.375, 3.0, 3.0) != pairpulse.ModelParams(3.0, 0.375)
+
+
+def test_inputs_repr():
+    params, pulse = _inputs()
+    assert repr(params) == "ModelParams(omega0=3.0, lam=0.375)"
+    assert repr(pulse) == "Pulse(Lambda=0.1, beta=2.0, omega0=3.0)"
+
+
+def test_pulse_t0_is_a_class_constant():
+    pulse = _inputs()[1]
+    assert pairpulse.Pulse.t0 == pulse.t0 == 0.0
+    assert "t0" not in repr(pulse) and pulse == pairpulse.Pulse(0.1, 2.0, 3.0)
+    assert pulse.coupling == 0.1 * 9.0
+
+
+def _blas_calls(tree):
+    """Where ``tree`` can call BLAS: ``.dot``, ``.matmul``, ``.linalg``, ``@``,
+    and an ``einsum`` with ``optimize`` set (its optimized path contracts with
+    BLAS; the default does not)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "linalg"):
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+              and any(k.arg == "optimize" for k in node.keywords)):
+            found.append(f"line {node.lineno}: einsum(optimize=...)")
+    return found
+
+
+def _module_tree(name):
+    return ast.parse(Path(pairpulse.__file__).with_name(f"{name}.py").read_text())
 
 
 def test_integrator_makes_no_blas_call():
     # BLAS kernels differ in FMA use, so one BLAS call in the integrator would
     # make evolve's bytes depend on the host (tests/test_cli.py checks the
     # bytes directly wherever numpy runs on OpenBLAS)
-    tree = ast.parse(Path(pairpulse.__file__).with_name("dynamics.py").read_text())
-    found = [f"line {node.lineno}: " + (f".{node.attr}" if isinstance(node, ast.Attribute) else "@")
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "linalg")
-             or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
-    assert found == []
+    assert _blas_calls(_module_tree("dynamics")) == []
+
+
+@pytest.mark.parametrize("name", ["check_mehler_reconstruction", "check_partial_trace"])
+def test_validate_sums_make_no_blas_call(name):
+    # the two checks that sum products over a grid print their error's digits,
+    # so a BLAS sum would make validate's stdout depend on the kernel;
+    # check_spectral_oracle's eigvalsh is the oracle and stays LAPACK
+    functions = {node.name: node for node in _module_tree("validate").body
+                 if isinstance(node, ast.FunctionDef)}
+    assert _blas_calls(functions[name]) == []
