@@ -250,8 +250,8 @@ def _cmd_evolve(cfg: dict) -> None:
 def _cmd_shift(cfg: dict) -> None:
     m = _model(cfg)
     rep = energy_shift_report(m, _pulse(cfg))
-    record = rep.as_record()
-    _emit(cfg, "shift", list(record.keys()), [tuple(record.values())])
+    columns = ["lambda" if f == "lam" else f for f in rep._fields]
+    _emit(cfg, "shift", columns, [rep])
 
 
 def _sweep_common(cfg: dict, command: str, Lambda: float, grid: list[float]) -> None:

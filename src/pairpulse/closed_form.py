@@ -106,10 +106,15 @@ class _Frozen:
     A subclass names its fields in ``__slots__`` and sets each one in
     ``__init__`` after its checks; they then stay fixed.  Unpickling and
     ``copy`` call the class with the field values (``__reduce__``), so they
-    validate too.  Each subclass compares and hashes the tuple of its fields.
+    validate too.  An instance compares equal to one of its own class with
+    the same fields, and hashes the tuple of its fields.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls.__slots__)  # a tuple: each subclass has two or more fields
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -118,11 +123,19 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._values(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
 
 
 _set_field = object.__setattr__
@@ -153,14 +166,6 @@ class ModelParams(_Frozen):
             )
         _set_field(self, "omega0", omega0)
         _set_field(self, "lam", lam)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.omega0, self.lam) == (other.omega0, other.lam)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.omega0, self.lam))
 
 
 class ModeSet(NamedTuple):
@@ -291,14 +296,6 @@ class Pulse(_Frozen):
         _set_field(self, "beta", beta)
         _set_field(self, "omega0", omega0)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.Lambda, self.beta, self.omega0) == (other.Lambda, other.beta, other.omega0)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.Lambda, self.beta, self.omega0))
-
     @property
     def coupling(self) -> float:
         """Signed drive amplitude Lambda * omega0**2."""
@@ -345,8 +342,9 @@ def _reflection(rho: float) -> float:
     return R
 
 
-def _log_sinh(x: float) -> float:
-    return x - _LN2 + math.log1p(-math.exp(-2.0 * x))
+def _log_sinh(v: float) -> float:
+    """log sinh v for v > 0, also where sinh v overflows."""
+    return v - _LN2 if v > 20.0 else math.log(math.sinh(v))  # exp(-2v) < 5e-18 above 20
 
 
 def _log_cosh(x: float) -> float:
@@ -444,9 +442,8 @@ def _sqrt1pm1(e: float) -> float:
 
 def _log_space_rho(log_c: float, v: float) -> float:
     """rho = (c / sinh v)**2 from log c, where a factor or rho leaves the float range."""
-    log_sinh = v - _LN2 if v > 20.0 else math.log(math.sinh(v))  # exp(-2v) < 5e-18 above 20
     try:
-        return math.exp(2.0 * (log_c - log_sinh))
+        return math.exp(2.0 * (log_c - _log_sinh(v)))
     except OverflowError:
         raise IonizationRegimeError(_R_NEAR_ONE) from None
 
@@ -535,10 +532,6 @@ class EnergyShiftReport(NamedTuple):
     ks: float
     natural: float
 
-    def as_record(self) -> dict:
-        """The fields in order, with ``lam`` under its CLI name ``lambda``."""
-        return dict(zip(("lambda" if f == "lam" else f for f in self._fields), self))
-
 
 def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
     """All shift observables for one (model, pulse) combination.
@@ -574,10 +567,8 @@ def born_shift(mode_frequency: float, pulse: Pulse) -> float:
     else:
         log_r = math.log(pulse.omega0) - math.log(pulse.beta)
     v = 0.5 * math.pi * mode_frequency / pulse.beta
-    if v >= 1.0:
+    if v >= 1e-8:
         log_sinh = _log_sinh(v)
-    elif v >= 1e-8:
-        log_sinh = math.log(math.sinh(v))
     else:  # sinh(v) = v to double precision, and v itself may underflow
         log_sinh = math.log(0.5 * math.pi * mode_frequency) - math.log(pulse.beta)
     log_shift = (

@@ -101,6 +101,11 @@ def envelope(pulse: Pulse, t):
     return 4.0 * s * s / np.square(1.0 + s * s)
 
 
+def _omega_squared(om: float, pulse: Pulse, t):
+    """Omega0^2 + Lambda*omega0^2*F(t), unchecked, for the integrator's hot loop."""
+    return om * om + pulse.coupling * envelope(pulse, t)
+
+
 def omega_squared(mode_frequency: float, pulse: Pulse, t):
     """Instantaneous squared frequency Omega0^2 + Lambda*omega0^2*F(t).
 
@@ -108,7 +113,7 @@ def omega_squared(mode_frequency: float, pulse: Pulse, t):
     which signals the excluded inverted-confinement regime.
     """
     _check_mode_frequency(mode_frequency)
-    val = mode_frequency**2 + pulse.coupling * envelope(pulse, t)
+    val = _omega_squared(mode_frequency, pulse, t)
     if np.any(val <= 0.0):
         raise IonizationRegimeError(
             f"Omega^2(t) <= 0 for Omega0={mode_frequency}, Lambda={pulse.Lambda}: "
@@ -141,9 +146,8 @@ def _propagators(om: float, pulse: Pulse, t, h):
     Scalar t and h give numpy scalars, which keeps one-time reads cheap.
     Returns the entries (u00, u01, u10, u11).
     """
-    # omega_squared inline: integrate_mode has checked positivity once for
-    # the whole window, so this hot loop skips the per-call check.
-    w1, w2, w3 = om * om + pulse.coupling * envelope(pulse, t + np.multiply.outer(_GAUSS, h))
+    # unchecked: integrate_mode has checked positivity once for the whole window
+    w1, w2, w3 = _omega_squared(om, pulse, t + np.multiply.outer(_GAUSS, h))
     W, D1, D2 = h * w2, h * (w3 - w1), h * (w1 + w3 - 2.0 * w2)
     E = D1 * D1
     a = (math.sqrt(15.0) / 3.0) * h * D1 * (h * (W + D2 / 12.0) / 180.0 + 1.0 / 12.0)

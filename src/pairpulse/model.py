@@ -104,15 +104,8 @@ def occupation_spectrum(modes: ModeSet, k_max: int) -> OccupationSpectrum:
     if not (0.0 <= Z < 1.0):
         raise ValueError(f"geometric ratio must lie in [0, 1), got {Z}")
     k_max = _check_count("k_max", k_max, 0)
-    k = np.arange(k_max + 1)
-    if Z == 0.0:
-        weights = np.zeros(k_max + 1)
-        weights[0] = 1.0
-        tail = 0.0
-    else:
-        weights = (1.0 - Z) * Z**k
-        tail = Z ** (k_max + 1)
-    return OccupationSpectrum(Z=Z, weights=weights, tail_mass=tail)
+    weights = (1.0 - Z) * Z ** np.arange(k_max + 1)
+    return OccupationSpectrum(Z=Z, weights=weights, tail_mass=Z ** (k_max + 1))
 
 
 def _orbitals(modes: ModeSet, k_max: int, x, keep_all: bool = True):

@@ -147,7 +147,7 @@ def check_berry_limits(trajs):
 
 def check_continuity(m, t1, t2, times):
     """Relative continuity residual; pick in-pulse or later times (before the pulse it is 0/0)."""
-    x = np.linspace(-8.0 / math.sqrt(m.omega_d), 8.0 / math.sqrt(m.omega_d), 256)
+    x, _ = _grid(m, 256)
     worst = float(np.max([dynamics.continuity_residual(m, t1, t2, t, x) for t in times]))
     return worst < 1e-6, f"max relative residual {worst:.2e}"
 

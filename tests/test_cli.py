@@ -99,6 +99,12 @@ class TestShiftCommand:
         out = tmp_path / "shift.csv"
         assert run_cli(["shift", "--beta", "3", "--Lambda", "0.222222222", "--out", str(out)]) == 0
         _, header, data = read_csv(out)
+        # the report's fields in order, with lam under its CLI name
+        assert header == ["omega0", "lambda", "Lambda", "beta", "shift_mode1", "shift_mode2",
+                          "exact", "hf", "ks", "natural"]
+        modes = pairpulse.derive_modes(pairpulse.ModelParams(3.0, 0.375))
+        report = pairpulse.energy_shift_report(modes, pairpulse.Pulse(0.222222222, 3.0, 3.0))
+        assert [float(v) for v in data[0]] == list(report)
         row = dict(zip(header, data[0]))
         exact = float(row["exact"])
         assert exact == pytest.approx(
@@ -198,11 +204,14 @@ class TestConfigPrecedence:
         assert float(row["lambda"]) == 0.2  # from file
         assert float(row["beta"]) == 2.0  # flag wins
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        for text in ("omega_nought = 3\n", "grid_points = 512\n"):
-            cfg.write_text(text)
+        for text, error in (("omega_nought = 3", "unknown key 'omega_nought'"),
+                            ("grid_points = 512", "unknown key 'grid_points'"),
+                            ("beta 5", "expected 'key = value', got 'beta 5'")):
+            cfg.write_text(text + "\n")
             assert run_cli(["shift", "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"pairpulse: {cfg}:1: {error}\n"
         with pytest.raises(SystemExit) as exc:
             run_cli(["shift", "--grid-points", "512"])
         assert exc.value.code == 2
@@ -323,8 +332,25 @@ class TestErrorPaths:
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_output(self):
+    def test_unwritable_output(self, tmp_path):
         assert run_cli(["modes", "--out", "/nonexistent-dir/m.csv"]) == 2
+        # the final rename onto a directory fails, and the partial file goes
+        out = tmp_path / "m.csv"
+        out.mkdir()
+        assert run_cli(["modes", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    def test_integration_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        from pairpulse import dynamics
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(dynamics, "integrate_mode", fail)
+        out = tmp_path / "x.csv"
+        assert run_cli(["evolve", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "pairpulse: integration failure: forced failure\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("Lambda", ["0.2", "-0.2"])
     @pytest.mark.parametrize("beta", ["1e-170", "1e-300", "1e300"])
@@ -647,11 +673,13 @@ class TestNumpyImport:
 
     def test_from_import_of_a_submodule_loads_no_numpy(self):
         # `from pairpulse import cli` probes the package for the name first;
-        # that probe imports the named submodule alone
+        # that probe imports the named submodule alone; a missing dunder, as
+        # inspect.unwrap asks for, imports nothing
         code = ("import sys\n"
                 "from pairpulse import cli, closed_form\n"
                 "import pairpulse.cli, pairpulse.closed_form\n"
                 "assert (cli, closed_form) == (pairpulse.cli, pairpulse.closed_form)\n"
+                "assert not hasattr(pairpulse, '__wrapped__')\n"
                 "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))\n")
         proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                               capture_output=True, text=True, timeout=120)

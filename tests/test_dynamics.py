@@ -251,8 +251,9 @@ class TestDomainEdges:
 
 
 def _magnus_by_expm(om, pulse, t, h):
-    """The 6th-order Magnus step with generic 2 x 2 commutators and scipy's expm."""
-    from scipy.linalg import expm
+    """The 6th-order Magnus step with generic 2 x 2 commutators and mpmath's expm
+    at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
 
     def comm(x, y):
         return x @ y - y @ x
@@ -265,7 +266,9 @@ def _magnus_by_expm(om, pulse, t, h):
     a1, a2, a3 = h * A2, math.sqrt(15.0) / 3.0 * h * (A3 - A1), 10.0 / 3.0 * h * (A3 - 2.0 * A2 + A1)
     c1 = comm(a1, a2)
     c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
-    return expm(a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+    exponent = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    with mpmath.workdps(30):
+        return np.array(mpmath.expm(mpmath.matrix(exponent.tolist())).tolist(), dtype=float)
 
 
 class TestMagnusStep:
@@ -449,11 +452,20 @@ class TestExtractReflection:
         with np.errstate(all="ignore"), pytest.raises(error):
             extract_reflection(traj)
 
+    def test_rejects_trajectory_ending_inside_pulse(self):
+        p = Pulse(Lambda=0.1, beta=2.0, omega0=3.0)
+        traj = Trajectory(mode_frequency=2.0, pulse=p, t=np.array([1.0]), t_start=-10.0,
+                          t_end=1.0, state=np.array([[1.0], [0.0], [0.0], [0.0]]))
+        with pytest.raises(ValueError, match="does not extend beyond the pulse support"):
+            extract_reflection(traj)
+
 
 class TestAnalyticReflection:
     def test_null_pulse(self):
         p = Pulse(Lambda=0.0, beta=2.0, omega0=3.0)
         assert analytic_reflection(2.0, p).R == 0.0
+        # sinh v overflows at v = 1500 pi: 0 / sinh v is taken as 0, not as NaN
+        assert analytic_reflection(3.0, Pulse(Lambda=0.0, beta=1e-3, omega0=3.0)).R == 0.0
 
     def test_zeros_at_odd_square_resonances(self):
         # (2n+1)^2 = 1 + Lambda*omega0^2/beta^2 kills the reflection; the
@@ -664,7 +676,7 @@ class TestOneMatrixSnapshot:
             onematrix_snapshot(modes_ref, t1, other, 0.0)
 
 
-class TestGamma1Time:
+class TestContinuityEquation:
     """The density of the time-dependent one-matrix obeys the continuity equation."""
 
     def test_continuity_default_step_at_strong_fast_pulse(self):

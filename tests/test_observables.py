@@ -66,6 +66,9 @@ class TestTotalShift:
         p = Pulse(Lambda=-0.3, beta=2.0, omega0=OMEGA0)  # |Lambda| >= 1 - 2 lam = 0.25
         with pytest.raises(IonizationRegimeError):
             total_shift(modes_ref, p, "exact")
+        # a pulse scaled by another model's omega0
+        with pytest.raises(ValueError, match="omega0=2.0 does not match .* frequency 3.0"):
+            total_shift(modes_ref, Pulse(0.1, 2.0, 2.0), "exact")
 
     def test_reference_kinds_reflect_once(self, modes_ref, pulse_ref, monkeypatch):
         # one kernel call per pulse evaluates one numerator (a sine, or a cosh
@@ -122,12 +125,9 @@ class TestTotalShift:
 
     def test_report_consistency(self, modes_ref, pulse_ref):
         rep = energy_shift_report(modes_ref, pulse_ref)
-        record = rep.as_record()
-        assert list(record) == ["omega0", "lambda", "Lambda", "beta", "shift_mode1",
-                                "shift_mode2", "exact", "hf", "ks", "natural"]
-        assert list(record) == ["lambda" if f == "lam" else f for f in EnergyShiftReport._fields]
-        assert tuple(record.values()) == rep
-        assert record["lambda"] == rep.lam
+        assert EnergyShiftReport._fields == ("omega0", "lam", "Lambda", "beta", "shift_mode1",
+                                             "shift_mode2", "exact", "hf", "ks", "natural")
+        assert rep[:4] == (3.0, 0.375, pulse_ref.Lambda, pulse_ref.beta)
         with pytest.raises(AttributeError):
             rep.hf = 0.0
 
@@ -208,8 +208,13 @@ class TestBornShift:
     @pytest.mark.parametrize("Lambda", [LAMBDA, -LAMBDA])
     @pytest.mark.parametrize("beta", [1e-300, 1e-170, 1e300])
     def test_extreme_rates_underflow_to_zero(self, beta, Lambda):
-        # beta**2 under- or overflows here
-        assert born_shift(2.0, Pulse(Lambda=Lambda, beta=beta, omega0=OMEGA0)) == 0.0
+        # beta**2 under- or overflows here, and at the second omega0 so does omega0/beta
+        for omega0 in (OMEGA0, 1e150 if beta < 1.0 else 1e-150):
+            assert born_shift(2.0, Pulse(Lambda=Lambda, beta=beta, omega0=omega0)) == 0.0
+
+    def test_shift_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="born_shift at beta = 1e-100, Omega0 = 1e-150 exceeds"):
+            born_shift(1e-150, Pulse(0.2, 1e-100, 3.0))
 
 
 class TestSuddenShift:
