@@ -22,8 +22,10 @@ or JSON with fixed 17-significant-digit formatting, so identical configs
 reproduce byte-identical artifacts, whichever BLAS kernel numpy picks: no
 command's printed arithmetic calls BLAS but validate's spectral oracle, a
 LAPACK eigvalsh whose printed residue is the same under the Haswell and
-Prescott kernels.  A CSV row of floats is formatted by one ``%``-template,
-static's mixed rows cell by cell.
+Prescott kernels.  That call runs on one BLAS thread: unless numpy is already
+loaded, ``main`` sets ``OPENBLAS_NUM_THREADS=1`` where the variable is unset,
+because starting OpenBLAS's thread pool now and then stalled the call by ~1 s.
+One ``%``-template formats every CSV row of a table.
 
 modes, shift, sweep and figure need only ``closed_form`` and never import
 numpy, which is most of a cold start, nor ``dataclasses`` and ``inspect``;
@@ -146,28 +148,23 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _emit(cfg: dict, command: str, columns: list[str], rows, floats: bool = True) -> None:
-    """Write ``rows`` (tuples) under the provenance header; ``floats`` says that
-    every cell is a float, so one ``%``-template formats a csv row."""
+def _emit(cfg: dict, command: str, columns: list[str], rows) -> None:
+    """Write ``rows`` (tuples, at least one) under the provenance header.  One
+    ``%``-template formats each csv row; it is built from the first row by
+    ``_fmt``'s rule: ``%.17g`` for a float cell, ``%s`` for any other."""
     comments = _config_echo(cfg, command)
     if cfg["format"] == "csv":
         parts = [f"# {line}\n" for line in comments]
         parts.append(",".join(columns) + "\n")
-        if floats:
-            # "%.17g" % v is format(v, ".17g"), what _fmt gives a float
-            template = ",".join(["%.17g"] * len(columns)) + "\n"
-            parts += [template % row for row in rows]
-        else:
-            parts += [",".join(map(_fmt, row)) + "\n" for row in rows]
+        # "%.17g" % v is format(v, ".17g") and "%s" % v is str(v)
+        template = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in rows[0]]) + "\n"
+        parts += [template % row for row in rows]
         _write_text(cfg["out"], "".join(parts))
     else:
         import json  # only here: a csv command does not pay for its import
 
-        payload = {
-            "provenance": comments,
-            "columns": columns,
-            "rows": [[v for v in row] for row in rows],
-        }
+        # json writes tuples, NamedTuples included, as lists
+        payload = {"provenance": comments, "columns": columns, "rows": rows}
         _write_text(cfg["out"], json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -230,7 +227,7 @@ def _cmd_static(cfg: dict) -> None:
     rows.append(("tail", spec.tail_mass))
     rows.append(("S_vN", ent.von_neumann))
     rows.append(("S_2", ent.renyi[0]))
-    _emit(cfg, "static", columns, rows, floats=False)
+    _emit(cfg, "static", columns, rows)
 
 
 def _cmd_evolve(cfg: dict) -> None:
@@ -288,7 +285,8 @@ def _cmd_figure(cfg: dict, which: int) -> None:
     _emit(cfg, "figure3", ["v", "ratio"], rows)
 
 
-def _cmd_validate() -> int:
+def _cmd_validate(cfg: dict) -> int:
+    # the registry runs on the reference model; validate reads no settings
     from .validate import run_validation
 
     results = run_validation()
@@ -303,8 +301,9 @@ def _cmd_validate() -> int:
 _MODEL = ("omega0", "lambda")
 _OUTPUT = ("out", "format")
 
-# command: (handler, settings it reads, help).  A command that reads no
-# settings takes no options and its handler returns the exit code.
+# command: (handler, settings it reads, help).  Each handler takes the merged
+# settings and returns an exit code or None (for 0).  A command that reads no
+# settings takes no options.
 COMMANDS = {
     "modes": (_cmd_modes, _MODEL + _OUTPUT, "derived frequency table"),
     "static": (_cmd_static, _MODEL + _OUTPUT, "occupation spectrum and entropies"),
@@ -339,13 +338,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # OpenBLAS reads it once, when numpy loads
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = vars(_build_parser().parse_args(argv))
     command = args.pop("command")
     handler, reads, _ = COMMANDS[command]
     try:
-        if not reads:
-            return handler()
-        handler(_merge_config(command, reads, args), **args)
+        return handler(_merge_config(command, reads, args), **args) or 0
     except IonizationRegimeError as exc:
         print(f"pairpulse: inadmissible drive: {exc}", file=sys.stderr)
         return 2
@@ -355,7 +354,6 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"pairpulse: integration failure: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -462,9 +462,11 @@ class SnapshotSeries:
     spacing: float
 
     def index_at(self, t: float) -> int:
+        """Index of the snapshot nearest to t, which must lie within half a
+        spacing of the grid."""
         if math.isfinite(t):
             i = int(round((t - self.times[0]) / self.spacing))
-            if 0 <= i < len(self.times) and abs(self.times[i] - t) <= 0.5 * self.spacing + 1e-12:
+            if 0 <= i < len(self.times):
                 return i
         raise ValueError(f"time {t} not covered by the snapshot series")
 

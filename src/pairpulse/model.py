@@ -108,30 +108,13 @@ def occupation_spectrum(modes: ModeSet, k_max: int) -> OccupationSpectrum:
     return OccupationSpectrum(Z=Z, weights=weights, tail_mass=Z ** (k_max + 1))
 
 
-def _orbitals(modes: ModeSet, k_max: int, x, keep_all: bool = True):
-    """Natural orbitals at x from one pass of the three-term recurrence in
-    xi = sqrt(omega_w) x: k = 0..k_max stacked on a new first axis or, with
-    ``keep_all`` false, orbital k_max alone, without holding the others.
-
-    The recurrence runs on the *normalized* functions (never on raw Hermite
-    polynomials), which keeps every intermediate bounded.
-    """
-    ww = modes.omega_w
-    xi = math.sqrt(ww) * np.asarray(x, dtype=float)
-    h_prev = math.pi**-0.25 * np.exp(-0.5 * xi * xi)
-    h = h_prev if k_max == 0 else _SQRT2 * xi * h_prev
-    rows = [h_prev, h][: k_max + 1]
-    for n in range(2, k_max + 1):
-        h, h_prev = xi * math.sqrt(2.0 / n) * h - math.sqrt((n - 1) / n) * h_prev, h
-        if keep_all:
-            rows.append(h)
-    return ww**0.25 * (np.array(rows) if keep_all else h)
-
-
 def natural_orbital(modes: ModeSet, k: int, x):
     """k-th natural orbital: the orthonormal oscillator eigenfunction of
-    index k at frequency omega_w, evaluated by ``_orbitals``.  Valid for
-    integers 0 <= k <= MAX_ORBITAL_INDEX.
+    index k at frequency omega_w.  Valid for integers 0 <= k <= MAX_ORBITAL_INDEX.
+
+    The three-term recurrence in xi = sqrt(omega_w) x runs on the *normalized*
+    functions (never on raw Hermite polynomials), which keeps every
+    intermediate bounded, and holds two orbitals at a time.
     """
     k = _check_count("k", k, 0)
     if k > MAX_ORBITAL_INDEX:
@@ -139,7 +122,12 @@ def natural_orbital(modes: ModeSet, k: int, x):
             f"orbital index {k} exceeds the validated recurrence range "
             f"(<= {MAX_ORBITAL_INDEX})"
         )
-    return _orbitals(modes, k, x, keep_all=False)
+    ww = modes.omega_w
+    xi = math.sqrt(ww) * np.asarray(x, dtype=float)
+    h_prev, h = 0.0, math.pi**-0.25 * np.exp(-0.5 * xi * xi)
+    for n in range(1, k + 1):
+        h, h_prev = xi * math.sqrt(2.0 / n) * h - math.sqrt((n - 1) / n) * h_prev, h
+    return ww**0.25 * h
 
 
 class Entropies(NamedTuple):

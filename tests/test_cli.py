@@ -352,6 +352,14 @@ class TestErrorPaths:
         assert capsys.readouterr().err == "pairpulse: integration failure: forced failure\n"
         assert not out.exists()
 
+    def test_validate_error_exits_2(self, capsys, monkeypatch):
+        def fail():
+            raise ValueError("forced failure")
+
+        monkeypatch.setattr(validate, "run_validation", fail)
+        assert run_cli(["validate"]) == 2
+        assert capsys.readouterr() == ("", "pairpulse: forced failure\n")
+
     @pytest.mark.parametrize("Lambda", ["0.2", "-0.2"])
     @pytest.mark.parametrize("beta", ["1e-170", "1e-300", "1e300"])
     def test_extreme_beta_underflows_to_zero_shift(self, beta, Lambda, capsys):
@@ -469,19 +477,21 @@ class TestDeterministicFormatting:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv", [["evolve"], ["sweep"], ["figure", "1"], ["figure", "3"],
-                                      ["modes"], ["shift"]])
+                                      ["modes"], ["shift"], ["static"]])
     def test_rows_format_as_fmt_join(self, argv, fmt, tmp_path, monkeypatch):
-        # every cell these commands emit is a float, so the one-template csv
-        # row is the _fmt join of its cells
+        # every cell is a float but static's first, an int k or a label; the
+        # csv template _emit builds from the first row's cells is then the
+        # _fmt join of every row
         emitted = []
         emit = cli._emit
         monkeypatch.setattr(cli, "_emit", lambda *args, **kw: emitted.append(args) or emit(*args, **kw))
         out = tmp_path / f"out.{fmt}"
         assert run_cli([*argv, "--format", fmt, "--out", str(out)]) == 0
         [(_, _, columns, rows)] = emitted
-        template = ",".join(["%.17g"] * len(columns)) + "\n"
+        floats = [argv != ["static"]] + [True] * (len(columns) - 1)
+        assert [[isinstance(v, float) for v in row] for row in rows] == [floats] * len(rows)
+        template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
         joined = [",".join(map(cli._fmt, row)) + "\n" for row in rows]
-        assert {type(v) for row in rows for v in row} == {float}
         assert [template % row for row in rows] == joined
         if fmt == "csv":
             lines = out.read_text().splitlines(keepends=True)
@@ -527,11 +537,12 @@ class TestGrids:
 # already imported numpy and scipy.  The probe loads the package and the
 # closed-form exports, then runs the CLI commands given as its arguments, each
 # one argument with its words joined by tabs, and records after each one
-# whether numpy and json are loaded and which scipy modules are.  The last
-# command is the first that may integrate, so nothing else has loaded numpy
-# before it.  The probe itself imports json only after its own checks.
+# whether numpy and json are loaded, which scipy modules are, and the
+# OPENBLAS_NUM_THREADS that main leaves.  The last command is the first that
+# may integrate, so nothing else has loaded numpy before it.  The probe itself
+# imports json only after its own checks.
 _PROBE_COMMANDS = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 import __future__, math, operator, typing  # what closed_form itself imports
 before = set(sys.modules)
 import pairpulse
@@ -549,7 +560,7 @@ from pairpulse.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-codes, json_loaded, scipy_loaded, inspect_loaded = {}, {}, {}, {}
+codes, json_loaded, scipy_loaded, inspect_loaded, blas_threads = {}, {}, {}, {}, {}
 for command in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         codes[command] = main(command.split("\\t"))
@@ -557,8 +568,10 @@ for command in sys.argv[1:]:
     json_loaded[command] = "json" in sys.modules
     scipy_loaded[command] = scipy_modules()
     inspect_loaded[command] = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+    blas_threads[command] = os.environ.get("OPENBLAS_NUM_THREADS")
 report = {"codes": codes, "numpy": numpy_loaded, "json": json_loaded, "scipy": scipy_loaded,
-          "inspect": inspect_loaded, "closed_form_modules": closed_form_modules}
+          "inspect": inspect_loaded, "blas_threads": blas_threads,
+          "closed_form_modules": closed_form_modules}
 """
 
 # After the commands: the integrator, and validate, which must not load scipy.
@@ -695,6 +708,19 @@ class TestNumpyImport:
         before = [key for key in res["numpy"] if key != name]
         assert res["codes"][name] == 0
         assert res["numpy"] == {**dict.fromkeys(before, False), name: True}
+        # numpy loaded on one BLAS thread, unless the caller chose a count
+        assert res["blas_threads"][name] == os.environ.get("OPENBLAS_NUM_THREADS", "1")
+
+    def test_blas_thread_pin_spares_a_loaded_numpy_and_a_set_value(self, monkeypatch):
+        # numpy is loaded in this process, so main leaves the environment alone
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run_cli(["modes"]) == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        # before numpy loads, main keeps a count the caller set
+        monkeypatch.delitem(sys.modules, "numpy")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert run_cli(["modes"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 class TestJsonImport:

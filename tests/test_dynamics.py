@@ -674,6 +674,9 @@ class TestOneMatrixSnapshot:
         )
         with pytest.raises(ValueError):
             onematrix_snapshot(modes_ref, t1, other, 0.0)
+        # the same pulse, but each trajectory at the other mode's frequency
+        with pytest.raises(ValueError, match="do not match the model mode frequencies"):
+            onematrix_snapshot(modes_ref, *traj_pair_ref[::-1], 0.0)
 
 
 class TestContinuityEquation:

@@ -6,6 +6,7 @@ import pytest
 
 from pairpulse import ModelParams, derive_modes, model
 from pairpulse.model import (
+    OccupationSpectrum,
     density,
     entropies,
     gamma1_static,
@@ -157,6 +158,11 @@ class TestOccupationSpectrum:
         with pytest.raises(ValueError):
             occupation_spectrum(modes_ref, -1)
 
+    @pytest.mark.parametrize("Z", [1.0, math.nan])
+    def test_rejects_ratio_outside_unit_interval(self, modes_ref, Z):
+        with pytest.raises(ValueError, match="geometric ratio must lie in"):
+            occupation_spectrum(modes_ref._replace(Z=Z), 5)
+
     @pytest.mark.parametrize("k_max", [math.nan, math.inf, 2.5])
     def test_rejects_bad_size(self, modes_ref, k_max):
         with pytest.raises(ValueError, match="k_max must be a finite integer >= 0"):
@@ -176,14 +182,9 @@ class TestNaturalOrbital:
 
     @pytest.mark.parametrize("x", [np.linspace(-9, 9, 301), 0.3, np.ones((2, 3))],
                              ids=["grid", "scalar", "2-d"])
-    def test_orbital_table_rows_are_the_orbitals(self, modes_ref, x):
-        # validate's Mehler row reads the table; each row must be bit for bit
-        # the orbital natural_orbital returns
-        table = model._orbitals(modes_ref, 12, x)
-        assert table.shape == (13, *np.shape(x))
+    def test_orbital_has_the_shape_of_x(self, modes_ref, x):
         for k in range(13):
-            assert np.array_equal(table[k], natural_orbital(modes_ref, k, x))
-        assert model._orbitals(modes_ref, 0, x).shape == (1, *np.shape(x))
+            assert np.shape(natural_orbital(modes_ref, k, x)) == np.shape(x)
 
     def test_high_index_stays_bounded(self, modes_ref):
         vals = natural_orbital(modes_ref, 60, np.linspace(-10, 10, 101))
@@ -239,6 +240,11 @@ class TestEntropies:
         ent = entropies(spec, renyi_orders=(1.0 - 1e-4, 1.0 + 1e-4))
         mid = 0.5 * (ent.renyi[0] + ent.renyi[1])
         assert mid == pytest.approx(ent.von_neumann, abs=1e-6)
+
+    def test_rejects_unnormalized_spectrum(self):
+        spectrum = OccupationSpectrum(Z=0.5, weights=np.array([0.5, 0.25]), tail_mass=0.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            entropies(spectrum)
 
     def test_rejects_bad_orders(self, modes_ref):
         spec = occupation_spectrum(modes_ref, 20)
