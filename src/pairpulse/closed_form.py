@@ -9,7 +9,10 @@ the shift totals and the sign-effect rows.  It imports ``math``, ``sys``,
 ``operator`` and ``typing`` and nothing else, so the commands that only need
 the closed form start without numpy, and without ``dataclasses``, whose
 ``inspect`` import costs more than the module's own code; ``ModelParams`` and
-``Pulse`` are written out by hand.  The array code (one-matrix, spectra,
+``Pulse`` are written out by hand.  So are the two sweeps behind the
+figures, ``energy_shift_report`` and ``sign_effect_rows``: they name each
+frequency and shift around one kernel call, as generic getters and maps
+cost a quarter of a report.  The array code (one-matrix, spectra,
 integrator) lives in ``model``, ``dynamics``, ``observables`` and
 ``collision``.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import add, attrgetter, itemgetter, mul
+from operator import attrgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -62,14 +65,6 @@ _MODE_FIELDS = {
 }
 KINDS = tuple(_MODE_FIELDS)
 _MODE_FREQUENCIES = {kind: attrgetter(*pair) for kind, pair in _MODE_FIELDS.items()}
-# A report reflects each field once, omega1 and omega2 first, and sums each
-# kind's two shifts, picked by their positions in that order.
-_REPORT_FIELDS = tuple(dict.fromkeys(f for pair in _MODE_FIELDS.values() for f in pair))
-_report_frequencies = attrgetter(*_REPORT_FIELDS)
-_first_shifts, _second_shifts = (
-    itemgetter(*(_REPORT_FIELDS.index(pair[i]) for pair in _MODE_FIELDS.values()))
-    for i in (0, 1)
-)
 
 # Relative rounding error of the closed-form reflection's sine argument
 # arg = (pi/2) t, t = sqrt(1 + e) - 1, e = Lambda (omega0/beta)**2, with a
@@ -536,16 +531,18 @@ class EnergyShiftReport(NamedTuple):
 def energy_shift_report(modes: ModeSet, pulse: Pulse) -> EnergyShiftReport:
     """All shift observables for one (model, pulse) combination.
 
-    One kernel call reflects the five distinct mode frequencies under the
-    pulse; every total equals the ``total_shift`` of its kind.
+    One kernel call reflects the five mode frequencies under the pulse.  The
+    shifts Omega * rho are summed as ``_two_mode_total`` sums them, so every
+    total equals the ``total_shift`` of its kind to the last bit.
     """
     check_admissible(modes, pulse)
-    freqs = _report_frequencies(modes)
-    shifts = list(map(mul, freqs, _rhos(pulse.Lambda, pulse.beta, pulse.omega0, freqs)))
+    f1, f2, fe, fd, fw = modes.omega1, modes.omega2, modes.omega_e, modes.omega_d, modes.omega_w
+    r1, r2, re, rd, rw = _rhos(pulse.Lambda, pulse.beta, pulse.omega0, (f1, f2, fe, fd, fw))
+    s1, s2, se, sd, sw = f1 * r1, f2 * r2, fe * re, fd * rd, fw * rw
     params = modes.params
     return EnergyShiftReport(
-        params.omega0, params.lam, pulse.Lambda, pulse.beta, shifts[0], shifts[1],
-        *map(add, _first_shifts(shifts), _second_shifts(shifts)),
+        params.omega0, params.lam, pulse.Lambda, pulse.beta, s1, s2,
+        s1 + s2, se + se, sd + sd, sw + sw,
     )
 
 
@@ -647,6 +644,7 @@ def sign_effect_rows(modes: ModeSet, Lambda_mag: float, v_grid) -> list[tuple[fl
         if Lambda_mag == 0.0:
             rows.append((v, 0.0))
             continue
-        minus, plus = (_two_mode_total(f1, f2, sign * Lambda_mag, v, omega0) for sign in (-1.0, 1.0))
+        minus = _two_mode_total(f1, f2, -Lambda_mag, v, omega0)
+        plus = _two_mode_total(f1, f2, Lambda_mag, v, omega0)
         rows.append((v, minus / plus - 1.0 if plus != 0.0 else math.nan))
     return rows

@@ -442,6 +442,18 @@ class TestValidateCommand:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_library_run_under_default_blas_threading(self):
+        # tier-1 and the CLI run numpy on one OpenBLAS thread; a library caller
+        # that leaves the variable unset gets OpenBLAS's own pool, and the same rows
+        code = ("import os\n"
+                "from pairpulse.validate import run_validation\n"
+                "print(repr(run_validation()))\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(["OPENBLAS_NUM_THREADS"]),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{validate.run_validation()!r}\nNone\n"
+
     @pytest.mark.parametrize("flags", [["--omega0", "5"], ["--out", "v.json"]])
     def test_rejects_scenario_flags(self, flags, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -599,18 +611,22 @@ print(json.dumps(report))
 NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "1"], ["figure", "2"], ["figure", "3"], ["sweep"]]
 
 
-def _fresh_env():
-    """The environment of a fresh interpreter that imports this checkout's package."""
+def _fresh_env(unset=()):
+    """The environment of a fresh interpreter that imports this checkout's
+    package, without the variables named in ``unset``."""
     src = str(Path(pairpulse.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name in unset:
+        env.pop(name, None)
+    return env
 
 
-def _probe(commands, integrator=False):
+def _probe(commands, integrator=False, unset=()):
     """Run the probe on ``commands`` (argv lists) in a fresh interpreter; its report."""
     code = _PROBE_COMMANDS + (_PROBE_INTEGRATOR if integrator else "") + _PROBE_REPORT
     proc = subprocess.run([sys.executable, "-c", code, *("\t".join(argv) for argv in commands)],
-                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+                          env=_fresh_env(unset), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -631,8 +647,9 @@ def import_probe(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def validate_probe():
-    """validate alone, in its own fresh interpreter."""
-    return _probe([["validate"]])
+    """validate alone, in its own fresh interpreter, with OPENBLAS_NUM_THREADS
+    unset, so that main sets it."""
+    return _probe([["validate"]], unset=["OPENBLAS_NUM_THREADS"])
 
 
 class TestImportCost:
@@ -708,8 +725,10 @@ class TestNumpyImport:
         before = [key for key in res["numpy"] if key != name]
         assert res["codes"][name] == 0
         assert res["numpy"] == {**dict.fromkeys(before, False), name: True}
-        # numpy loaded on one BLAS thread, unless the caller chose a count
-        assert res["blas_threads"][name] == os.environ.get("OPENBLAS_NUM_THREADS", "1")
+        # numpy loaded on one BLAS thread: main sets it in the validate probe,
+        # which starts without the variable, and keeps the count evolve's inherits
+        pinned = "1" if command == "validate" else os.environ.get("OPENBLAS_NUM_THREADS", "1")
+        assert res["blas_threads"][name] == pinned
 
     def test_blas_thread_pin_spares_a_loaded_numpy_and_a_set_value(self, monkeypatch):
         # numpy is loaded in this process, so main leaves the environment alone

@@ -148,6 +148,25 @@ class TestTotalShift:
             for kind in KINDS:
                 assert getattr(rep, kind) == total_shift(modes_ref, pulse, kind)
 
+    def test_report_totals_over_random_models(self):
+        # the report spells each total out by hand: every one equals the
+        # total_shift of its kind, and exact the sum of the two mode shifts,
+        # to the last bit, away from the reference model too
+        rng = np.random.default_rng(2026)
+        reports = []
+        for omega0, lam in zip(10.0 ** rng.uniform(-1, 1, 50), rng.uniform(0.0, 0.5, 50)):
+            modes = derive_modes(ModelParams(omega0, lam))
+            Lambda = rng.uniform(0.0, 1.0) * (modes.omega2 / modes.omega1) ** 2
+            for beta in 10.0 ** rng.uniform(math.log10(0.25), 1.0, 3):
+                for sign in (-1.0, 1.0):
+                    pulse = Pulse(Lambda=sign * Lambda, beta=beta, omega0=omega0)
+                    rep = energy_shift_report(modes, pulse)
+                    assert rep.exact == rep.shift_mode1 + rep.shift_mode2
+                    for kind in KINDS:
+                        assert getattr(rep, kind) == total_shift(modes, pulse, kind)
+                    reports.append(rep)
+        assert len(reports) == 300 and all(rep.exact > 0.0 for rep in reports)
+
 
 def test_small_drive_at_the_bottom_of_the_omega0_range():
     # Lambda*omega0**2 = 2.25e-325 underflows to 0, yet e = Lambda (omega0/beta)**2
@@ -257,6 +276,10 @@ class TestTransitionWeights:
             assert len(tw.weights) == 51 and tw.weights[0] == 1.0
             assert np.all(tw.weights[1:] == 0.0)
             assert tw.tail_bound == 0.0
+
+    def test_default_tail_edge(self):
+        # the docstring's edge of the default n_max = 200: tail below 1e-12 up to R = 0.86
+        assert transition_weights(0.86).tail_bound < 1e-12 < transition_weights(0.87).tail_bound
 
     def test_normalization_with_tail(self):
         tw = transition_weights(0.5, 100)
