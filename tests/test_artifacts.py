@@ -1,15 +1,19 @@
-"""Byte identity of the closed-form CLI artifacts.
+"""Byte identity of the CLI artifacts.
 
 Each invocation in ``artifact_digests.json`` runs in-process through
 ``cli.main``, and its stdout must have the table's byte count and sha256
-digest.  The table covers ``shift``, ``sweep --beta-points 1024`` and
-``figure 1/2/3`` at the defaults, in csv and json, and the same five
-commands as the ``cli_cold`` benchmark workload draws them at seeds 0 and 1.
+digest.  The table covers every command at the defaults: ``modes``,
+``static``, ``shift``, ``sweep --beta-points 1024``, ``figure 1/2/3`` and
+``evolve`` in csv and json, and ``validate``'s stdout; and the seven
+commands but ``validate`` as the ``cli_cold`` benchmark workload draws them
+at seeds 0 and 1.  ``evolve`` and ``validate`` also run in a fresh
+interpreter under OpenBLAS's Prescott kernel, and must print the same bytes
+as under the default kernel.
 
 The digests pin the host the table was made on: the beta grids call libm
-``pow``, and the integrating commands, once listed, read numpy's ``exp``,
-``sin`` and ``cos``.  The table records the glibc and numpy versions it was
-made with, and a mismatch names any that differ from this host's.
+``pow``, and ``evolve`` reads numpy's ``exp``, ``sin`` and ``cos``.  The
+table records the glibc and numpy versions it was made with, and a mismatch
+names any that differ from this host's.
 
 A change that moves an artifact on purpose rewrites the digests in the same
 diff and says so; an invocation is added as a name and an argv in the table
@@ -22,7 +26,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,18 +59,36 @@ def _record(data: bytes) -> dict:
 _table = json.loads(TABLE.read_text())
 
 
-@pytest.mark.parametrize("name", list(_table["artifacts"]))
-def test_artifact_bytes_match_the_table(name):
+def _check(name, data, kernel=""):
     entry = _table["artifacts"][name]
-    got = _record(artifact(entry["argv"]))
+    got = _record(data)
     if got != {"bytes": entry["bytes"], "sha256": entry["sha256"]}:
         differ = [f"{lib} {ver} (table: {_table['host'][lib]})"
                   for lib, ver in host_versions().items() if ver != _table["host"][lib]]
         pytest.fail(
-            f"{' '.join(entry['argv'])}: {got['bytes']} bytes, sha256 {got['sha256']}; "
+            f"{' '.join(entry['argv'])}{kernel}: {got['bytes']} bytes, sha256 {got['sha256']}; "
             f"the table has {entry['bytes']} bytes, sha256 {entry['sha256']}; "
             + (f"this host differs from the table's: {', '.join(differ)}" if differ else
                "this host has the table's glibc and numpy, so the artifact changed"))
+
+
+@pytest.mark.parametrize("name", list(_table["artifacts"]))
+def test_artifact_bytes_match_the_table(name):
+    _check(name, artifact(_table["artifacts"][name]["argv"]))
+
+
+def test_bytes_do_not_depend_on_blas_kernel():
+    # the integrator makes no BLAS call, and validate's one LAPACK call
+    # (eigvalsh) prints the same residue under either kernel; a numpy on
+    # another BLAS ignores the variable
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name in ("evolve.csv", "validate"):
+        proc = subprocess.run([sys.executable, "-m", "pairpulse.cli", *_table["artifacts"][name]["argv"]],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        _check(name, proc.stdout, " under OPENBLAS_CORETYPE=Prescott")
 
 
 if __name__ == "__main__":
