@@ -27,10 +27,10 @@ loaded, ``main`` sets ``OPENBLAS_NUM_THREADS=1`` where the variable is unset,
 because starting OpenBLAS's thread pool now and then stalled the call by ~1 s.
 One ``%``-template formats every CSV row of a table.
 
-modes, shift, sweep and figure need only ``closed_form`` and never import
-numpy, which is most of a cold start, nor ``dataclasses`` and ``inspect``;
-their grids are pure Python.  static, evolve and validate import the numpy
-modules inside their handlers.
+modes, static, shift, sweep and figure need only ``closed_form`` and never
+import numpy, which is most of a cold start, nor ``dataclasses`` and
+``inspect``; their grids are pure Python.  evolve and validate import the
+numpy modules inside their handlers.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from .closed_form import (
     check_admissible,
     derive_modes,
     energy_shift_report,
+    entropies,
+    occupation_spectrum,
     sign_effect_rows,
 )
 
@@ -216,14 +218,12 @@ def _cmd_modes(cfg: dict) -> None:
 
 
 def _cmd_static(cfg: dict) -> None:
-    from .model import entropies, occupation_spectrum
-
     m = _model(cfg)
     k_max = 40
     spec = occupation_spectrum(m, k_max)
     ent = entropies(spec, renyi_orders=(2.0,))
     columns = ["k", "occupation"]
-    rows = [(int(k), float(p)) for k, p in enumerate(spec.weights)]
+    rows = list(enumerate(spec.weights))
     rows.append(("tail", spec.tail_mass))
     rows.append(("S_vN", ent.von_neumann))
     rows.append(("S_2", ent.renyi[0]))

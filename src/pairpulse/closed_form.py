@@ -1,20 +1,20 @@
-"""The closed-form chain, from the model's two mode frequencies to the shifts.
+"""Every scalar formula of the model, from its two mode frequencies to the shifts.
 
 The Hamiltonian separates into a center-of-mass mode at ``omega1 = omega0``
-and a relative mode at ``omega2 = omega0*sqrt(1-2*lam)``.  Under a sech^2
-pulse each mode reflects with a closed-form coefficient ``R``, and every
-asymptotic shift, total and overlap follows from the two ``R`` values.  This
-module holds that chain: the model constants, the pulse, the reflection,
-the shift totals and the sign-effect rows.  It imports ``math``, ``sys``,
-``operator`` and ``typing`` and nothing else, so the commands that only need
-the closed form start without numpy, and without ``dataclasses``, whose
-``inspect`` import costs more than the module's own code; ``ModelParams`` and
-``Pulse`` are written out by hand.  So are the two sweeps behind the
-figures, ``energy_shift_report`` and ``sign_effect_rows``: they name each
-frequency and shift around one kernel call, as generic getters and maps
-cost a quarter of a report.  The array code (one-matrix, spectra,
-integrator) lives in ``model``, ``dynamics``, ``observables`` and
-``collision``.
+and a relative mode at ``omega2 = omega0*sqrt(1-2*lam)``.  This module holds
+their closed forms: the model constants, the one-matrix's geometric
+occupations ``(1-Z) Z^k`` and their entropies, the pulse, the reflection
+coefficient ``R`` of each mode under a sech^2 pulse, and the shift totals,
+overlaps and sign-effect rows that follow from the ``R`` values.  It imports
+``math``, ``sys``, ``operator`` and ``typing`` and nothing else, so the
+commands that only need the closed form start without numpy, and without
+``dataclasses``, whose ``inspect`` import costs more than the module's own
+code; ``ModelParams`` and ``Pulse`` are written out by hand.  So are the two
+sweeps behind the figures, ``energy_shift_report`` and ``sign_effect_rows``:
+they name each frequency and shift around one kernel call, as generic
+getters and maps cost a quarter of a report.  Only the array code (grids,
+integrator, dense reads, ladders) imports numpy, in ``model``,
+``dynamics``, ``observables`` and ``collision``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ __all__ = [
     "ModeSet",
     "derive_modes",
     "mode_frequencies",
+    "OccupationSpectrum",
+    "occupation_spectrum",
+    "Entropies",
+    "entropies",
     "IonizationRegimeError",
     "Pulse",
     "ReflectionResult",
@@ -244,6 +248,80 @@ def mode_frequencies(modes: ModeSet, kind: str) -> tuple[float, float]:
     if frequencies is None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     return frequencies(modes)
+
+
+class OccupationSpectrum(NamedTuple):
+    """Geometric occupation spectrum P_k = (1-Z) Z^k, k = 0..k_max.
+
+    ``k_max`` is ``len(weights) - 1``.  ``tail_mass`` is the exact geometric
+    remainder Z**(k_max+1), so ``sum(weights) + tail_mass == 1`` analytically.
+    """
+
+    Z: float
+    weights: tuple[float, ...]
+    tail_mass: float
+
+    def total(self) -> float:
+        return math.fsum((*self.weights, self.tail_mass))
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; rejects one that is not a finite integer >= minimum.
+
+    Integral floats and numpy integers pass.
+    """
+    if not (math.isfinite(value) and value >= minimum and value == int(value)):
+        raise ValueError(f"{name} must be a finite integer >= {minimum}, got {value}")
+    return int(value)
+
+
+def occupation_spectrum(modes: ModeSet, k_max: int) -> OccupationSpectrum:
+    """Natural-orbital occupation numbers of the static one-matrix."""
+    Z = modes.Z
+    if not (0.0 <= Z < 1.0):
+        raise ValueError(f"geometric ratio must lie in [0, 1), got {Z}")
+    k_max = _check_count("k_max", k_max, 0)
+    weights = tuple([(1.0 - Z) * Z ** k for k in range(k_max + 1)])
+    return OccupationSpectrum(Z=Z, weights=weights, tail_mass=Z ** (k_max + 1))
+
+
+class Entropies(NamedTuple):
+    """Occupation entropies of one spectrum (natural logarithms)."""
+
+    von_neumann: float
+    renyi: tuple[float, ...]
+
+
+def entropies(spectrum: OccupationSpectrum, renyi_orders=()) -> Entropies:
+    """Von Neumann and Renyi entropies of a geometric occupation spectrum.
+
+    Uses the closed geometric-series forms (exact, no truncation bias):
+
+        S    = -ln(1-Z) - Z ln(Z) / (1-Z)
+        S_q  = [q ln(1-Z) - ln(1 - Z^q)] / (1-q),   q > 0, q != 1
+
+    Raises for non-finite, non-positive or unit Renyi orders and for spectra
+    that are not normalized within tail tolerance.
+    """
+    if abs(spectrum.total() - 1.0) > 1e-9:
+        raise ValueError("occupation spectrum is not normalized within tolerance")
+    Z = spectrum.Z
+    if Z == 0.0:
+        svn = 0.0
+    else:
+        svn = -math.log1p(-Z) - Z * math.log(Z) / (1.0 - Z)
+    out = []
+    for q in renyi_orders:
+        if not (math.isfinite(q) and q > 0):
+            raise ValueError(f"Renyi order must be finite and > 0, got {q}")
+        if abs(q - 1.0) < 1e-12:
+            raise ValueError("Renyi order q = 1 is the von Neumann limit; use that field")
+        if Z == 0.0:
+            out.append(0.0)
+        else:
+            # 1 - Z^q via expm1 keeps precision for small q*ln(Z).
+            out.append((q * math.log1p(-Z) - math.log(-math.expm1(q * math.log(Z)))) / (1.0 - q))
+    return Entropies(von_neumann=svn, renyi=tuple(out))
 
 
 def _check_beta(beta: float) -> None:

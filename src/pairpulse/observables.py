@@ -27,10 +27,10 @@ from .closed_form import (
     overlap,
     sudden_shift,
     total_shift,
+    _check_count,
     _check_mode_frequency,
 )
 from .dynamics import Trajectory, omega_squared
-from .model import _check_count
 
 __all__ = [
     "TransitionWeights",

@@ -56,7 +56,7 @@ def check_mehler_reconstruction(models):
     for m in models:
         x, _ = _grid(m, 200)
         orbitals = np.array([model.natural_orbital(m, k, x) for k in range(41)])
-        weights = model.occupation_spectrum(m, 40).weights
+        weights = np.asarray(model.occupation_spectrum(m, 40).weights)
         recon = np.einsum("ki,kj->ij", orbitals * weights[:, None], orbitals)
         errs.append(np.max(np.abs(recon - model.gamma1_static(m, x[:, None], x[None, :]))))
     err = float(np.max(errs))
@@ -82,7 +82,7 @@ def check_partial_trace(models):
 def check_trace_identity(m, k_max):
     """Purity: the squared occupations sum to omega_d / omega_w."""
     spec = model.occupation_spectrum(m, k_max)
-    err = abs(float(np.sum(spec.weights**2)) - m.omega_d / m.omega_w)
+    err = abs(float(np.sum(np.asarray(spec.weights)**2)) - m.omega_d / m.omega_w)
     return err < 1e-10, f"|sum P_k^2 - omega_d/omega_w| = {err:.2e}"
 
 
@@ -92,7 +92,7 @@ def check_spectral_oracle(models):
     for m in models:
         x, dx = _grid(m, 400)
         eigs = np.linalg.eigvalsh(model.gamma1_static(m, x[:, None], x[None, :]) * dx)[::-1]
-        errs.append(np.max(np.abs(eigs[:11] - model.occupation_spectrum(m, 10).weights)))
+        errs.append(np.max(np.abs(eigs[:11] - np.asarray(model.occupation_spectrum(m, 10).weights))))
     err = float(np.max(errs))
     return err < 1e-6, f"max |eig - P_k| = {err:.2e} for k <= 10"
 

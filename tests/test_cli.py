@@ -574,7 +574,8 @@ import json
 print(json.dumps(report))
 """
 
-NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "1"], ["figure", "2"], ["figure", "3"], ["sweep"]]
+NUMPY_FREE_COMMANDS = [["modes"], ["shift"], ["figure", "1"], ["figure", "2"], ["figure", "3"], ["sweep"],
+                       ["static"]]
 
 
 def _fresh_env(unset=()):

@@ -27,7 +27,8 @@ from pairpulse.dynamics import (
     snapshot_series,
     trajectory_table,
 )
-from pairpulse.model import gamma1_static, occupation_spectrum
+from pairpulse.closed_form import occupation_spectrum
+from pairpulse.model import gamma1_static
 
 from conftest import BETA, BETA_GRID, LAMBDA, MODE_GRID, OMEGA0, mp_rho
 

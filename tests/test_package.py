@@ -18,16 +18,16 @@ MODULES = ["pairpulse", *(f"pairpulse.{m.name}" for m in pkgutil.iter_modules(pa
 # The package's exports, in order: __version__, then each module's __all__.
 PACKAGE_ALL = [
     "__version__", "KINDS", "LAMBDA_MAX", "ModelParams", "ModeSet", "derive_modes",
-    "mode_frequencies", "IonizationRegimeError", "Pulse", "ReflectionResult",
-    "check_admissible", "analytic_reflection", "EnergyShiftReport", "SuddenShift",
-    "total_shift", "energy_shift_report", "born_shift", "sudden_shift", "overlap",
-    "sign_effect_rows", "MAX_ORBITAL_INDEX", "OccupationSpectrum", "Entropies",
-    "gamma1_static", "density", "occupation_spectrum", "natural_orbital", "entropies",
-    "model_wavefunction", "Trajectory", "OneMatrixSnapshot", "SnapshotSeries", "envelope",
-    "omega_squared", "integrate_mode", "extract_reflection", "onematrix_snapshot",
-    "snapshot_series", "effective_potential", "energy_expectation_ks", "continuity_residual",
-    "trajectory_table", "TransitionWeights", "transition_weights", "statistical_shift",
-    "berry_connection", "sign_effect_ratio",
+    "mode_frequencies", "OccupationSpectrum", "occupation_spectrum", "Entropies", "entropies",
+    "IonizationRegimeError", "Pulse", "ReflectionResult", "check_admissible",
+    "analytic_reflection", "EnergyShiftReport", "SuddenShift", "total_shift",
+    "energy_shift_report", "born_shift", "sudden_shift", "overlap", "sign_effect_rows",
+    "MAX_ORBITAL_INDEX", "gamma1_static", "density", "natural_orbital", "model_wavefunction",
+    "Trajectory", "OneMatrixSnapshot", "SnapshotSeries", "envelope", "omega_squared",
+    "integrate_mode", "extract_reflection", "onematrix_snapshot", "snapshot_series",
+    "effective_potential", "energy_expectation_ks", "continuity_residual", "trajectory_table",
+    "TransitionWeights", "transition_weights", "statistical_shift", "berry_connection",
+    "sign_effect_ratio",
 ]
 PACKAGE_MODULES = ["closed_form", "model", "dynamics", "observables", "collision"]
 # The public classes that are not NamedTuples: the exception, the two inputs,
