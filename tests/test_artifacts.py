@@ -6,9 +6,8 @@ digest.  The table covers every command at the defaults: ``modes``,
 ``static``, ``shift``, ``sweep --beta-points 1024``, ``figure 1/2/3`` and
 ``evolve`` in csv and json, and ``validate``'s stdout; and the seven
 commands but ``validate`` as the ``cli_cold`` benchmark workload draws them
-at seeds 0 and 1.  ``evolve`` and ``validate`` also run in a fresh
-interpreter under OpenBLAS's Prescott kernel, and must print the same bytes
-as under the default kernel.
+at seeds 0 and 1.  That ``evolve`` and ``validate`` print the same bytes
+under OpenBLAS's Prescott kernel is checked in ``test_cli.py``.
 
 The digests pin the host the table was made on: the beta grids call libm
 ``pow``, and ``evolve`` reads numpy's ``exp``, ``sin`` and ``cos``.  The
@@ -26,10 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +55,14 @@ def _record(data: bytes) -> dict:
 _table = json.loads(TABLE.read_text())
 
 
-def _check(name, data, kernel=""):
+def _check(name, data):
     entry = _table["artifacts"][name]
     got = _record(data)
     if got != {"bytes": entry["bytes"], "sha256": entry["sha256"]}:
         differ = [f"{lib} {ver} (table: {_table['host'][lib]})"
                   for lib, ver in host_versions().items() if ver != _table["host"][lib]]
         pytest.fail(
-            f"{' '.join(entry['argv'])}{kernel}: {got['bytes']} bytes, sha256 {got['sha256']}; "
+            f"{' '.join(entry['argv'])}: {got['bytes']} bytes, sha256 {got['sha256']}; "
             f"the table has {entry['bytes']} bytes, sha256 {entry['sha256']}; "
             + (f"this host differs from the table's: {', '.join(differ)}" if differ else
                "this host has the table's glibc and numpy, so the artifact changed"))
@@ -75,20 +71,6 @@ def _check(name, data, kernel=""):
 @pytest.mark.parametrize("name", list(_table["artifacts"]))
 def test_artifact_bytes_match_the_table(name):
     _check(name, artifact(_table["artifacts"][name]["argv"]))
-
-
-def test_bytes_do_not_depend_on_blas_kernel():
-    # the integrator makes no BLAS call, and validate's one LAPACK call
-    # (eigvalsh) prints the same residue under either kernel; a numpy on
-    # another BLAS ignores the variable
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    for name in ("evolve.csv", "validate"):
-        proc = subprocess.run([sys.executable, "-m", "pairpulse.cli", *_table["artifacts"][name]["argv"]],
-                              env=env, capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        _check(name, proc.stdout, " under OPENBLAS_CORETYPE=Prescott")
 
 
 if __name__ == "__main__":

@@ -81,6 +81,18 @@ class TestEvolveCommand:
         assert first[2] == pytest.approx(1.0, abs=1e-10)
         assert first[3] == pytest.approx(0.0, abs=1e-10)
 
+    def test_bytes_do_not_depend_on_blas_kernel(self):
+        # the integrator makes no BLAS call, so OpenBLAS's kernel choice (FMA
+        # or not) cannot reach the output; a numpy on another BLAS ignores
+        # the variable and the two runs match trivially
+        outputs = []
+        for env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run([sys.executable, "-m", "pairpulse.cli", "evolve"],
+                                  env={**_fresh_env(), **env}, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
 
 class TestShiftCommand:
     def test_report_row(self, tmp_path):
@@ -407,6 +419,17 @@ class TestValidateCommand:
         statuses, summary = _validate_rows(capsys.readouterr().out)
         assert statuses == ["PASS"] * index + ["FAIL"] + ["PASS"] * (13 - index)
         assert summary == "13/14 checks passed"
+
+    def test_stdout_does_not_depend_on_blas_kernel(self):
+        # the printed sums are einsum loops, not BLAS (the spectral oracle's
+        # eigvalsh is LAPACK's); a numpy on another BLAS ignores the variable
+        outputs = []
+        for env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run([sys.executable, "-m", "pairpulse.cli", "validate"],
+                                  env={**_fresh_env(), **env}, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_library_run_under_default_blas_threading(self):
         # tier-1 and the CLI run numpy on one OpenBLAS thread; a library caller
