@@ -190,7 +190,7 @@ def _check_budget(om: float, pulse: Pulse, n: float) -> None:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Trajectory:
     """Integrated width scale of one mode under one pulse.
 
@@ -447,7 +447,7 @@ def onematrix_snapshot(
     return OneMatrixSnapshot(*values)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SnapshotSeries:
     """One-matrix snapshots on a uniform time grid for stencil derivatives.
 

@@ -1,10 +1,13 @@
 import os
+import sys
 
 # One OpenBLAS thread unless the caller chose a count, as the CLI pins it:
 # the default pool's first eigvalsh can stall for ~1 s.  OpenBLAS reads the
 # variable once, when numpy loads, so this comes first.  Subprocesses inherit
 # it; test_cli's library-threading and validate-probe tests unset it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# No test needs scipy: an import of it, by src/ or a test, raises ImportError.
+sys.modules["scipy"] = None
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

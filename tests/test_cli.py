@@ -534,8 +534,8 @@ class TestGrids:
             assert [grid[i] for i in differ] == [float(mpmath.mpf(10) ** ys[i]) for i in differ]
 
 
-# The import contracts, checked in fresh interpreters: this test process has
-# already imported numpy and scipy.  The probe loads the package and the
+# The import contracts, checked in fresh interpreters: this test process has already
+# imported numpy, and conftest blocks scipy.  The probe loads the package and the
 # closed-form exports, then runs the CLI commands given as its arguments, each
 # one argument with its words joined by tabs, and records after each one
 # whether numpy and json are loaded, which scipy modules are, and the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -15,6 +16,7 @@ from pairpulse.dynamics import (
     MAX_STEPS,
     _propagators,
     OneMatrixSnapshot,
+    SnapshotSeries,
     Trajectory,
     continuity_residual,
     effective_potential,
@@ -288,42 +290,58 @@ class TestMagnusStep:
                                            rtol=1e-13, atol=1e-14)
 
 
-def _dop853_solution(trajs):
-    """scipy's DOP853 dense output at rtol 1e-13, atol 1e-15 for trajs, as a
-    function of the time s in [0, 1] that maps onto each window.
+def _exact_states(traj, times):
+    """(B, Bdot, gamma mod 2 pi) of the exact solution of traj's mode equation.
 
-    An oracle that shares no code with the Magnus path: the real 5-component
-    form of the mode equation, with its own sech^2 envelope and the phase
-    rate Omega0/B^2 as a quadrature.  All trajectories are integrated as one
-    system in s, so one call serves the whole grid.  DOP853 bounds the RMS of
-    the scaled error over all components, so one trajectory's share may
-    exceed the tolerance by at most sqrt(5 * len(trajs)).
+    An oracle that shares no code with the Magnus path, from the Poschl-Teller
+    problem (Landau & Lifshitz, QM section 25, problem 4).  With alpha = 2 beta,
+    kappa = Omega0/alpha, s (s + 1) = Lambda omega0^2 / alpha^2 and
+    z = 1/(1 + exp(-2 alpha t)), so that dz/dt = 2 alpha z (1 - z), the solution
+    that is exp(i Omega0 t) before the pulse is xi = conj(g), with
+    g = (z (1 - z))^(-i kappa/2) 2F1(-i kappa - s, -i kappa + s + 1; 1 - i kappa; z).
+    As z -> 1, 2F1 loses about 2 alpha t / ln 10 digits, which the working
+    precision adds back.  For |t| >= t1 the envelope is below 1e-20: before the
+    pulse xi = exp(i Omega0 t), after it the free oscillation from t1.
     """
-    from scipy.integrate import solve_ivp
+    mpmath = pytest.importorskip("mpmath")
+    om, beta, pulse = traj.mode_frequency, traj.pulse.beta, traj.pulse
+    t1 = math.acosh(1e10) / (2.0 * beta)
 
-    om, start, span, coupling, beta, center = np.array([
-        (tr.mode_frequency, tr.t_start, tr.t_end - tr.t_start, tr.pulse.coupling,
-         tr.pulse.beta, tr.pulse.t0) for tr in trajs
-    ]).T
+    def exact(t):
+        with mpmath.workdps(20 + 4.0 * beta * max(t, 0.0) / math.log(10.0)):
+            alpha, kappa = 2 * mpmath.mpf(beta), mpmath.mpf(om) / (2 * mpmath.mpf(beta))
+            s = (mpmath.sqrt(1 + mpmath.mpf(pulse.Lambda) * (mpmath.mpf(pulse.omega0) / beta) ** 2) - 1) / 2
+            a, b, c = -1j * kappa - s, -1j * kappa + s + 1, 1 - 1j * kappa
+            e = mpmath.exp(-2 * alpha * mpmath.mpf(t))
+            z, zc = 1 / (1 + e), e / (1 + e)  # z and 1 - z without cancellation
+            phase = mpmath.exp(-0.5j * kappa * mpmath.log(z * zc))
+            F = mpmath.hyp2f1(a, b, c, z)
+            dF = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
+            dg = phase * (-1j * om * (zc - z) * F + 2 * alpha * z * zc * dF)
+            return complex(mpmath.conj(phase * F)), complex(mpmath.conj(dg))
 
-    def rhs(s, y):
-        re, im, red, imd, _ = y.reshape(5, -1)
-        o2 = om * om + coupling / np.cosh(2.0 * beta * (start + s * span - center)) ** 2
-        return (span * np.stack([red, imd, -o2 * re, -o2 * im, om / (re * re + im * im)])).ravel()
+    times = np.asarray(times, dtype=float)
+    xi = np.exp(1j * om * times)
+    dxi = 1j * om * xi
+    for i in np.flatnonzero(np.abs(times) < t1):
+        xi[i], dxi[i] = exact(times[i])
+    after = times >= t1
+    if after.any():
+        x1, d1 = exact(t1)
+        c, s = np.cos(om * (times[after] - t1)), np.sin(om * (times[after] - t1))
+        xi[after], dxi[after] = x1 * c + d1 / om * s, d1 * c - om * x1 * s
+    B = np.abs(xi)
+    return B, (xi.conj() * dxi).real / B, np.angle(xi) % (2.0 * np.pi)
 
-    c, s = np.cos(om * start), np.sin(om * start)
-    y0 = np.concatenate([c, s, -om * s, om * c, om * start])
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-15,
-                    dense_output=True)
-    assert sol.success, sol.message
-    return sol.sol
 
-
-def _dop853_states(trajs, s):
-    """(B, Bdot, gamma) of each trajectory at the normalized times s."""
-    re, im, red, imd, gamma = _dop853_solution(trajs)(s).reshape(5, len(trajs), -1)
-    B = np.hypot(re, im)
-    return B, (re * red + im * imd) / B, gamma
+def _assert_exact(traj, times, got):
+    """got = traj.state_at(times) holds B, Bdot and gamma mod 2 pi within 1e-8 of
+    _exact_states, and gamma itself within 1e-8 of Omega0 t before the pulse."""
+    d = np.array(got) - _exact_states(traj, times)
+    d[2] = (d[2] + np.pi) % (2.0 * np.pi) - np.pi
+    before = times <= -math.acosh(1e10) / (2.0 * traj.pulse.beta)
+    worst = [*np.max(np.abs(d), axis=1), np.max(np.abs(got[2] - traj.mode_frequency * times)[before])]
+    assert max(worst) < 1e-8, f"max |Magnus - exact| of B, Bdot, gamma mod 2 pi, gamma before: {worst}"
 
 
 class TestDenseOutput:
@@ -338,61 +356,31 @@ class TestDenseOutput:
         ids=["reference-mode1", "reference-mode2", "beta0.12", "negative-Lambda"],
     )
     def test_state_at_equals_scipy_dense_output(self, mode_frequency, Lambda, beta, tol):
+        # against _exact_states (the name predates it): every free point of the
+        # 2001-point grid, the ends, 24 nodes and 24 random times inside +-t1
         traj = integrate_mode(mode_frequency, Pulse(Lambda, beta, OMEGA0), *tol)
-        rng = np.random.default_rng(7)
-        times = np.concatenate(
-            [
-                np.linspace(traj.t_start, traj.t_end, 2001),
-                traj.t,  # every node
-                [traj.t_start, traj.t_end],
-                rng.uniform(traj.t_start, traj.t_end, 1000),
-            ]
-        )
+        t1 = math.acosh(1e10) / (2.0 * beta)
+        grid, nodes = np.linspace(traj.t_start, traj.t_end, 2001), traj.t[np.abs(traj.t) < t1]
+        times = np.concatenate([grid[np.abs(grid) >= t1], [traj.t_start, traj.t_end],
+                                nodes[:: -(-len(nodes) // 24)], np.random.default_rng(7).uniform(-t1, t1, 24)])
         got = traj.state_at(times)
-        want = _dop853_states([traj], (times - traj.t_start) / (traj.t_end - traj.t_start))
-        for name, g, w in zip(("B", "Bdot", "gamma"), got, want):
-            worst = float(np.max(np.abs(g - w[0])))
-            assert worst < 1e-8, f"{name}: max |Magnus - DOP853 dense output| = {worst:.2e}"
-        for i in list(range(0, len(times), 41)) + [2001, len(times) - 1000 - 1]:
+        _assert_exact(traj, times, got)
+        for i in list(range(0, len(times), 41)) + [len(times) - 1]:
             scalar = traj.state_at(float(times[i]))
             assert all(type(v) is np.float64 for v in scalar)
             assert scalar == tuple(column[i] for column in got)
 
-    def test_reads_do_not_call_scipy(self, modes_ref, pulse_ref, x_grid_ref, monkeypatch):
-        import sys
-
-        from scipy.integrate import DenseOutput, OdeSolution
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("integration or dense read went through scipy")
-
-        monkeypatch.setattr(OdeSolution, "__call__", forbidden)
-        monkeypatch.setattr(DenseOutput, "__call__", forbidden)
-        # an import of scipy from here on raises ImportError
-        for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]:
-            monkeypatch.setitem(sys.modules, name, None)
-
-        t1 = integrate_mode(modes_ref.omega1, pulse_ref)
-        t2 = integrate_mode(modes_ref.omega2, pulse_ref)
-        assert trajectory_table(t1).shape == (2001, 4)
-        series = snapshot_series(modes_ref, t1, t2, -0.5, 0.5)
-        assert len(series.snapshots) == len(series.times)
-        assert continuity_residual(modes_ref, t1, t2, 0.1, x_grid_ref) < 1e-6
-        assert extract_reflection(t1).R == pytest.approx(
-            analytic_reflection(t1.mode_frequency, pulse_ref).R, abs=1e-8
-        )
-
     def test_state_at_matches_dop853_oracle(self):
-        # the 50-point acceptance grid at the default tolerances
-        trajs = [
-            integrate_mode(om, Pulse(sign * LAMBDA, beta, OMEGA0))
-            for sign in (1.0, -1.0) for beta in BETA_GRID for om in MODE_GRID
-        ]
-        want = _dop853_states(trajs, np.linspace(0.0, 1.0, 2001))
-        got = [traj.state_at(np.linspace(traj.t_start, traj.t_end, 2001)) for traj in trajs]
-        for name, g, w in zip(("B", "Bdot", "gamma"), zip(*got), want):
-            worst = float(np.max(np.abs(np.array(g) - w)))
-            assert worst < 1e-8, f"{name}: max |Magnus - DOP853| = {worst:.2e}"
+        # the 50-point acceptance grid at the default tolerances, against
+        # _exact_states (the name predates it): 4 free times, 8 inside +-t1 each
+        rng = np.random.default_rng(29)
+        for sign in (1.0, -1.0):
+            for beta in BETA_GRID:
+                t1 = math.acosh(1e10) / (2.0 * beta)
+                for om in MODE_GRID:
+                    traj = integrate_mode(om, Pulse(sign * LAMBDA, beta, OMEGA0))
+                    times = np.array([traj.t_start, -t1, t1, traj.t_end, *rng.uniform(-t1, t1, 8)])
+                    _assert_exact(traj, times, traj.state_at(times))
 
     def test_scalar_reads_are_numpy_scalars(self, traj_pair_ref):
         traj = traj_pair_ref[0]
@@ -402,6 +390,14 @@ class TestDenseOutput:
             got = traj.state_at(t)
             assert all(type(v) is np.float64 for v in got)
             assert got == tuple(column[i] for column in table)
+
+    def test_trajectory_and_series_are_frozen(self, modes_ref, pulse_ref):
+        # a changed t_end would also change what extract_reflection checks
+        traj = Trajectory(OMEGA0, pulse_ref, np.zeros(1), 0.0, 0.0, np.zeros((4, 1)))
+        series = SnapshotSeries(modes_ref, pulse_ref, np.zeros(1), [], 1.0)
+        for obj, name in ((traj, "t_end"), (traj, "state"), (series, "spacing"), (series, "snapshots")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 5.0)
 
 
 class TestExtractReflection:
