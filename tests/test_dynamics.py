@@ -34,6 +34,8 @@ from pairpulse.model import gamma1_static
 
 from conftest import BETA, BETA_GRID, LAMBDA, MODE_GRID, OMEGA0, mp_rho
 
+_FREE = math.acosh(1e10)  # the envelope is below 1e-20 where 2 beta |t| > _FREE
+
 
 def _invariant(traj, t):
     """K = (1/4 B^2) [1 + (B Bdot / Omega0)^2 + B^4], (1/2)(1+R)/(1-R) once the pulse is off."""
@@ -305,11 +307,11 @@ def _exact_states(traj, times):
     """
     mpmath = pytest.importorskip("mpmath")
     om, beta, pulse = traj.mode_frequency, traj.pulse.beta, traj.pulse
-    t1 = math.acosh(1e10) / (2.0 * beta)
+    t1 = _FREE / (2.0 * beta)
 
     def exact(t):
         with mpmath.workdps(20 + 4.0 * beta * max(t, 0.0) / math.log(10.0)):
-            alpha, kappa = 2 * mpmath.mpf(beta), mpmath.mpf(om) / (2 * mpmath.mpf(beta))
+            alpha, kappa = 2 * mpmath.mpf(beta), mpmath.mpf(om) / (2.0 * beta)
             s = (mpmath.sqrt(1 + mpmath.mpf(pulse.Lambda) * (mpmath.mpf(pulse.omega0) / beta) ** 2) - 1) / 2
             a, b, c = -1j * kappa - s, -1j * kappa + s + 1, 1 - 1j * kappa
             e = mpmath.exp(-2 * alpha * mpmath.mpf(t))
@@ -320,16 +322,14 @@ def _exact_states(traj, times):
             dg = phase * (-1j * om * (zc - z) * F + 2 * alpha * z * zc * dF)
             return complex(mpmath.conj(phase * F)), complex(mpmath.conj(dg))
 
-    times = np.asarray(times, dtype=float)
     xi = np.exp(1j * om * times)
     dxi = 1j * om * xi
     for i in np.flatnonzero(np.abs(times) < t1):
         xi[i], dxi[i] = exact(times[i])
+    x1, d1 = exact(t1)
     after = times >= t1
-    if after.any():
-        x1, d1 = exact(t1)
-        c, s = np.cos(om * (times[after] - t1)), np.sin(om * (times[after] - t1))
-        xi[after], dxi[after] = x1 * c + d1 / om * s, d1 * c - om * x1 * s
+    c, s = np.cos(om * (times[after] - t1)), np.sin(om * (times[after] - t1))
+    xi[after], dxi[after] = x1 * c + d1 / om * s, d1 * c - om * x1 * s
     B = np.abs(xi)
     return B, (xi.conj() * dxi).real / B, np.angle(xi) % (2.0 * np.pi)
 
@@ -339,7 +339,7 @@ def _assert_exact(traj, times, got):
     _exact_states, and gamma itself within 1e-8 of Omega0 t before the pulse."""
     d = np.array(got) - _exact_states(traj, times)
     d[2] = (d[2] + np.pi) % (2.0 * np.pi) - np.pi
-    before = times <= -math.acosh(1e10) / (2.0 * traj.pulse.beta)
+    before = times <= -_FREE / (2.0 * traj.pulse.beta)
     worst = [*np.max(np.abs(d), axis=1), np.max(np.abs(got[2] - traj.mode_frequency * times)[before])]
     assert max(worst) < 1e-8, f"max |Magnus - exact| of B, Bdot, gamma mod 2 pi, gamma before: {worst}"
 
@@ -359,7 +359,7 @@ class TestDenseOutput:
         # against _exact_states (the name predates it): every free point of the
         # 2001-point grid, the ends, 24 nodes and 24 random times inside +-t1
         traj = integrate_mode(mode_frequency, Pulse(Lambda, beta, OMEGA0), *tol)
-        t1 = math.acosh(1e10) / (2.0 * beta)
+        t1 = _FREE / (2.0 * beta)
         grid, nodes = np.linspace(traj.t_start, traj.t_end, 2001), traj.t[np.abs(traj.t) < t1]
         times = np.concatenate([grid[np.abs(grid) >= t1], [traj.t_start, traj.t_end],
                                 nodes[:: -(-len(nodes) // 24)], np.random.default_rng(7).uniform(-t1, t1, 24)])
@@ -376,7 +376,7 @@ class TestDenseOutput:
         rng = np.random.default_rng(29)
         for sign in (1.0, -1.0):
             for beta in BETA_GRID:
-                t1 = math.acosh(1e10) / (2.0 * beta)
+                t1 = _FREE / (2.0 * beta)
                 for om in MODE_GRID:
                     traj = integrate_mode(om, Pulse(sign * LAMBDA, beta, OMEGA0))
                     times = np.array([traj.t_start, -t1, t1, traj.t_end, *rng.uniform(-t1, t1, 8)])
