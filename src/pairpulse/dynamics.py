@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -126,8 +127,8 @@ def omega_squared(mode_frequency: float, pulse: Pulse, t):
 _GAUSS = np.array([0.5 - 0.1 * math.sqrt(15.0), 0.5, 0.5 + 0.1 * math.sqrt(15.0)])
 
 
-def _propagators(om: float, pulse: Pulse, t, h):
-    """Magnus propagators of (xi, xi') over [t, t + h], elementwise in t and h.
+def _propagators(om, pulse: Pulse, t, h):
+    """Magnus propagators of (xi, xi') over [t, t + h], elementwise in om, t and h.
 
     The 6th-order three-Gauss-point scheme of Blanes, Casas & Ros, BIT 40,
     434 (2000): with A_i = A(t + c_i h),
@@ -201,7 +202,8 @@ class Trajectory:
     ``state_at`` applies the same closed-form Magnus step from the node at
     or below each requested time, for all times in one numpy pass, so it
     reproduces every node exactly and is smooth between them.  Immutable
-    after construction.
+    after construction; ``integrate_mode`` makes ``t`` and ``state``
+    read-only as well.
     """
 
     mode_frequency: float
@@ -219,23 +221,49 @@ class Trajectory:
         ``integrate_mode`` checks, and a read lies inside one step, so that
         angle is the advance itself.  A scalar time gives numpy scalars.
         """
-        t = np.asarray(t, dtype=float)[()]  # a 0-d array becomes a scalar
-        if t.size and not (t.min() >= self.t_start and t.max() <= self.t_end):  # NaN fails
-            raise ValueError(
-                f"time outside trajectory range [{self.t_start}, {self.t_end}]"
-            )
-        k = np.searchsorted(self.t[1:-1], t, side="right")
-        t_k = self.t[k]
-        u00, u01, u10, u11 = _propagators(self.mode_frequency, self.pulse, t_k, t - t_k)
-        # xi(t) = xi_k z and xi'(t) = xi_k z' with z = u00 + u01 rho,
-        # z' = u10 + u11 rho and rho = xi'_k / xi_k = B'/B + i gamma' at the node.
-        # Real arithmetic only, so that a scalar read equals its array read.
-        B_k, rho_re, rho_im, gamma_k = self.state.take(k, axis=1)
-        z_re, z_im = u00 + u01 * rho_re, u01 * rho_im
-        dz_re, dz_im = u10 + u11 * rho_re, u11 * rho_im
-        z2 = z_re * z_re + z_im * z_im
-        B = B_k * np.sqrt(z2)
-        return B, B * (dz_re * z_re + dz_im * z_im) / z2, gamma_k + np.arctan2(z_im, z_re)
+        B, Bdot, gamma_k, z_re, z_im = _read((self,), np.asarray(t, dtype=float)[()])
+        return B, Bdot, gamma_k + np.arctan2(z_im, z_re)
+
+
+def _read(trajs, t):
+    """Read trajectories integrated under one pulse at the times t, in one Magnus pass.
+
+    Applies the closed-form Magnus step from the node at or below each time.
+    Several trajectories are read at an array t by one ``_propagators`` call
+    over every (trajectory, time) entry, each with its own mode frequency.
+    The step works elementwise, and its hyperbolic branch, decided over all
+    entries at once, is never taken at a read (q = -0 at h = 0 and q > 0
+    while Omega^2 > 0), so each entry has the bits of a read of its
+    trajectory alone.  One trajectory is read at any t, a numpy scalar giving
+    numpy scalars.  Returns B, Bdot, gamma_k and xi(t) / xi_k = z_re + i z_im,
+    trajectory after trajectory along the first axis.
+    """
+    if t.size:
+        lo, hi = (t, t) if t.ndim == 0 else (t.min(), t.max())
+        for traj in trajs:
+            if not (lo >= traj.t_start and hi <= traj.t_end):  # NaN fails
+                raise ValueError(
+                    f"time outside trajectory range [{traj.t_start}, {traj.t_end}]"
+                )
+    ks = [np.searchsorted(traj.t[1:-1], t, side="right") for traj in trajs]
+    if len(trajs) == 1:  # nothing to join, and a scalar read stays on numpy scalars
+        (traj,), (k,) = trajs, ks
+        om, t_k, nodes = traj.mode_frequency, traj.t[k], traj.state.take(k, axis=1)
+    else:
+        t_k = np.concatenate([traj.t[k] for traj, k in zip(trajs, ks)])
+        om = np.array([traj.mode_frequency for traj in trajs]).repeat(t.size).reshape(t_k.shape)
+        nodes = np.concatenate([traj.state.take(k, axis=1) for traj, k in zip(trajs, ks)], 1)
+        t = np.concatenate([t] * len(trajs))
+    u00, u01, u10, u11 = _propagators(om, trajs[0].pulse, t_k, t - t_k)
+    # xi(t) = xi_k z and xi'(t) = xi_k z' with z = u00 + u01 rho,
+    # z' = u10 + u11 rho and rho = xi'_k / xi_k = B'/B + i gamma' at the node.
+    # Real arithmetic only, so that a scalar read equals its array read.
+    B_k, rho_re, rho_im, gamma_k = nodes
+    z_re, z_im = u00 + u01 * rho_re, u01 * rho_im
+    dz_re, dz_im = u10 + u11 * rho_re, u11 * rho_im
+    z2 = z_re * z_re + z_im * z_im
+    B = B_k * np.sqrt(z2)
+    return B, B * (dz_re * z_re + dz_im * z_im) / z2, gamma_k, z_re, z_im
 
 
 def integrate_mode(
@@ -360,6 +388,7 @@ def integrate_mode(
     gamma = np.full(n + 1, om * t_start)
     gamma[1:] += np.cumsum(advance)
     state = np.array([np.sqrt(B2), (x * xd + y * yd) / B2, (x * yd - y * xd) / B2, gamma])
+    nodes.flags.writeable = state.flags.writeable = False
     return Trajectory(
         mode_frequency=om, pulse=pulse, t=nodes, t_start=t_start, t_end=t_end, state=state
     )
@@ -395,7 +424,8 @@ class OneMatrixSnapshot(NamedTuple):
     ``omega_d_t`` is the mode-mixed density frequency, ``D_t`` the pair
     Gaussian exponent, ``alpha_t`` the current coefficient (probability
     current j = x n alpha), and ``Z_t`` the geometric occupation ratio; the
-    mode widths behind them are read with ``Trajectory.state_at``.  The
+    mode widths behind them are read from both trajectories in one Magnus
+    pass, with the step ``Trajectory.state_at`` applies.  The
     kernel Gamma_1(x1, x2, t) is ``gamma1_static`` at omega_d = omega_d_t and
     D = D_t times the phase exp(i alpha_t (x1^2 - x2^2) / 2).  Every
     field is a float for a scalar time and a 1-d numpy array for a 1-d array
@@ -417,10 +447,11 @@ def onematrix_snapshot(
 
     ``traj1``/``traj2`` must be the center-of-mass and relative mode
     trajectories integrated under the same pulse.  ``t`` is a scalar or a
-    1-d array; either way each trajectory is read by one ``state_at`` call and
-    the formulas run once over arrays, so a scalar time gives exactly the
-    element an array holding it would give.  A scalar ``t`` returns float
-    fields: the one-matrix alone, not the mode states it is built from.
+    1-d array; either way both trajectories are read in one Magnus pass, each
+    entry with the bits of its own ``state_at`` read, and the formulas run
+    once over arrays, so a scalar time gives exactly the element an array
+    holding it would give.  A scalar ``t`` returns float fields: the
+    one-matrix alone, not the mode states it is built from.
     """
     if traj1.pulse != traj2.pulse:
         raise ValueError("trajectories were not integrated under the same pulse")
@@ -432,8 +463,8 @@ def onematrix_snapshot(
         raise ValueError("trajectories do not match the model mode frequencies")
     t = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t)
-    B1, B1d, _ = traj1.state_at(ts)
-    B2, B2d, _ = traj2.state_at(ts)
+    B, Bdot, *_ = _read((traj1, traj2), ts)
+    (B1, B2), (B1d, B2d) = B.reshape(2, *ts.shape), Bdot.reshape(2, *ts.shape)
     o1 = w1 / B1**2
     o2 = w2 / B2**2
     od = 2.0 * o1 * o2 / (o1 + o2)
@@ -453,6 +484,7 @@ class SnapshotSeries:
 
     ``snapshots`` lists one scalar OneMatrixSnapshot per entry of ``times`` (its row
     of the array read) for ``effective_potential`` and ``energy_expectation_ks``.
+    ``snapshot_series`` makes ``times`` read-only.
     """
 
     modes: ModeSet
@@ -491,8 +523,8 @@ def snapshot_series(
 
     The spacing min(0.01/omega1, 0.02/beta) keeps the 5-point stencil
     truncation error far below the asymptotic observables.  All times are
-    evaluated by one array ``onematrix_snapshot`` call, that is one
-    ``state_at`` call per trajectory, whose rows become the float snapshots.
+    evaluated by one array ``onematrix_snapshot`` call, that is one Magnus
+    pass over both trajectories, whose rows become the float snapshots.
     The window must lie inside the time range of both trajectories.
     """
     spacing = min(0.01 / modes.omega1, 0.02 / traj1.pulse.beta)
@@ -506,8 +538,11 @@ def snapshot_series(
         )
     n = int(math.floor((t_max - t_min) / spacing)) + 1
     times = t_min + spacing * np.arange(n)
+    times.flags.writeable = False
     table = onematrix_snapshot(modes, traj1, traj2, times)
-    snaps = list(map(OneMatrixSnapshot._make, zip(*(column.tolist() for column in table))))
+    columns = (column.tolist() for column in table)
+    # tuple.__new__ builds each NamedTuple row without a Python frame per row
+    snaps = list(map(tuple.__new__, repeat(OneMatrixSnapshot), zip(*columns)))
     return SnapshotSeries(
         modes=modes, pulse=traj1.pulse, times=times, snapshots=snaps, spacing=spacing
     )
@@ -560,7 +595,8 @@ def continuity_residual(
 
     d_t n uses a 5-point central difference over snapshots; the current
     divergence is evaluated in closed form from the snapshot at t.  All
-    five stencil times are read by one array ``onematrix_snapshot`` call.
+    five stencil times are read by one array ``onematrix_snapshot`` call, one
+    Magnus pass over both trajectories.
 
     The stencil's truncation error grows like (dt * rate)^4, so the default
     step min(5e-3, 0.015 / max(omega1, beta)) follows the fastest of the

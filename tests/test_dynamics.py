@@ -12,9 +12,11 @@ from pairpulse import (
     analytic_reflection,
     derive_modes,
 )
+from pairpulse import dynamics
 from pairpulse.dynamics import (
     MAX_STEPS,
     _propagators,
+    _read,
     OneMatrixSnapshot,
     SnapshotSeries,
     Trajectory,
@@ -344,6 +346,17 @@ def _assert_exact(traj, times, got):
     assert max(worst) < 1e-8, f"max |Magnus - exact| of B, Bdot, gamma mod 2 pi, gamma before: {worst}"
 
 
+@pytest.fixture(scope="module")
+def grid_trajectories():
+    """The acceptance grid's trajectories at the default tolerances, by (sign, beta, Omega0)."""
+    return {
+        (sign, beta, om): integrate_mode(om, Pulse(sign * LAMBDA, beta, OMEGA0))
+        for sign in (1.0, -1.0)
+        for beta in BETA_GRID
+        for om in MODE_GRID
+    }
+
+
 class TestDenseOutput:
     @pytest.mark.parametrize(
         "mode_frequency, Lambda, beta, tol",
@@ -370,7 +383,7 @@ class TestDenseOutput:
             assert all(type(v) is np.float64 for v in scalar)
             assert scalar == tuple(column[i] for column in got)
 
-    def test_state_at_matches_dop853_oracle(self):
+    def test_state_at_matches_dop853_oracle(self, grid_trajectories):
         # the 50-point acceptance grid at the default tolerances, against
         # _exact_states (the name predates it): 4 free times, 8 inside +-t1 each
         rng = np.random.default_rng(29)
@@ -378,7 +391,7 @@ class TestDenseOutput:
             for beta in BETA_GRID:
                 t1 = _FREE / (2.0 * beta)
                 for om in MODE_GRID:
-                    traj = integrate_mode(om, Pulse(sign * LAMBDA, beta, OMEGA0))
+                    traj = grid_trajectories[sign, beta, om]
                     times = np.array([traj.t_start, -t1, t1, traj.t_end, *rng.uniform(-t1, t1, 8)])
                     _assert_exact(traj, times, traj.state_at(times))
 
@@ -398,6 +411,15 @@ class TestDenseOutput:
         for obj, name in ((traj, "t_end"), (traj, "state"), (series, "spacing"), (series, "snapshots")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, 5.0)
+        # and the arrays integrate_mode and snapshot_series store are read-only:
+        # (scaling the last B by 1.01 would move extract_reflection's R by 14%)
+        t1, t2 = (integrate_mode(om, pulse_ref) for om in (modes_ref.omega1, modes_ref.omega2))
+        series = snapshot_series(modes_ref, t1, t2, 0.0, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            t1.state[0, -1] *= 1.01
+        for array in (t1.t, t2.state, series.times):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
 
 
 class TestExtractReflection:
@@ -553,17 +575,98 @@ def traj_pair_free():
 
 
 @pytest.fixture
-def state_at_calls(monkeypatch):
-    """Record the trajectory behind every Trajectory.state_at call."""
+def propagator_calls(monkeypatch):
+    """Record the number of (t, h) entries of every Magnus-propagator call."""
     calls = []
-    original = Trajectory.state_at
+    original = dynamics._propagators
 
-    def counting(self, t):
-        calls.append(self)
-        return original(self, t)
+    def counting(om, pulse, t, h):
+        calls.append(np.size(h))
+        return original(om, pulse, t, h)
 
-    monkeypatch.setattr(Trajectory, "state_at", counting)
+    monkeypatch.setattr(dynamics, "_propagators", counting)
     return calls
+
+
+def _range_error(trajs, t):
+    """The ValueError text of the first trajectory whose own read of t fails."""
+    for traj in trajs:
+        try:
+            traj.state_at(t)
+        except ValueError as error:
+            return str(error)
+    return None
+
+
+class TestPairRead:
+    """One Magnus pass over several trajectories reads each as its own state_at does."""
+
+    @staticmethod
+    def _assert_own_reads(pair, times):
+        B, Bdot, *_ = _read(pair, times)
+        for traj, b, bdot in zip(pair, B.reshape(len(pair), -1), Bdot.reshape(len(pair), -1)):
+            own = traj.state_at(times)
+            assert b.tobytes() == own[0].tobytes() and bdot.tobytes() == own[1].tobytes()
+        # a one-time read of the pair, against each trajectory's scalar read
+        for t in times[:: max(1, len(times) // 8)].tolist():
+            B, Bdot, *_ = _read(pair, np.array([t]))
+            assert (B[0], Bdot[0], B[1], Bdot[1]) == (*pair[0].state_at(t)[:2], *pair[1].state_at(t)[:2])
+
+    def test_grid_pairs_equal_own_reads(self, grid_trajectories):
+        # every mode of the acceptance grid with the next one, so each pair's
+        # t_end differ: nodes of both, the shared ends and random times
+        rng = np.random.default_rng(30)
+        for sign in (1.0, -1.0):
+            for beta in BETA_GRID:
+                row = [grid_trajectories[sign, beta, om] for om in MODE_GRID]
+                for pair in zip(row, row[1:] + row[:1]):
+                    lo, hi = pair[0].t_start, min(traj.t_end for traj in pair)
+                    nodes = np.concatenate([traj.t[::5] for traj in pair])
+                    times = np.concatenate([[lo, hi], nodes[nodes <= hi], rng.uniform(lo, hi, 64)])
+                    self._assert_own_reads(pair, times)
+
+    def test_reference_and_noninteracting_pairs(self, traj_pair_ref, traj_pair_free):
+        # lam = 0 gives both modes the same frequency
+        for pair in (traj_pair_ref, traj_pair_free[1:]):
+            hi = min(traj.t_end for traj in pair)
+            times = np.concatenate([pair[0].t[pair[0].t <= hi], [hi]])
+            self._assert_own_reads(pair, times)
+
+    def test_empty_read(self, modes_ref, traj_pair_ref):
+        B, Bdot, *_ = _read(traj_pair_ref, np.empty(0))
+        assert B.shape == Bdot.shape == (0,)
+        snap = onematrix_snapshot(modes_ref, *traj_pair_ref, np.empty(0))
+        assert all(column.shape == (0,) for column in snap)
+
+    def test_2d_times_keep_their_shape(self, modes_ref, traj_pair_ref):
+        times = np.linspace(-1.0, 2.0, 12)
+        flat = onematrix_snapshot(modes_ref, *traj_pair_ref, times)
+        for column, expected in zip(onematrix_snapshot(modes_ref, *traj_pair_ref, times.reshape(3, 4)), flat):
+            assert column.shape == (3, 4) and column.ravel().tobytes() == expected.tobytes()
+
+    def test_range_errors_match_own_reads(self, grid_trajectories):
+        # a time between the two t_end lies inside one range only
+        for sign in (1.0, -1.0):
+            pair = (grid_trajectories[sign, 1.0, 3.0], grid_trajectories[sign, 1.0, 1.5])
+            between = 0.5 * (pair[0].t_end + pair[1].t_end)
+            for trajs in (pair, pair[::-1]):
+                for bad in (pair[0].t_start - 1.0, between, pair[1].t_end + 1.0,
+                            math.nan, math.inf, -math.inf):
+                    times = np.array([0.0, bad])
+                    expected = _range_error(trajs, times)
+                    assert expected is not None
+                    with pytest.raises(ValueError) as error:
+                        _read(trajs, times)
+                    assert str(error.value) == expected
+
+    def test_snapshot_range_error_text(self, modes_ref, traj_pair_ref):
+        t1, t2 = traj_pair_ref
+        assert t1.t_end < t2.t_end
+        for bad in (t1.t_end + 0.5 * (t2.t_end - t1.t_end), math.nan):
+            for t in (bad, np.array([0.0, bad])):
+                with pytest.raises(ValueError) as error:
+                    onematrix_snapshot(modes_ref, t1, t2, t)
+                assert str(error.value) == f"time outside trajectory range [{t1.t_start}, {t1.t_end}]"
 
 
 class TestOneMatrixSnapshot:
@@ -584,15 +687,13 @@ class TestOneMatrixSnapshot:
             for name in OneMatrixSnapshot._fields:
                 value = getattr(snap, name)
                 assert type(value) is float
-                if name == "t":
-                    assert value == getattr(table, name)[i]
-                else:
-                    assert value == pytest.approx(getattr(table, name)[i], rel=1e-12)
+                assert value == getattr(table, name)[i]
 
-    def test_series_splits_one_array_call(self, modes_ref, traj_pair_ref, state_at_calls):
+    def test_series_splits_one_array_call(self, modes_ref, traj_pair_ref, propagator_calls):
         t1, t2 = traj_pair_ref
         series = snapshot_series(modes_ref, t1, t2, -1.0, 2.0)
-        assert state_at_calls == [t1, t2]
+        # one Magnus pass over both trajectories at every time
+        assert propagator_calls == [2 * len(series.times)]
         table = onematrix_snapshot(modes_ref, t1, t2, series.times)
         assert len(series.snapshots) == len(series.times)
         for i, snap in enumerate(series.snapshots):
@@ -612,12 +713,12 @@ class TestOneMatrixSnapshot:
                 setattr(snap, name, 1.0)
 
     def test_continuity_reads_each_trajectory_once(
-        self, modes_ref, traj_pair_ref, x_grid_ref, state_at_calls
+        self, modes_ref, traj_pair_ref, x_grid_ref, propagator_calls
     ):
+        # one Magnus pass over both trajectories at the five stencil times
         t1, t2 = traj_pair_ref
         continuity_residual(modes_ref, t1, t2, 1.5, x_grid_ref)
-        assert state_at_calls.count(t1) <= 1
-        assert state_at_calls.count(t2) <= 1
+        assert propagator_calls == [2 * 5]
 
     def test_start_reproduces_static(self, modes_ref, traj_pair_ref):
         t1, t2 = traj_pair_ref
