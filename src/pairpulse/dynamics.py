@@ -18,13 +18,14 @@ observable.
 Because the equation is linear, ``integrate_mode`` propagates it exactly
 step by step with a 6th-order Magnus propagator, the closed-form
 exponential of a traceless 2 x 2 matrix (Blanes, Casas & Ros, BIT 40, 434
-(2000)).  Steps are bisected where they fail a half-step error check, so
-the grid is fine only where the pulse acts, and each refinement level is
-one numpy pass (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009),
-section 5; Hairer, Norsett & Wanner, Solving ODEs I, section II.4).  The
-2 x 2 products, the prefix product over the steps included, run entry by
-entry on (2, 2, n) stacks, never through BLAS, so a trajectory's bits do not
-depend on the BLAS kernel.  The module needs numpy alone.  ``Pulse`` and the
+(2000)).  A step that fails a half-step error check is split into as many
+equal substeps as its error estimate asks for, so the grid is fine only
+where the pulse acts, and each refinement level is one numpy pass (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 5; Hairer, Norsett &
+Wanner, Solving ODEs I, section II.4).  The 2 x 2 products, the prefix
+product over the steps included, run entry by entry on (2, 2, n) stacks,
+never through BLAS, so a trajectory's bits do not depend on the BLAS
+kernel.  The module needs numpy alone.  ``Pulse`` and the
 closed-form ``analytic_reflection`` live in ``closed_form``, which needs no
 numpy; the pulse's envelope ``F(t)``, evaluated on arrays, lives here.
 """
@@ -83,15 +84,19 @@ SETTLE_PERIODS = 6.0
 # the window, and the pulse argument 2 beta (t - t0) over the pulse core, by
 # at most FIRST_STEP_ANGLE radians per step.  That keeps its steps inside the
 # convergence region of the Magnus series and stops them from stepping over
-# the pulse.  Bisection then refines only the steps that fail the error
-# check.  No grid, the error check's half steps included, has more than
-# MAX_STEPS steps.
+# the pulse.  Refinement then splits only the steps that fail the error
+# check: a step of error err against the request tol becomes
+# max(2, ceil((SPLIT_MARGIN err / tol)^(1/7))) equal substeps, since the
+# 6th-order step's local error scales as h^7, so that its substeps aim at
+# tol / SPLIT_MARGIN.  No grid, the error check's half steps included, has
+# more than MAX_STEPS steps.
 #
 # By Sturm comparison the zeros of the real solution Re(xi exp(-i a)), where
 # the phase of xi passes a + pi/2 mod pi, lie at least pi / max Omega apart.
 # So while FIRST_STEP_ANGLE < pi every step advances the phase by less than
 # pi, and integrate_mode raises a RuntimeError on any advance outside (0, pi).
 FIRST_STEP_ANGLE = 1.0
+SPLIT_MARGIN = 4.0
 MAX_STEPS = 2**17
 
 
@@ -168,17 +173,14 @@ def _propagators(om, pulse: Pulse, t, h):
     return cos + a, sinc * b, sinc * c, cos - a
 
 
-def _halves(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray, whole: bool = False):
+def _halves(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray):
     """Midpoints of the steps [lo, hi] and the propagators, (2, 2, m) each, of
-    their first and second halves, preceded with ``whole`` by those of the
-    steps themselves; all from one ``_propagators`` call."""
+    the steps themselves and of their first and second halves; all from one
+    ``_propagators`` call."""
     mid = lo + 0.5 * (hi - lo)
-    t, h = [lo, mid], [mid - lo, hi - mid]
-    if whole:
-        t, h = [lo, *t], [hi - lo, *h]
-    u = np.array(_propagators(om, pulse, np.concatenate(t), np.concatenate(h))).reshape(2, 2, -1)
-    m = len(lo)
-    return (mid, *(u[..., i : i + m] for i in range(0, u.shape[2], m)))
+    t, h = np.concatenate([lo, lo, mid]), np.concatenate([hi - lo, mid - lo, hi - mid])
+    u = np.array(_propagators(om, pulse, t, h)).reshape(2, 2, 3, -1)
+    return mid, u[:, :, 0], u[:, :, 1], u[:, :, 2]
 
 
 def _check_budget(om: float, pulse: Pulse, n: float) -> None:
@@ -189,6 +191,46 @@ def _check_budget(om: float, pulse: Pulse, n: float) -> None:
             f"{n:.0f} Magnus steps and {2 * n:.0f} half steps to check them, above "
             f"MAX_STEPS = {MAX_STEPS}"
         )
+
+
+def _accepted_steps(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """Refine the steps [lo, hi] until every step passes the error check.
+
+    Returns the starts, unordered, and the propagators, (2, 2, n), of the
+    accepted steps' halves.  The refinement levels' arrays are freed on
+    return, before the caller's prefix product needs its own.
+    """
+    # the error check compares with the half steps: one entry per (xi, xi'/Omega0) pair
+    scale = np.array([[1.0, om], [1.0 / om, 1.0]])[..., None]
+    _check_budget(om, pulse, len(lo))
+    starts, halves, n_kept = [], [], 0  # accepted steps: their halves, and their count
+    while True:
+        mid, whole, first, second = _halves(om, pulse, lo, hi)
+        # second @ first, entry by entry: the two halves in sequence
+        both = second[:, :1] * first[:1] + second[:, 1:] * first[1:]
+        err = np.max(np.abs(whole - both) * scale, axis=(0, 1))
+        ok = err <= tol  # NaN fails
+        starts += [lo[ok], mid[ok]]
+        halves += [first[..., ok], second[..., ok]]
+        n_ok = int(np.count_nonzero(ok))
+        if n_ok == len(ok):
+            return np.concatenate(starts), np.concatenate(halves, axis=2)
+        n_kept += n_ok
+        fail = ~ok
+        # substeps of h / n have err / n^7, so n aims at tol / SPLIT_MARGIN
+        n = np.ceil((SPLIT_MARGIN / tol * err[fail]) ** (1.0 / 7.0))
+        n = np.where(n < math.inf, np.maximum(n, 2.0), 2.0)  # NaN and inf bisect
+        _check_budget(om, pulse, n_kept + n.sum())  # before any array of the level
+        # substep j of a failed step [a, b] runs from a + w j / n to a + w (j + 1) / n,
+        # w = b - a, and the last one to b: one formula for each shared end, so
+        # the substeps tile the step exactly.  The counting stays in floats,
+        # which keeps numpy's integer loops off the integrator's code pages.
+        count = n.astype(np.intp)
+        per_step = (lo[fail], (hi - lo)[fail], hi[fail], np.cumsum(n) - n, n)
+        a, w, b, j0, n = (np.repeat(v, count) for v in per_step)
+        j = np.arange(len(n), dtype=float) - j0
+        lo = a + w * (j / n)
+        hi = np.where(j + 1.0 < n, a + w * ((j + 1.0) / n), b)
 
 
 @dataclass(eq=False, frozen=True)
@@ -284,12 +326,14 @@ def integrate_mode(
     exceeds PULSE_OFF, in steps of FIRST_STEP_ANGLE over 2 beta.  Each
     step's 6th-order Magnus propagator, scaled to ``(xi, xi'/Omega0)``, is
     compared with the product of its two half steps.  A step that agrees
-    within ``atol + rtol`` is kept as its two halves; a step that fails is
-    replaced by its halves, which the next level checks in turn.  Each level
-    evaluates the halves of its new steps only, in one numpy pass.  The node
-    states come from one prefix-product pass over the step propagators, and
-    gamma sums the node-to-node phase advances, each in (0, pi) by the Sturm
-    bound stated at FIRST_STEP_ANGLE.
+    within ``atol + rtol`` is kept as its two halves.  A step that fails,
+    with worst scaled difference err, is split into
+    ``max(2, ceil((SPLIT_MARGIN err / (atol + rtol))^(1/7)))`` equal substeps,
+    which the next level checks in turn; a NaN or infinite err bisects.
+    Each level evaluates its steps and their halves in one numpy pass.  The
+    node states come from one prefix-product pass over the step
+    propagators, and gamma sums the node-to-node phase advances, each in
+    (0, pi) by the Sturm bound stated at FIRST_STEP_ANGLE.
 
     Parameters
     ----------
@@ -309,7 +353,8 @@ def integrate_mode(
     ValueError
         If the grid, the error check's half steps included, would need more
         than MAX_STEPS steps: checked on the first grid before any array is
-        built, and on the running total at every refinement.
+        built, and on the running total before every refinement level is
+        built.
     RuntimeError
         If a node-to-node phase advance falls outside (0, pi), which the
         module constants exclude.
@@ -340,33 +385,10 @@ def integrate_mode(
     ]))
     nodes = nodes[np.concatenate([[True], nodes[1:] > nodes[:-1]])]  # no zero-width steps
 
-    # the error check compares with the half steps: one entry per (xi, xi'/Omega0) pair
-    scale = np.array([[1.0, om], [1.0 / om, 1.0]])[..., None]
-    lo, hi, whole = nodes[:-1], nodes[1:], None
-    starts, halves, n_kept = [], [], 0  # accepted steps: their halves, and their count
-    while True:
-        _check_budget(om, pulse, n_kept + len(lo))
-        if whole is None:  # the first grid's own steps join the first pass
-            mid, whole, first, second = _halves(om, pulse, lo, hi, whole=True)
-        else:
-            mid, first, second = _halves(om, pulse, lo, hi)
-        # second @ first, entry by entry: the two halves in sequence
-        both = second[:, :1] * first[:1] + second[:, 1:] * first[1:]
-        ok = np.all(np.abs(whole - both) * scale <= atol + rtol, axis=(0, 1))
-        starts += [lo[ok], mid[ok]]
-        halves += [first[..., ok], second[..., ok]]
-        n_ok = int(np.count_nonzero(ok))
-        if n_ok == len(ok):
-            break
-        n_kept += n_ok
-        fail = ~ok  # each failing step is replaced by its halves
-        lo, hi = np.concatenate([lo[fail], mid[fail]]), np.concatenate([mid[fail], hi[fail]])
-        whole = np.concatenate([first[..., fail], second[..., fail]], axis=2)
-
-    starts = np.concatenate(starts)
+    starts, P = _accepted_steps(om, pulse, nodes[:-1], nodes[1:], atol + rtol)
     order = np.argsort(starts)
     nodes = np.append(starts[order], t_end)
-    P = np.concatenate(halves, axis=2).take(order, axis=2)  # C-contiguous, unlike [..., order]
+    P = P.take(order, axis=2)  # C-contiguous, unlike [..., order]
     n, d = P.shape[2], 1
     # inclusive prefix product, entry by entry: after it, P[..., k] = step_k @ ... @ step_0
     while d < n:
@@ -552,9 +574,12 @@ def effective_potential(series: SnapshotSeries, x, t: float, variant: str) -> np
     """Effective single-particle potential behind the density orbital.
 
     ``inverted`` differentiates the mode-mixed omega_d(t) of the exact
-    density (formally exact, physically pathological at late times);
-    ``preoptimized`` is the closed form (1/2) x^2 [omega_d^2 + coupling*F(t)]
-    of the drive acting on the density-optimal initial state.
+    density (formally exact, physically pathological at late times); it
+    reads the series at the grid time nearest to ``t``, which must lie
+    within half a spacing of the grid (``SnapshotSeries.index_at``), so an
+    off-grid ``t`` gets the value at that grid time.  ``preoptimized`` is
+    the closed form (1/2) x^2 [omega_d^2 + coupling*F(t)] of the drive
+    acting on the density-optimal initial state, evaluated at ``t`` itself.
     """
     x2 = np.square(np.asarray(x, dtype=float))
     if variant == "preoptimized":
@@ -572,7 +597,10 @@ def energy_expectation_ks(series: SnapshotSeries, t: float) -> float:
 
     Kinetic part (1/2) omega_d(t) [1 + alpha^2/omega_d^2] plus potential
     part (1/2) omega_d(t) [1 - omega_d^{-3/2} d^2/dt^2 omega_d^{-1/2}].
-    Oscillates at late times when the modes differ.
+    Oscillates at late times when the modes differ.  Read at the grid time
+    nearest to ``t``, which must lie within half a spacing of the grid
+    (``SnapshotSeries.index_at``): an off-grid ``t`` gets the value at that
+    grid time.
     """
     i = series.index_at(t)
     snap = series.snapshots[i]

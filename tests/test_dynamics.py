@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import sys
 
 import numpy as np
@@ -171,6 +172,82 @@ class TestIntegrateMode:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("beta", [0.1, 3.0])
+    def test_substeps_tile_failed_steps_and_kept_steps_pass(self, monkeypatch, beta):
+        # every level's steps [lo, hi], recorded: a step that the next level
+        # subdivides failed, and its substeps must tile it bit for bit; every
+        # other step was kept as its two halves and must pass the check
+        original, levels = dynamics._halves, []
+
+        def recording(om, pulse, lo, hi):
+            levels.append((lo.copy(), hi.copy()))
+            return original(om, pulse, lo, hi)
+
+        monkeypatch.setattr(dynamics, "_halves", recording)
+        om, pulse = 3.0, Pulse(0.225, beta, 3.0)
+        traj = integrate_mode(om, pulse)
+        kept = []
+        for (plo, phi), (lo, hi) in zip(levels, levels[1:] + [(np.empty(0), np.empty(0))]):
+            order = np.argsort(plo)
+            plo, phi = plo[order], phi[order]
+            parent = np.searchsorted(plo, lo, side="right") - 1
+            assert np.all((plo[parent] <= lo) & (hi <= phi[parent]))
+            split = np.zeros(len(plo), bool)
+            split[parent] = True
+            for k in np.flatnonzero(split):
+                sub_lo, sub_hi = np.sort(lo[parent == k]), np.sort(hi[parent == k])
+                assert len(sub_lo) >= 2 and sub_lo[0] == plo[k] and sub_hi[-1] == phi[k]
+                assert np.array_equal(sub_hi[:-1], sub_lo[1:])
+            kept.append((plo[~split], phi[~split]))
+        lo, hi = (np.concatenate(v) for v in zip(*kept))
+        mid = lo + 0.5 * (hi - lo)
+        assert np.array_equal(np.sort(np.concatenate([lo, mid, [traj.t_end]])), traj.t)
+        whole, first, second = (np.array(_propagators(om, pulse, t, h)).T.reshape(-1, 2, 2)
+                                for t, h in ((lo, hi - lo), (lo, mid - lo), (mid, hi - mid)))
+        err = np.max(np.abs(whole - second @ first) * np.array([[1.0, om], [1.0 / om, 1.0]]), axis=(1, 2))
+        assert np.max(err) <= 1e-10 + 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e100], ids=["nan", "huge"])
+    def test_bad_step_errors_end_in_the_work_budget(self, monkeypatch, bad):
+        # a NaN step error bisects until MAX_STEPS rejects the grid; a huge one
+        # asks for ~1e16 substeps, which are rejected before any array of that
+        # level is built
+        import tracemalloc
+
+        original, sizes = dynamics._propagators, []
+
+        def poisoned(om, pulse, t, h):
+            sizes.append(np.size(t))
+            core = np.abs(t) < 1.0 / pulse.beta
+            return tuple(np.where(core, bad, u) for u in original(om, pulse, t, h))
+
+        monkeypatch.setattr(dynamics, "_propagators", poisoned)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"beta = 3.0, Omega0 = 3.0 needs at least "
+                                                 r"\d+ Magnus steps.*MAX_STEPS = \d+"):
+                integrate_mode(OMEGA0, Pulse(LAMBDA, BETA, OMEGA0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # no level beyond the budget is evaluated: at most MAX_STEPS / 2 steps,
+        # each with its two halves
+        assert max(sizes) <= 3 * MAX_STEPS // 2
+        assert peak < (64 * 2**20 if math.isnan(bad) else 100_000)
+
+    @pytest.mark.parametrize("tol", [(1e-10, 1e-12), (1e-11, 1e-13)], ids=["default", "tight"])
+    def test_ode_reflect_corners_take_at_most_three_passes(self, propagator_calls, tol):
+        # the error-sized split: bisection took 4 passes at every default
+        # corner of the ode_reflect benchmark and 4-5 at the tight tolerances
+        passes = {}
+        for om in (3.0, 1.5):
+            for beta in (0.1, 0.3, 1.0, 3.0, 10.0):
+                for Lambda in (0.225, -0.225):
+                    propagator_calls.clear()
+                    integrate_mode(om, Pulse(Lambda, beta, 3.0), *tol)
+                    passes[om, beta, Lambda] = len(propagator_calls)
+        assert {k: v for k, v in passes.items() if v > 3} == {}
 
     @pytest.mark.parametrize(
         "mode_frequency, Lambda, beta",
@@ -470,6 +547,22 @@ class TestExtractReflection:
                           t_end=20.0, state=state)
         with np.errstate(all="ignore"), pytest.raises(error):
             extract_reflection(traj)
+
+    def test_matches_analytic_over_the_domain(self):
+        # 60 seeded draws: omega0 log-uniform on [0.3, 10], lam on [0, 0.499),
+        # |Lambda| up to 0.999 of (omega2/omega0)^2 of either sign, either mode
+        # and beta/Omega0 log-uniform on [0.05, 10]; the worst reads 4.9e-12
+        rng = random.Random(2031)
+        worst = (0.0,)
+        for _ in range(60):
+            omega0, lam = 0.3 * (10.0 / 0.3) ** rng.random(), 0.499 * rng.random()
+            m = derive_modes(ModelParams(omega0, lam))
+            Lam = rng.choice((1.0, -1.0)) * 0.999 * rng.random() * (m.omega2 / m.omega1) ** 2
+            om = rng.choice((m.omega1, m.omega2))
+            p = Pulse(Lam, om * 0.05 * 200.0 ** rng.random(), omega0)
+            dR = abs(extract_reflection(integrate_mode(om, p)).R - analytic_reflection(om, p).R)
+            worst = max(worst, (dR, om, p), key=lambda w: w[0])
+        assert worst[0] <= 1e-9, worst
 
     def test_rejects_trajectory_ending_inside_pulse(self):
         p = Pulse(Lambda=0.1, beta=2.0, omega0=3.0)
@@ -924,6 +1017,18 @@ class TestEnergyExpectation:
 
 
 class TestSnapshotSeries:
+    def test_readers_snap_to_the_nearest_grid_time(self, series_ref):
+        # energy_expectation_ks and the inverted potential read the grid time
+        # nearest to t, as their docstrings say; reading t itself would move
+        # these values
+        x = np.array([0.4, 1.2])
+        for t in np.random.default_rng(31).uniform(series_ref.times[2], series_ref.times[-3], 20):
+            grid_t = series_ref.times[series_ref.index_at(t)]
+            assert grid_t != t
+            assert energy_expectation_ks(series_ref, t) == energy_expectation_ks(series_ref, grid_t)
+            assert (effective_potential(series_ref, x, t, "inverted").tobytes()
+                    == effective_potential(series_ref, x, grid_t, "inverted").tobytes())
+
     def test_uniform_spacing_default(self, modes_ref, traj_pair_ref):
         t1, t2 = traj_pair_ref
         series = snapshot_series(modes_ref, t1, t2, 0.0, 0.5)
