@@ -95,6 +95,20 @@ SETTLE_PERIODS = 6.0
 # the phase of xi passes a + pi/2 mod pi, lie at least pi / max Omega apart.
 # So while FIRST_STEP_ANGLE < pi every step advances the phase by less than
 # pi, and integrate_mode raises a RuntimeError on any advance outside (0, pi).
+#
+# The exponent is elliptic on every step, so _propagators needs no hyperbolic
+# branch.  With x_i = h^2 Omega^2(t + c_i h), its q = th^2 = -(a^2 + bc) is a
+# polynomial of degree 5 in x1, x2, x3 alone.  Its linear part is
+# (5 x1 + 8 x2 + 5 x3) / 18 >= (5/18) max x_i, and the absolute coefficients
+# of all higher terms sum to 0.0423 (degree 2: 0.0340, degree 3: 0.0081,
+# degrees 4 and 5: 2.8e-4).  So on [0, 1]^3, q >= 0.235 max x_i, which is
+# above 0 unless every x_i is 0, as at a read on a node.  Every step lies in
+# that cube: integrate_mode rejects Omega0^2 + min(coupling, 0) <= 0, so
+# Omega^2 > 0 (in floats too: the computed F stays <= 1, and rounding is
+# monotone), and the first grid's steps are at most
+# FIRST_STEP_ANGLE / sqrt(Omega0^2 + max(coupling, 0)), so
+# x_i <= FIRST_STEP_ANGLE^2, which is <= 1 while FIRST_STEP_ANGLE <= 1.
+# Refinement and reads only use parts of such steps.
 FIRST_STEP_ANGLE = 1.0
 SPLIT_MARGIN = 4.0
 MAX_STEPS = 2**17
@@ -147,8 +161,9 @@ def _propagators(om, pulse: Pulse, t, h):
     [[a, b], [c, -a]], and alpha2, alpha3 have only a c entry, so the
     commutators reduce to polynomials in h, W = h w2, D1 = h (w3 - w1) and
     D2 = h (w1 - 2 w2 + w3), with w_i = Omega^2(t + c_i h).  Then
-    exp(Omega) = cos(th) I + (sin(th)/th) Omega with th^2 = -(a^2 + bc), or
-    cosh and sinh of sqrt(a^2 + bc) where that is real.
+    exp(Omega) = cos(th) I + (sin(th)/th) Omega with th^2 = -(a^2 + bc),
+    which is >= 0 on every step the module builds or reads, by the proof
+    stated at FIRST_STEP_ANGLE.
     Scalar t and h give numpy scalars, which keeps one-time reads cheap.
     Returns the entries (u00, u01, u10, u11).
     """
@@ -159,16 +174,11 @@ def _propagators(om, pulse: Pulse, t, h):
     a = (math.sqrt(15.0) / 3.0) * h * D1 * (h * (W + D2 / 12.0) / 180.0 + 1.0 / 12.0)
     b = h * (1.0 + h * (h * E / 2160.0 + D2 / 54.0))
     c = h * (D2 * (6.0 * W + D2) / 324.0 - E * (30.0 + h * W) / 2160.0) - W - D2 * (5.0 / 18.0)
-    q = -(a * a + b * c)
-    if (q >= 0.0).all():
-        th = np.sqrt(q)
-        # the offset gives sin(th)/th = 1 at th = 0 (a read on a node) and
-        # leaves every th above 1e-284 unchanged
-        nz = th + 1e-300
-        cos, sinc = np.cos(th), np.sin(nz) / nz
-    else:  # a hyperbolic exponent: cos(i x) = cosh(x)
-        th = np.sqrt(q + 0j)
-        cos, sinc = np.cos(th).real, np.sinc(th / math.pi).real
+    th = np.sqrt(-(a * a + b * c))  # real on every step: see FIRST_STEP_ANGLE
+    # the offset gives sin(th)/th = 1 at th = 0 (a read on a node) and
+    # leaves every th above 1e-284 unchanged
+    nz = th + 1e-300
+    cos, sinc = np.cos(th), np.sin(nz) / nz
     a *= sinc
     return cos + a, sinc * b, sinc * c, cos - a
 
@@ -273,10 +283,10 @@ def _read(trajs, t):
     Applies the closed-form Magnus step from the node at or below each time.
     Several trajectories are read at an array t by one ``_propagators`` call
     over every (trajectory, time) entry, each with its own mode frequency.
-    The step works elementwise, and its hyperbolic branch, decided over all
-    entries at once, is never taken at a read (q = -0 at h = 0 and q > 0
-    while Omega^2 > 0), so each entry has the bits of a read of its
-    trajectory alone.  One trajectory is read at any t, a numpy scalar giving
+    The step works elementwise, with one exponent path whose th^2 >= 0 on
+    every read (h = t - t_k is part of an accepted step, so the proof
+    stated at FIRST_STEP_ANGLE holds), so each entry has the bits of a read
+    of its trajectory alone.  One trajectory is read at any t, a numpy scalar giving
     numpy scalars.  Returns B, Bdot, gamma_k and xi(t) / xi_k = z_re + i z_im,
     trajectory after trajectory along the first axis.
     """

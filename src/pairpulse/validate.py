@@ -118,14 +118,18 @@ def check_reflection_agreement(trajs):
 
 
 def check_wronskian_and_ermakov(traj):
-    """B'' + Omega^2(t) B = Omega0^2 / B^3 and the Wronskian gamma' B^2 = Omega0."""
-    om = traj.mode_frequency
-    ts, h = np.linspace(traj.t_start + 1e-3, traj.t_end - 1e-3, 400), 1e-4
-    B0, _, _ = traj.state_at(ts)
-    Bm, _, gm = traj.state_at(ts - h)
-    Bp, _, gp = traj.state_at(ts + h)
-    wr_err = float(np.max(np.abs((gp - gm) / (2 * h) * B0**2 - om)))
-    Bdd = (Bp - 2 * B0 + Bm) / h**2
+    """B'' + Omega^2(t) B = Omega0^2 / B^3 and the Wronskian gamma' B^2 = Omega0.
+
+    B'' and gamma' come from 5-point 4th-order stencils at h = 1e-3, whose
+    rounding and truncation sit near 1e-8, far below the 1e-6 bounds; a
+    second difference at h = 1e-4 would print its own rounding, about
+    4 eps B / h^2 ~ 1e-7, not the trajectory's error."""
+    om, h = traj.mode_frequency, 1e-3
+    ts = np.linspace(traj.t_start + 2 * h, traj.t_end - 2 * h, 400)
+    (B2m, Bm, B0, Bp, B2p), _, (g2m, gm, _, gp, g2p) = traj.state_at(
+        ts + h * np.arange(-2.0, 3.0)[:, None])
+    wr_err = float(np.max(np.abs((g2m - 8 * gm + 8 * gp - g2p) / (12 * h) * B0**2 - om)))
+    Bdd = (-B2m + 16 * Bm - 30 * B0 + 16 * Bp - B2p) / (12 * h**2)
     o2 = dynamics.omega_squared(om, traj.pulse, ts)
     resid = float(np.max(np.abs(Bdd + o2 * B0 - om**2 / B0**3)))
     ok = resid < 1e-6 and wr_err < 1e-6

@@ -15,6 +15,7 @@ from pairpulse import (
 )
 from pairpulse import dynamics
 from pairpulse.dynamics import (
+    FIRST_STEP_ANGLE,
     MAX_STEPS,
     _propagators,
     _read,
@@ -332,6 +333,11 @@ class TestDomainEdges:
         assert abs(extract_reflection(traj).R - analytic_reflection(m.omega2, p).R) < 1e-6
         # a few hundred nodes: the free oscillation plus the refined pulse core
         assert len(traj.t) <= 512
+        # dense reads on the nodes and at 200 random times stay finite, with B > 0
+        times = np.random.default_rng(17).uniform(traj.t_start, traj.t_end, 200)
+        for t in (traj.t, times):
+            B, Bdot, gamma = traj.state_at(t)
+            assert np.all(np.isfinite([B, Bdot, gamma])) and np.all(B > 0.0)
 
 
 def _magnus_by_expm(om, pulse, t, h):
@@ -357,14 +363,18 @@ def _magnus_by_expm(om, pulse, t, h):
 
 class TestMagnusStep:
     def test_closed_form_matches_generic_exponential(self):
+        # admissible drives only, Omega0^2 + Lambda omega0^2 > 0, every third
+        # one at (1 - 1e-12) of that bound, and steps no longer than the first
+        # grid's, which is where the elliptic exponent is proven
         rng = np.random.default_rng(11)
-        cases = [(rng.uniform(0.3, 4.0), Pulse(rng.uniform(-0.2, 1.0), rng.uniform(0.1, 10.0), 3.0))
-                 for _ in range(40)]
-        # Omega^2 < 0 near the peak gives a hyperbolic exponent
-        cases.append((0.1, Pulse(-2.0 / 9.0, 1.0, 3.0)))
-        for om, pulse in cases:
-            t = rng.uniform(-2.0, 2.0, 4) / pulse.beta
-            h = np.array([0.0, *rng.uniform(0.0, 1.5, 3)]) / om
+        for i in range(60):
+            om, beta = rng.uniform(0.3, 4.0), rng.uniform(0.1, 10.0)
+            bound = (om / 3.0) ** 2
+            Lam = -(1.0 - 1e-12) * bound if i % 3 == 0 else rng.uniform(-bound, 1.0)
+            pulse = Pulse(Lam, beta, 3.0)
+            t = rng.uniform(-2.0, 2.0, 4) / beta
+            h_max = FIRST_STEP_ANGLE / math.sqrt(om**2 + max(pulse.coupling, 0.0))
+            h = np.array([0.0, *rng.uniform(0.0, h_max, 3)])
             got = np.array(_propagators(om, pulse, t, h)).T.reshape(-1, 2, 2)
             for k in range(len(t)):
                 np.testing.assert_allclose(got[k], _magnus_by_expm(om, pulse, t[k], h[k]),
@@ -423,6 +433,23 @@ def _assert_exact(traj, times, got):
     assert max(worst) < 1e-8, f"max |Magnus - exact| of B, Bdot, gamma mod 2 pi, gamma before: {worst}"
 
 
+def _domain_draws(rng, n, edge_every=0):
+    """n seeded (Omega0, pulse) draws over the admissible domain: omega0
+    log-uniform on [0.3, 10], lam on [0, 0.499), |Lambda| up to 0.999 of the
+    bound (omega2/omega0)^2 of either sign, either mode and beta/Omega0
+    log-uniform on [0.05, 10]; every edge_every-th draw, if any, puts |Lambda|
+    at (1 - 1e-9) of the bound."""
+    for i in range(n):
+        omega0, lam = 0.3 * (10.0 / 0.3) ** rng.random(), 0.499 * rng.random()
+        m = derive_modes(ModelParams(omega0, lam))
+        sign, fraction = rng.choice((1.0, -1.0)), 0.999 * rng.random()
+        if edge_every and i % edge_every == 0:
+            fraction = 1.0 - 1e-9
+        om = rng.choice((m.omega1, m.omega2))
+        Lam = sign * fraction * (m.omega2 / m.omega1) ** 2
+        yield om, Pulse(Lam, om * 0.05 * 200.0 ** rng.random(), omega0)
+
+
 @pytest.fixture(scope="module")
 def grid_trajectories():
     """The acceptance grid's trajectories at the default tolerances, by (sign, beta, Omega0)."""
@@ -471,6 +498,21 @@ class TestDenseOutput:
                     traj = grid_trajectories[sign, beta, om]
                     times = np.array([traj.t_start, -t1, t1, traj.t_end, *rng.uniform(-t1, t1, 8)])
                     _assert_exact(traj, times, traj.state_at(times))
+
+    def test_state_at_matches_exact_over_the_domain(self):
+        # 24 draws of _domain_draws, every fourth at (1 - 1e-9) of the bound,
+        # read at t_start, +-t1, t_end and 4 random times inside +-t1; the
+        # worst reads 9.9e-11.  Each grid meets the premise of the proof at
+        # FIRST_STEP_ANGLE that every step's exponent is elliptic.
+        assert FIRST_STEP_ANGLE <= 1.0
+        times_rng = np.random.default_rng(2033)
+        for om, p in _domain_draws(random.Random(2033), 24, edge_every=4):
+            traj = integrate_mode(om, p)
+            peak = math.sqrt(om**2 + max(p.coupling, 0.0))
+            assert np.max(np.diff(traj.t)) * peak <= FIRST_STEP_ANGLE * (1.0 + 1e-12)
+            t1 = _FREE / (2.0 * p.beta)
+            times = np.array([traj.t_start, -t1, t1, traj.t_end, *times_rng.uniform(-t1, t1, 4)])
+            _assert_exact(traj, times, traj.state_at(times))
 
     def test_scalar_reads_are_numpy_scalars(self, traj_pair_ref):
         traj = traj_pair_ref[0]
@@ -549,17 +591,9 @@ class TestExtractReflection:
             extract_reflection(traj)
 
     def test_matches_analytic_over_the_domain(self):
-        # 60 seeded draws: omega0 log-uniform on [0.3, 10], lam on [0, 0.499),
-        # |Lambda| up to 0.999 of (omega2/omega0)^2 of either sign, either mode
-        # and beta/Omega0 log-uniform on [0.05, 10]; the worst reads 4.9e-12
-        rng = random.Random(2031)
+        # 60 draws of _domain_draws; the worst reads 4.9e-12
         worst = (0.0,)
-        for _ in range(60):
-            omega0, lam = 0.3 * (10.0 / 0.3) ** rng.random(), 0.499 * rng.random()
-            m = derive_modes(ModelParams(omega0, lam))
-            Lam = rng.choice((1.0, -1.0)) * 0.999 * rng.random() * (m.omega2 / m.omega1) ** 2
-            om = rng.choice((m.omega1, m.omega2))
-            p = Pulse(Lam, om * 0.05 * 200.0 ** rng.random(), omega0)
+        for om, p in _domain_draws(random.Random(2031), 60):
             dR = abs(extract_reflection(integrate_mode(om, p)).R - analytic_reflection(om, p).R)
             worst = max(worst, (dR, om, p), key=lambda w: w[0])
         assert worst[0] <= 1e-9, worst
