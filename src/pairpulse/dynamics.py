@@ -22,12 +22,14 @@ exponential of a traceless 2 x 2 matrix (Blanes, Casas & Ros, BIT 40, 434
 equal substeps as its error estimate asks for, so the grid is fine only
 where the pulse acts, and each refinement level is one numpy pass (Blanes,
 Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 5; Hairer, Norsett &
-Wanner, Solving ODEs I, section II.4).  The 2 x 2 products, the prefix
-product over the steps included, run entry by entry on (2, 2, n) stacks,
-never through BLAS, so a trajectory's bits do not depend on the BLAS
-kernel.  The module needs numpy alone.  ``Pulse`` and the
-closed-form ``analytic_reflection`` live in ``closed_form``, which needs no
-numpy; the pulse's envelope ``F(t)``, evaluated on arrays, lives here.
+Wanner, Solving ODEs I, section II.4).  The node states come from one
+prefix-product scan over the accepted steps' half-step products, with each
+midpoint from its step's first half.  The 2 x 2 products, the scan
+included, run entry by entry on (2, 2, n) stacks, never through BLAS, so a
+trajectory's bits do not depend on the BLAS kernel.  The module needs numpy
+alone.  ``Pulse`` and the closed-form ``analytic_reflection`` live in
+``closed_form``, which needs no numpy; the pulse's envelope ``F(t)``,
+evaluated on arrays, lives here.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ MAX_STEPS = 2**17
 
 def envelope(pulse: Pulse, t):
     """F(t) = sech^2(2 beta (t - t0)); F(t0) = 1, F(+-inf) = 0."""
-    x = np.abs(2.0 * pulse.beta * (np.asarray(t, dtype=float) - pulse.t0))
-    s = np.exp(-x)
+    s = np.exp((-2.0 * pulse.beta) * np.abs(np.asarray(t, dtype=float) - pulse.t0))
+    # 4 s s, not 4 q with q = s s: the two differ once s s is subnormal
     return 4.0 * s * s / np.square(1.0 + s * s)
 
 
@@ -184,13 +186,14 @@ def _propagators(om, pulse: Pulse, t, h):
 
 
 def _halves(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray):
-    """Midpoints of the steps [lo, hi] and the propagators, (2, 2, m) each, of
-    the steps themselves and of their first and second halves; all from one
-    ``_propagators`` call."""
-    mid = lo + 0.5 * (hi - lo)
-    t, h = np.concatenate([lo, lo, mid]), np.concatenate([hi - lo, mid - lo, hi - mid])
+    """Widths hi - lo of the steps [lo, hi] and the propagators, (2, 2, m)
+    each, of the steps themselves and of their first and second halves; all
+    from one ``_propagators`` call."""
+    w = hi - lo
+    mid = lo + 0.5 * w
+    t, h = np.concatenate([lo, lo, mid]), np.concatenate([w, mid - lo, hi - mid])
     u = np.array(_propagators(om, pulse, t, h)).reshape(2, 2, 3, -1)
-    return mid, u[:, :, 0], u[:, :, 1], u[:, :, 2]
+    return w, u[:, :, 0], u[:, :, 1], u[:, :, 2]
 
 
 def _check_budget(om: float, pulse: Pulse, n: float) -> None:
@@ -206,29 +209,31 @@ def _check_budget(om: float, pulse: Pulse, n: float) -> None:
 def _accepted_steps(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray, tol: float):
     """Refine the steps [lo, hi] until every step passes the error check.
 
-    Returns the starts, unordered, and the propagators, (2, 2, n), of the
-    accepted steps' halves.  The refinement levels' arrays are freed on
-    return, before the caller's prefix product needs its own.
+    Returns the starts of the accepted steps, unordered, and a (4, 2, m)
+    block of their propagators: rows 0-1 hold each step's first half, rows
+    2-3 the product of its two halves, second @ first.  The refinement
+    levels' arrays are freed on return, before the caller's prefix product
+    needs its own.
     """
     # the error check compares with the half steps: one entry per (xi, xi'/Omega0) pair
     scale = np.array([[1.0, om], [1.0 / om, 1.0]])[..., None]
     _check_budget(om, pulse, len(lo))
-    starts, halves, n_kept = [], [], 0  # accepted steps: their halves, and their count
+    starts, kept, n_kept = [], [], 0  # accepted steps: starts, propagators, count
     while True:
-        mid, whole, first, second = _halves(om, pulse, lo, hi)
+        w, whole, first, second = _halves(om, pulse, lo, hi)
         # second @ first, entry by entry: the two halves in sequence
         both = second[:, :1] * first[:1] + second[:, 1:] * first[1:]
         err = np.max(np.abs(whole - both) * scale, axis=(0, 1))
         ok = err <= tol  # NaN fails
-        starts += [lo[ok], mid[ok]]
-        halves += [first[..., ok], second[..., ok]]
-        n_ok = int(np.count_nonzero(ok))
-        if n_ok == len(ok):
-            return np.concatenate(starts), np.concatenate(halves, axis=2)
-        n_kept += n_ok
-        fail = ~ok
+        keep = np.flatnonzero(ok)
+        starts.append(lo.take(keep))
+        kept.append(np.concatenate([first, both]).take(keep, axis=2))
+        if len(keep) == len(ok):
+            return np.concatenate(starts), np.concatenate(kept, axis=2)
+        n_kept += len(keep)
+        fail = np.flatnonzero(~ok)
         # substeps of h / n have err / n^7, so n aims at tol / SPLIT_MARGIN
-        n = np.ceil((SPLIT_MARGIN / tol * err[fail]) ** (1.0 / 7.0))
+        n = np.ceil((SPLIT_MARGIN / tol * err.take(fail)) ** (1.0 / 7.0))
         n = np.where(n < math.inf, np.maximum(n, 2.0), 2.0)  # NaN and inf bisect
         _check_budget(om, pulse, n_kept + n.sum())  # before any array of the level
         # substep j of a failed step [a, b] runs from a + w j / n to a + w (j + 1) / n,
@@ -236,7 +241,7 @@ def _accepted_steps(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray, tol
         # the substeps tile the step exactly.  The counting stays in floats,
         # which keeps numpy's integer loops off the integrator's code pages.
         count = n.astype(np.intp)
-        per_step = (lo[fail], (hi - lo)[fail], hi[fail], np.cumsum(n) - n, n)
+        per_step = (lo.take(fail), w.take(fail), hi.take(fail), np.cumsum(n) - n, n)
         a, w, b, j0, n = (np.repeat(v, count) for v in per_step)
         j = np.arange(len(n), dtype=float) - j0
         lo = a + w * (j / n)
@@ -341,9 +346,11 @@ def integrate_mode(
     ``max(2, ceil((SPLIT_MARGIN err / (atol + rtol))^(1/7)))`` equal substeps,
     which the next level checks in turn; a NaN or infinite err bisects.
     Each level evaluates its steps and their halves in one numpy pass.  The
-    node states come from one prefix-product pass over the step
-    propagators, and gamma sums the node-to-node phase advances, each in
-    (0, pi) by the Sturm bound stated at FIRST_STEP_ANGLE.
+    states at the steps' ends come from one prefix-product scan over the
+    accepted steps' half-step products, second @ first, and each midpoint
+    state from its step's start state by the first half.  gamma sums the
+    node-to-node phase advances, each in (0, pi) by the Sturm bound stated
+    at FIRST_STEP_ANGLE.
 
     Parameters
     ----------
@@ -395,19 +402,33 @@ def integrate_mode(
     ]))
     nodes = nodes[np.concatenate([[True], nodes[1:] > nodes[:-1]])]  # no zero-width steps
 
-    starts, P = _accepted_steps(om, pulse, nodes[:-1], nodes[1:], atol + rtol)
+    starts, U = _accepted_steps(om, pulse, nodes[:-1], nodes[1:], atol + rtol)
     order = np.argsort(starts)
-    nodes = np.append(starts[order], t_end)
-    P = P.take(order, axis=2)  # C-contiguous, unlike [..., order]
-    n, d = P.shape[2], 1
-    # inclusive prefix product, entry by entry: after it, P[..., k] = step_k @ ... @ step_0
-    while d < n:
+    lo = starts[order]
+    # the accepted steps tile the window bit for bit, so each one ends where the next starts
+    hi = np.append(lo[1:], t_end)
+    m = len(lo)
+    nodes = np.empty(2 * m + 1)
+    nodes[:-1:2], nodes[1::2], nodes[-1] = lo, lo + 0.5 * (hi - lo), t_end
+    U = U.take(order, axis=2)  # C-contiguous, unlike [..., order]
+    first, P = U[:2], U[2:]
+    d = 1
+    # inclusive prefix product over the steps' half-step products, entry by
+    # entry: after it, P[..., k] = both_k @ ... @ both_0
+    while d < m:
         P[..., d:] = P[:, :1, d:] * P[:1, :, :-d] + P[:, 1:, d:] * P[1:, :, :-d]
         d *= 2
     c, s = math.cos(om * t_start), math.sin(om * t_start)
     x0 = np.array([[c, s], [-om * s, om * c]])[..., None]
+    # (xi, xi') at every node, real and imaginary parts: the steps' ends from
+    # the scan, and each midpoint from its step's start by the first half
+    X = np.empty((2, 2, 2 * m + 1))
+    X[..., :1] = x0
+    X[..., 2::2] = P[:, :1] * x0[:1] + P[:, 1:] * x0[1:]
+    start = X[..., :-1:2]
+    X[..., 1::2] = first[:, :1] * start[:1] + first[:, 1:] * start[1:]
     # Re xi, Im xi, Re xi', Im xi' at every node
-    x, y, xd, yd = np.concatenate([x0, P[:, :1] * x0[:1] + P[:, 1:] * x0[1:]], 2).reshape(4, -1)
+    x, y, xd, yd = X.reshape(4, -1)
     # the angle of xi_{k+1} / xi_k, which is gamma's advance only inside (0, pi)
     advance = np.arctan2(y[1:] * x[:-1] - x[1:] * y[:-1], x[1:] * x[:-1] + y[1:] * y[:-1])
     if not np.all((advance > 0.0) & (advance < math.pi)):  # NaN fails
@@ -417,7 +438,7 @@ def integrate_mode(
             "must stay below pi"
         )
     B2 = x * x + y * y
-    gamma = np.full(n + 1, om * t_start)
+    gamma = np.full(2 * m + 1, om * t_start)
     gamma[1:] += np.cumsum(advance)
     state = np.array([np.sqrt(B2), (x * xd + y * yd) / B2, (x * yd - y * xd) / B2, gamma])
     nodes.flags.writeable = state.flags.writeable = False

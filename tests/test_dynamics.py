@@ -141,11 +141,13 @@ class TestIntegrateMode:
         advance = np.diff(traj.state_at(traj.t)[2])
         assert np.all((advance > 0) & (advance < math.pi))
 
-    @pytest.mark.parametrize("beta", [3.0, 0.5])
+    @pytest.mark.parametrize("beta", [3.0, 0.5, 0.1])
     def test_node_states_follow_the_steps_in_order(self, beta):
-        # the node-to-node propagators are bit for bit the accepted half steps;
-        # multiplying them on from the left, one at a time, must give the
-        # prefix scan's states, and step_0 @ ... @ step_k would not
+        # the scan runs over each accepted step's product of its two halves,
+        # and only the start-to-midpoint propagators are bit for bit the ones
+        # integrate_mode applies; still, multiplying the node-to-node steps on
+        # from the left, one at a time, must give its states, and
+        # step_0 @ ... @ step_k would not
         p = Pulse(LAMBDA, beta, OMEGA0)
         traj = integrate_mode(OMEGA0, p)
         steps = np.array(_propagators(OMEGA0, p, traj.t[:-1], np.diff(traj.t))).T.reshape(-1, 2, 2)
@@ -513,6 +515,17 @@ class TestDenseOutput:
             t1 = _FREE / (2.0 * p.beta)
             times = np.array([traj.t_start, -t1, t1, traj.t_end, *times_rng.uniform(-t1, t1, 4)])
             _assert_exact(traj, times, traj.state_at(times))
+
+    @pytest.mark.parametrize("om", [3.0, 1.5])
+    @pytest.mark.parametrize("Lambda", [0.225, -0.225])
+    def test_midpoint_nodes_match_exact_on_slow_pulses(self, om, Lambda):
+        # each midpoint state comes from its step's start by the first half
+        # step, off the scan: 16 seeded midpoint nodes and t_start at the
+        # ode_reflect benchmark's slowest corners
+        traj = integrate_mode(om, Pulse(Lambda, 0.1, 3.0))
+        mids = np.random.default_rng(34).choice(traj.t[1::2], 16, replace=False)
+        times = np.concatenate([[traj.t_start], mids])
+        _assert_exact(traj, times, traj.state_at(times))
 
     def test_scalar_reads_are_numpy_scalars(self, traj_pair_ref):
         traj = traj_pair_ref[0]
