@@ -12,18 +12,18 @@ figure    fixed data tables: 1 and 2 are shift totals vs beta at
 validate  run the invariant registry (no options); print a pass/fail table
 
 SETTINGS lists every setting once and COMMANDS the settings each command
-reads; the parser, the config-file check, the provenance header and the
-dispatch all come from these two tables.  Configuration comes from defaults,
-then an optional flat key=value file (--config), then command-line flags;
-flags win.  A command accepts, as a flag or a config key, only the settings
-it reads; any other is an error (exit 2) and nothing is written.  The
-provenance header echoes every setting but `out`.  Output is CSV (default)
-or JSON with fixed 17-significant-digit formatting, so identical configs
-reproduce byte-identical artifacts, whichever BLAS kernel numpy picks: no
-command's printed arithmetic calls BLAS but validate's spectral oracle, a
-LAPACK eigvalsh whose printed residue is the same under the Haswell and
-Prescott kernels.  That call runs on one BLAS thread: unless numpy is already
-loaded, ``main`` sets ``OPENBLAS_NUM_THREADS=1`` where the variable is unset,
+reads; the parser, the provenance header and the dispatch all come from
+these two tables.  Each setting is its default unless its flag is given.  A
+command takes a flag only for a setting it reads; any other flag is an error
+(exit 2) and nothing is written.  The provenance header echoes every setting
+but `out`, so its lines for the settings a command reads, given back as
+flags, reproduce the artifact.  Output is CSV (default) or JSON with fixed
+17-significant-digit formatting, so identical settings reproduce
+byte-identical artifacts, whichever BLAS kernel numpy picks: no command's
+printed arithmetic calls BLAS but validate's spectral oracle, a LAPACK
+eigvalsh whose printed residue is the same under the Haswell and Prescott
+kernels.  That call runs on one BLAS thread: unless numpy is already loaded,
+``main`` sets ``OPENBLAS_NUM_THREADS=1`` where the variable is unset,
 because starting OpenBLAS's thread pool now and then stalled the call by ~1 s.
 One ``%``-template formats every CSV row of a table.
 
@@ -70,8 +70,8 @@ class Setting(NamedTuple):
     choices: tuple | None = None
 
 
-# The one list of settings, in provenance-echo order.  Each key is also the
-# config-file key and, with '_' written '-', the flag name.
+# The one list of settings, in provenance-echo order.  Each key, with '_'
+# written '-', is the flag name.
 SETTINGS = {
     "omega0": Setting(float, 3.0, "confinement frequency"),
     "lambda": Setting(float, 0.375, "coupling strength in [0, 0.5)"),
@@ -80,46 +80,13 @@ SETTINGS = {
     "beta_min": Setting(float, FIGURE_BETA_MIN, "sweep grid lower edge"),
     "beta_max": Setting(float, FIGURE_BETA_MAX, "sweep grid upper edge"),
     "beta_points": Setting(int, FIGURE_BETA_POINTS, "sweep grid size"),
-    "rtol": Setting(float, 1e-10, "integrator relative tolerance"),
-    "atol": Setting(float, 1e-12, "integrator absolute tolerance"),
+    "rtol": Setting(float, 1e-10, "summed with atol into the bound on each "
+                    "integrator step's scaled half-step difference"),
+    "atol": Setting(float, 1e-12, "summed with rtol into the bound on each "
+                    "integrator step's scaled half-step difference"),
     "out": Setting(str, None, "output path (default: stdout)"),
     "format": Setting(str, "csv", "output format", ("csv", "json")),
 }
-
-
-def _load_config_file(path: str, command: str, reads: tuple) -> dict:
-    updates = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key not in reads:
-                raise ValueError(f"{path}:{lineno}: {command} does not read {key!r}")
-            setting = SETTINGS[key]
-            if setting.choices and value not in setting.choices:
-                raise ValueError(f"{path}:{lineno}: {key} must be one of {setting.choices}, "
-                                 f"got {value!r}")
-            try:
-                updates[key] = setting.type(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return updates
-
-
-def _merge_config(command: str, reads: tuple, args: dict) -> dict:
-    """Defaults, then the --config file, then flags; pops what it reads from ``args``."""
-    cfg = {key: setting.default for key, setting in SETTINGS.items()}
-    path = args.pop("config", None)
-    if path:
-        cfg.update(_load_config_file(path, command, reads))
-    cfg.update((key, args.pop(key)) for key in reads if key in args)
-    return cfg
 
 
 def _fmt(value) -> str:
@@ -301,8 +268,8 @@ def _cmd_validate(cfg: dict) -> int:
 _MODEL = ("omega0", "lambda")
 _OUTPUT = ("out", "format")
 
-# command: (handler, settings it reads, help).  Each handler takes the merged
-# settings and returns an exit code or None (for 0).  A command that reads no
+# command: (handler, settings it reads, help).  Each handler takes every
+# setting and returns an exit code or None (for 0).  A command that reads no
 # settings takes no options.
 COMMANDS = {
     "modes": (_cmd_modes, _MODEL + _OUTPUT, "derived frequency table"),
@@ -325,14 +292,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pairpulse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, reads, help_text) in COMMANDS.items():
-        # unset flags stay out of the namespace, so each one given overrides the config
-        cmd = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
-        if reads:
-            cmd.add_argument("--config", help="flat key = value configuration file")
+        cmd = sub.add_parser(command, help=help_text)
         for key in reads:
             setting = SETTINGS[key]
             cmd.add_argument("--" + key.replace("_", "-"), type=setting.type,
-                             choices=setting.choices, help=setting.help)
+                             default=setting.default, choices=setting.choices,
+                             help=setting.help)
     sub.choices["figure"].add_argument("which", type=int, choices=(1, 2, 3), help="figure number")
     return parser
 
@@ -341,10 +306,12 @@ def main(argv=None) -> int:
     if "numpy" not in sys.modules:  # OpenBLAS reads it once, when numpy loads
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = vars(_build_parser().parse_args(argv))
-    command = args.pop("command")
-    handler, reads, _ = COMMANDS[command]
+    handler = COMMANDS[args.pop("command")][0]
+    # the settings the command reads come from its flags, the rest are echoed
+    # at their defaults; what is left of args is figure's `which`
+    cfg = {key: args.pop(key, setting.default) for key, setting in SETTINGS.items()}
     try:
-        return handler(_merge_config(command, reads, args), **args) or 0
+        return handler(cfg, **args) or 0
     except IonizationRegimeError as exc:
         print(f"pairpulse: inadmissible drive: {exc}", file=sys.stderr)
         return 2

@@ -359,7 +359,9 @@ def integrate_mode(
     pulse : Pulse
         The drive.
     rtol, atol : float
-        Local error request per step, finite and > 0.
+        Each finite and > 0.  Only their sum is used: ``atol + rtol`` is the
+        one bound on each step's worst scaled half-step difference, and
+        nothing in it is relative to the state.
 
     Returns
     -------

@@ -9,8 +9,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # No test needs scipy: an import of it, by src/ or a test, raises ImportError.
 sys.modules["scipy"] = None
 
+import tempfile  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import configuration  # noqa: E402
 
 from pairpulse import ModelParams, Pulse, derive_modes, integrate_mode
 
@@ -35,6 +38,15 @@ def mp_rho(mpmath, mode_frequency, Lambda, beta, omega0):
     om, Lam, b, w0 = map(mpmath.mpf, (mode_frequency, Lambda, beta, omega0))
     c = mpmath.cos(mpmath.pi / 2 * mpmath.sqrt(1 + Lam * (w0 / b) ** 2))
     return abs(c) ** 2 / mpmath.sinh(mpmath.pi / 2 * om / b) ** 2
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants of the code under test under its home
+    # directory, ./.hypothesis by default, while pytest collects, even with
+    # no example database; a temporary home keeps the checkout clean.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    configuration.set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -183,45 +184,6 @@ class TestFigureCommands:
         assert np.all(np.diff(arr[:, 1]) < 0)
 
 
-class TestConfigPrecedence:
-    def test_file_overrides_defaults_flags_override_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("lambda = 0.2\nbeta = 5.0  # comment\n")
-        out = tmp_path / "shift.csv"
-        code = run_cli(
-            ["shift", "--config", str(cfg), "--beta", "2.0", "--out", str(out)]
-        )
-        assert code == 0
-        _, header, data = read_csv(out)
-        row = dict(zip(header, data[0]))
-        assert float(row["lambda"]) == 0.2  # from file
-        assert float(row["beta"]) == 2.0  # flag wins
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        for text, error in (("omega_nought = 3", "unknown key 'omega_nought'"),
-                            ("grid_points = 512", "unknown key 'grid_points'"),
-                            ("beta 5", "expected 'key = value', got 'beta 5'")):
-            cfg.write_text(text + "\n")
-            assert run_cli(["shift", "--config", str(cfg)]) == 2
-            assert capsys.readouterr().err == f"pairpulse: {cfg}:1: {error}\n"
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["shift", "--grid-points", "512"])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("command, line", [("shift", "beta = abc"),
-                                               ("sweep", "beta_points = 1e3")])
-    def test_unparsable_value_names_file_line_and_key(self, tmp_path, capsys, command, line):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"# one setting\n{line}\n")
-        assert run_cli([command, "--config", str(cfg)]) == 2
-        key = line.split("=")[0].strip()
-        assert f"pairpulse: {cfg}:2: {key}: " in capsys.readouterr().err
-
-    def test_missing_file_rejected(self, tmp_path):
-        assert run_cli(["shift", "--config", str(tmp_path / "absent.cfg")]) == 2
-
-
 # The settings each command reads; validate reads none and takes no options.
 _MODEL_OUT = {"omega0", "lambda", "out", "format"}
 READS = {
@@ -235,7 +197,7 @@ READS = {
 }
 VALUES = {"omega0": "2.5", "lambda": "0.3", "Lambda": "0.1", "beta": "2", "beta_min": "1",
           "beta_max": "4", "beta_points": "8", "rtol": "1e-9", "atol": "1e-11",
-          "out": "x.csv", "format": "json"}
+          "out": "x.csv", "format": "json", "config": "run.cfg"}
 UNREAD = [(command, key) for command, reads in READS.items() for key in VALUES
           if key not in reads]
 
@@ -244,11 +206,43 @@ def _command_argv(command):
     return ["figure", "1"] if command == "figure" else [command]
 
 
+def _flags(settings):
+    return [word for key, value in settings.items() for word in ("--" + key.replace("_", "-"), value)]
+
+
+def _header(path, fmt):
+    """The provenance header's settings, by name."""
+    if fmt == "json":
+        lines = json.loads(path.read_text())["provenance"]
+    else:
+        lines = [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
+    return dict(line.split(" = ") for line in lines[1:])
+
+
+def _seeded_settings(command, rng):
+    """Non-default values, as flag strings, for the model, drive and grid settings
+    ``command`` reads; the drive stays inside (0.9 of) its bound 1 - 2 lambda."""
+    lam = 0.05 + 0.4 * rng.random()
+    drawn = {
+        "omega0": 1.0 + 4.0 * rng.random(),
+        "lambda": lam,
+        "Lambda": rng.choice((1.0, -1.0)) * 0.9 * rng.random() * (1.0 - 2.0 * lam),
+        "beta": 1.0 + 4.0 * rng.random(),
+        "beta_min": 0.5 + rng.random(),
+        "beta_max": 4.0 + 4.0 * rng.random(),
+        "beta_points": rng.randrange(2, 64),
+        "rtol": 10.0 ** rng.uniform(-11.0, -9.0),
+        "atol": 10.0 ** rng.uniform(-13.0, -11.0),
+    }
+    return {key: str(drawn[key]) for key in cli.COMMANDS[command][1] if key in drawn}
+
+
 class TestSettingsContract:
     @pytest.mark.parametrize("command, key", UNREAD)
     def test_unread_flag_rejected(self, command, key, tmp_path, monkeypatch):
+        # config names no setting: a settings file is no way in either
         monkeypatch.chdir(tmp_path)
-        argv = _command_argv(command) + ["--" + key.replace("_", "-"), VALUES[key]]
+        argv = _command_argv(command) + _flags({key: VALUES[key]})
         if command != "validate":
             argv += ["--out", "x.csv"]
         with pytest.raises(SystemExit) as exc:
@@ -256,27 +250,30 @@ class TestSettingsContract:
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command, key",
-                             [pair for pair in UNREAD if pair[0] != "validate"])
-    def test_unread_config_key_rejected(self, command, key, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"lambda = 0.3\n{key} = {VALUES[key]}\n")
-        out = tmp_path / "x.csv"
-        assert run_cli(_command_argv(command) + ["--config", str(cfg), "--out", str(out)]) == 2
-        assert f"{cfg}:2: {command} does not read '{key}'" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
-
     @pytest.mark.parametrize("command", [c for c in READS if c != "validate"])
     def test_read_settings_accepted_and_echoed(self, command, tmp_path):
-        cfg = tmp_path / "run.cfg"
         out = tmp_path / "x.json"
-        cfg.write_text("".join(f"{key} = {VALUES[key]}\n" for key in READS[command]
-                               if key != "out"))
-        assert run_cli(_command_argv(command) + ["--config", str(cfg), "--out", str(out)]) == 0
-        echo = dict(line.split(" = ") for line in json.loads(out.read_text())["provenance"][1:])
+        settings = {key: VALUES[key] for key in READS[command]}
+        assert run_cli(_command_argv(command) + _flags({**settings, "out": str(out)})) == 0
+        echo = _header(out, "json")
         for key in READS[command] - {"out", "format"}:
             assert float(echo[key]) == float(VALUES[key])
         assert echo["format"] == "json"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [["modes"], ["static"], ["shift"], ["sweep"], ["evolve"],
+                                      ["figure", "1"], ["figure", "2"], ["figure", "3"]])
+    def test_header_given_back_as_flags_reproduces_the_artifact(self, argv, fmt, tmp_path):
+        # the settings the command reads, echoed at 17 digits, are all its input
+        command = argv[0]
+        rng = random.Random(f"{' '.join(argv)} {fmt}")
+        first, second = tmp_path / "first", tmp_path / "second"
+        flags = _flags({**_seeded_settings(command, rng), "format": fmt})
+        assert run_cli(argv + flags + ["--out", str(first)]) == 0
+        echo = _header(first, fmt)
+        given_back = {key: echo[key] for key in cli.COMMANDS[command][1] if key != "out"}
+        assert run_cli(argv + _flags(given_back) + ["--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_modes_header_at_defaults(self, tmp_path):
         out = tmp_path / "modes.csv"
@@ -297,13 +294,21 @@ class TestSettingsContract:
         ]
 
     def test_bad_format_value_rejected(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format = xml\n")
-        assert run_cli(["modes", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         with pytest.raises(SystemExit) as exc:
-            run_cli(["modes", "--format", "xml"])
+            run_cli(["modes", "--format", "xml", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, error", [
+        (["shift", "--beta", "abc"], "argument --beta: invalid float value: 'abc'"),
+        (["sweep", "--beta-points", "1e3"], "argument --beta-points: invalid int value: '1e3'"),
+    ], ids=["shift-beta", "sweep-beta_points"])
+    def test_unparsable_value_rejected(self, argv, error, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {error}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorPaths:

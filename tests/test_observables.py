@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairpulse import (
     KINDS,
@@ -468,3 +470,31 @@ class TestLimits:
             rel = abs(plus - minus) / plus
             scale = 1e-4 * OMEGA0**2 / beta**2
             assert rel == pytest.approx(scale, rel=0.2)
+
+
+@st.composite
+def _domain_points(draw):
+    """(modes, Omega0, pulse) over the admissible domain: omega0 log-uniform on
+    [1e-3, 1e3], lam on [0, 0.5), Lambda of either sign up to (1 - 1e-12) of
+    its bound (omega2/omega0)^2, beta/omega0 log-uniform on [10^-2.5, 10^4], and
+    one of the five mode frequencies."""
+    omega0 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    modes = derive_modes(ModelParams(omega0, draw(st.floats(0.0, 0.5, exclude_max=True))))
+    bound = (modes.omega2 / modes.omega1) ** 2
+    Lambda = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.0, 1.0 - 1e-12)) * bound
+    beta = omega0 * 10.0 ** draw(st.floats(-2.5, 4.0))
+    fields = ("omega1", "omega2", "omega_e", "omega_w", "omega_d")
+    return modes, getattr(modes, draw(st.sampled_from(fields))), Pulse(Lambda, beta, omega0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_domain_points())
+def test_reflection_and_shifts_stay_in_range_over_the_domain(point):
+    # R in [0, 1) and every shift >= 0 of either sign of the drive, and the
+    # Born shift bit for bit blind to that sign
+    modes, om, pulse = point
+    assert 0.0 <= analytic_reflection(om, pulse).R < 1.0
+    for kind in KINDS:
+        assert total_shift(modes, pulse, kind) >= 0.0, kind
+    flipped = Pulse(-pulse.Lambda, pulse.beta, pulse.omega0)
+    assert born_shift(om, pulse) == born_shift(om, flipped)
