@@ -184,6 +184,34 @@ class TestFigureCommands:
         assert np.all(np.diff(arr[:, 1]) < 0)
 
 
+def _rejects_config(argv, cfg, capsys):
+    """``argv`` exits 2 on ``--config cfg`` as an unknown flag, before reading ``cfg``."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: --config {cfg}\n")
+
+
+class TestConfigPrecedence:
+    # settings are defaults, then flags: a settings file is no way in, whatever it holds
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "shift.csv"
+        for text in ("omega_nought = 3", "grid_points = 512", "beta 5"):
+            cfg.write_text(text + "\n")
+            _rejects_config(["shift", "--config", str(cfg), "--out", str(out)], cfg, capsys)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["shift", "--grid-points", "512"])
+        assert exc.value.code == 2
+
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        _rejects_config(["shift", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+                        cfg, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+
 # The settings each command reads; validate reads none and takes no options.
 _MODEL_OUT = {"omega0", "lambda", "out", "format"}
 READS = {
@@ -249,6 +277,17 @@ class TestSettingsContract:
             run_cli(argv)
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, key", [(command, key) for command, key in UNREAD
+                                              if command != "validate" and key != "config"])
+    def test_unread_config_key_rejected(self, command, key, tmp_path, capsys):
+        # an unread setting written in a settings file does not reach the command either
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lambda = 0.3\n{key} = {VALUES[key]}\n")
+        out = tmp_path / "x.csv"
+        _rejects_config(_command_argv(command) + ["--config", str(cfg), "--out", str(out)],
+                        cfg, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     @pytest.mark.parametrize("command", [c for c in READS if c != "validate"])
     def test_read_settings_accepted_and_echoed(self, command, tmp_path):
