@@ -286,13 +286,13 @@ COMMANDS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="pairpulse",
+        prog="pairpulse", allow_abbrev=False,
         description="Driven correlated two-particle trap model: data tables and validation",
     )
     parser.add_argument("--version", action="version", version=f"pairpulse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, reads, help_text) in COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_text)
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for key in reads:
             setting = SETTINGS[key]
             cmd.add_argument("--" + key.replace("_", "-"), type=setting.type,

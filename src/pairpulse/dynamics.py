@@ -478,11 +478,17 @@ class OneMatrixSnapshot(NamedTuple):
 
     ``omega_d_t`` is the mode-mixed density frequency, ``D_t`` the pair
     Gaussian exponent, ``alpha_t`` the current coefficient (probability
-    current j = x n alpha), and ``Z_t`` the geometric occupation ratio; the
-    mode widths behind them are read from both trajectories in one Magnus
-    pass, with the step ``Trajectory.state_at`` applies.  The
-    kernel Gamma_1(x1, x2, t) is ``gamma1_static`` at omega_d = omega_d_t and
-    D = D_t times the phase exp(i alpha_t (x1^2 - x2^2) / 2).  Every
+    current j = x n alpha), ``Z_t`` the geometric occupation ratio and
+    ``kappa_t`` the curvature of the inverted potential (1/2) kappa_t x^2,
+    kappa_t = omega_d^2 - omega_d^(1/2) d^2/dt^2 omega_d^(-1/2)
+    = omega_d^2 + alpha^2 - (omega_d/2) sum_i [o_i + (r_i^2 - Omega_i^2(t))/o_i]
+    with o_i = omega_i/B_i^2, r_i = B_i'/B_i, Omega_i^2(t) = omega_i^2 + coupling F(t),
+    from u = 1/omega_d = sum_i B_i^2/(2 omega_i), u' = 2 alpha/omega_d and Ermakov's
+    B_i'' = -Omega_i^2 B_i + omega_i^2/B_i^3.  The mode widths behind them are
+    read from both trajectories in one Magnus pass, with the step
+    ``Trajectory.state_at`` applies.  The kernel Gamma_1(x1, x2, t) is
+    ``gamma1_static`` at omega_d = omega_d_t and D = D_t times the phase
+    exp(i alpha_t (x1^2 - x2^2) / 2).  Every
     field is a float for a scalar time and a 1-d numpy array for a 1-d array
     of times.  A ``NamedTuple``: immutable, it unpacks, and it compares equal
     to the tuple of its fields.
@@ -493,6 +499,7 @@ class OneMatrixSnapshot(NamedTuple):
     D_t: float
     alpha_t: float
     Z_t: float
+    kappa_t: float
 
 
 def onematrix_snapshot(
@@ -522,12 +529,16 @@ def onematrix_snapshot(
     (B1, B2), (B1d, B2d) = B.reshape(2, *ts.shape), Bdot.reshape(2, *ts.shape)
     o1 = w1 / B1**2
     o2 = w2 / B2**2
+    r1, r2 = B1d / B1, B2d / B2
     od = 2.0 * o1 * o2 / (o1 + o2)
-    D_t = 0.25 * ((o1 - o2) ** 2 + (B1d / B1 - B2d / B2) ** 2) / (o1 + o2)
+    D_t = 0.25 * ((o1 - o2) ** 2 + (r1 - r2) ** 2) / (o1 + o2)
     alpha = od * 0.5 * (B1 * B1d / w1 + B2 * B2d / w2)
     root = np.sqrt(1.0 + 2.0 * D_t / od)
     Z_t = (root - 1.0) / (root + 1.0)
-    values = (ts, od, D_t, alpha, Z_t)
+    drive = traj1.pulse.coupling * envelope(traj1.pulse, ts)
+    u2 = o1 + (r1 * r1 - w1 * w1 - drive) / o1 + o2 + (r2 * r2 - w2 * w2 - drive) / o2
+    kappa = od * od + alpha * alpha - 0.5 * od * u2
+    values = (ts, od, D_t, alpha, Z_t, kappa)
     if t.ndim == 0:
         return OneMatrixSnapshot(*(float(v[0]) for v in values))
     return OneMatrixSnapshot(*values)
@@ -535,10 +546,12 @@ def onematrix_snapshot(
 
 @dataclass(eq=False, frozen=True)
 class SnapshotSeries:
-    """One-matrix snapshots on a uniform time grid for stencil derivatives.
+    """One-matrix snapshots on a uniform time grid.
 
     ``snapshots`` lists one scalar OneMatrixSnapshot per entry of ``times`` (its row
-    of the array read) for ``effective_potential`` and ``energy_expectation_ks``.
+    of the array read) for ``effective_potential`` and ``energy_expectation_ks``,
+    which read one snapshot's kappa_t = omega_d^2 + alpha^2 - (omega_d/2) sum_i
+    [o_i + (r_i^2 - Omega_i^2)/o_i], closed by Ermakov's B_i'' (``OneMatrixSnapshot``).
     ``snapshot_series`` makes ``times`` read-only.
     """
 
@@ -557,15 +570,6 @@ class SnapshotSeries:
                 return i
         raise ValueError(f"time {t} not covered by the snapshot series")
 
-    def _d2_inv_sqrt_omega_d(self, i: int) -> float:
-        """5-point second derivative of omega_d(t)**-1/2 at grid index i."""
-        if i < 2 or i > len(self.times) - 3:
-            raise ValueError("stencil reaches past the snapshot-series edges")
-        w = [self.snapshots[i + k].omega_d_t ** -0.5 for k in (-2, -1, 0, 1, 2)]
-        return (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (
-            12.0 * self.spacing**2
-        )
-
 
 def snapshot_series(
     modes: ModeSet,
@@ -576,11 +580,13 @@ def snapshot_series(
 ) -> SnapshotSeries:
     """Build a uniformly spaced snapshot series on [t_min, t_max].
 
-    The spacing min(0.01/omega1, 0.02/beta) keeps the 5-point stencil
-    truncation error far below the asymptotic observables.  All times are
-    evaluated by one array ``onematrix_snapshot`` call, that is one Magnus
-    pass over both trajectories, whose rows become the float snapshots.
-    The window must lie inside the time range of both trajectories.
+    The spacing min(0.01/omega1, 0.02/beta) only sets the grid the readers
+    snap to: each snapshot carries kappa_t = omega_d^2 + alpha^2 - (omega_d/2)
+    sum_i [o_i + (r_i^2 - Omega_i^2)/o_i], closed by Ermakov's B_i''
+    (``OneMatrixSnapshot``).  All times are evaluated by one array
+    ``onematrix_snapshot`` call, one Magnus pass over both trajectories, whose
+    rows become the float snapshots.  The window must lie inside the time
+    range of both trajectories.
     """
     spacing = min(0.01 / modes.omega1, 0.02 / traj1.pulse.beta)
     if t_max <= t_min:
@@ -606,22 +612,20 @@ def snapshot_series(
 def effective_potential(series: SnapshotSeries, x, t: float, variant: str) -> np.ndarray:
     """Effective single-particle potential behind the density orbital.
 
-    ``inverted`` differentiates the mode-mixed omega_d(t) of the exact
-    density (formally exact, physically pathological at late times); it
-    reads the series at the grid time nearest to ``t``, which must lie
-    within half a spacing of the grid (``SnapshotSeries.index_at``), so an
-    off-grid ``t`` gets the value at that grid time.  ``preoptimized`` is
-    the closed form (1/2) x^2 [omega_d^2 + coupling*F(t)] of the drive
-    acting on the density-optimal initial state, evaluated at ``t`` itself.
+    ``inverted`` is (1/2) x^2 kappa_t, kappa_t = omega_d^2 - omega_d^(1/2)
+    d^2/dt^2 omega_d^(-1/2) of the mode-mixed omega_d(t) of the exact density,
+    closed by Ermakov's B_i'' (``OneMatrixSnapshot``): formally exact,
+    physically pathological at late times.  It reads the snapshot at the grid
+    time nearest to ``t``, which must lie within half a spacing of the grid
+    (``SnapshotSeries.index_at``).  ``preoptimized`` is the closed form
+    (1/2) x^2 [omega_d^2 + coupling*F(t)] of the drive acting on the
+    density-optimal initial state, evaluated at ``t`` itself.
     """
     x2 = np.square(np.asarray(x, dtype=float))
     if variant == "preoptimized":
         return 0.5 * x2 * omega_squared(series.modes.omega_d, series.pulse, t)
     if variant == "inverted":
-        i = series.index_at(t)
-        od_t = series.snapshots[i].omega_d_t
-        d2 = series._d2_inv_sqrt_omega_d(i)
-        return 0.5 * x2 * od_t**2 - 0.5 * x2 * math.sqrt(od_t) * d2
+        return 0.5 * x2 * series.snapshots[series.index_at(t)].kappa_t
     raise ValueError(f"variant must be 'inverted' or 'preoptimized', got {variant!r}")
 
 
@@ -629,19 +633,15 @@ def energy_expectation_ks(series: SnapshotSeries, t: float) -> float:
     """Two-particle energy expectation of the density-orbital description.
 
     Kinetic part (1/2) omega_d(t) [1 + alpha^2/omega_d^2] plus potential
-    part (1/2) omega_d(t) [1 - omega_d^{-3/2} d^2/dt^2 omega_d^{-1/2}].
-    Oscillates at late times when the modes differ.  Read at the grid time
-    nearest to ``t``, which must lie within half a spacing of the grid
-    (``SnapshotSeries.index_at``): an off-grid ``t`` gets the value at that
-    grid time.
+    part (1/2) omega_d(t) [1 - omega_d^{-3/2} d^2/dt^2 omega_d^{-1/2}]
+    = (1/2) kappa_t / omega_d, kappa_t closed by Ermakov's B_i'' (``OneMatrixSnapshot``).
+    Oscillates at late times when the modes differ.  Read from the snapshot at
+    the grid time nearest to ``t``, which must lie within half a spacing of the
+    grid (``SnapshotSeries.index_at``): an off-grid ``t`` gets that time's value.
     """
-    i = series.index_at(t)
-    snap = series.snapshots[i]
+    snap = series.snapshots[series.index_at(t)]
     od, alpha = snap.omega_d_t, snap.alpha_t
-    d2 = series._d2_inv_sqrt_omega_d(i)
-    kinetic = 0.5 * od * (1.0 + alpha**2 / od**2)
-    potential = 0.5 * od * (1.0 - od**-1.5 * d2)
-    return kinetic + potential
+    return 0.5 * od * (1.0 + alpha**2 / od**2) + 0.5 * snap.kappa_t / od
 
 
 def continuity_residual(

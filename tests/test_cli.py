@@ -349,6 +349,15 @@ class TestSettingsContract:
         assert capsys.readouterr().err.endswith(f"error: {error}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [("--lamb", "0.3"), ("--form", "json")])
+    def test_flag_prefix_rejected(self, flag, value, tmp_path, capsys):
+        # a flag is its full name: a unique prefix is not read as the flag it starts
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["modes", flag, value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestErrorPaths:
     def test_inadmissible_drive_diagnostic(self, tmp_path, capsys):

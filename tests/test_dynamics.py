@@ -436,7 +436,7 @@ def _assert_exact(traj, times, got):
 
 
 def _domain_draws(rng, n, edge_every=0):
-    """n seeded (Omega0, pulse) draws over the admissible domain: omega0
+    """n seeded (modes, Omega0, pulse) draws over the admissible domain: omega0
     log-uniform on [0.3, 10], lam on [0, 0.499), |Lambda| up to 0.999 of the
     bound (omega2/omega0)^2 of either sign, either mode and beta/Omega0
     log-uniform on [0.05, 10]; every edge_every-th draw, if any, puts |Lambda|
@@ -449,7 +449,7 @@ def _domain_draws(rng, n, edge_every=0):
             fraction = 1.0 - 1e-9
         om = rng.choice((m.omega1, m.omega2))
         Lam = sign * fraction * (m.omega2 / m.omega1) ** 2
-        yield om, Pulse(Lam, om * 0.05 * 200.0 ** rng.random(), omega0)
+        yield m, om, Pulse(Lam, om * 0.05 * 200.0 ** rng.random(), omega0)
 
 
 @pytest.fixture(scope="module")
@@ -508,7 +508,7 @@ class TestDenseOutput:
         # FIRST_STEP_ANGLE that every step's exponent is elliptic.
         assert FIRST_STEP_ANGLE <= 1.0
         times_rng = np.random.default_rng(2033)
-        for om, p in _domain_draws(random.Random(2033), 24, edge_every=4):
+        for _, om, p in _domain_draws(random.Random(2033), 24, edge_every=4):
             traj = integrate_mode(om, p)
             peak = math.sqrt(om**2 + max(p.coupling, 0.0))
             assert np.max(np.diff(traj.t)) * peak <= FIRST_STEP_ANGLE * (1.0 + 1e-12)
@@ -606,7 +606,7 @@ class TestExtractReflection:
     def test_matches_analytic_over_the_domain(self):
         # 60 draws of _domain_draws; the worst reads 4.9e-12
         worst = (0.0,)
-        for om, p in _domain_draws(random.Random(2031), 60):
+        for _, om, p in _domain_draws(random.Random(2031), 60):
             dR = abs(extract_reflection(integrate_mode(om, p)).R - analytic_reflection(om, p).R)
             worst = max(worst, (dR, om, p), key=lambda w: w[0])
         assert worst[0] <= 1e-9, worst
@@ -845,7 +845,7 @@ class TestOneMatrixSnapshot:
                 assert value == getattr(table, name)[i]
 
     def test_fields_are_fixed_and_immutable(self, modes_ref, traj_pair_ref):
-        assert OneMatrixSnapshot._fields == ("t", "omega_d_t", "D_t", "alpha_t", "Z_t")
+        assert OneMatrixSnapshot._fields == ("t", "omega_d_t", "D_t", "alpha_t", "Z_t", "kappa_t")
         t1, t2 = traj_pair_ref
         snap = onematrix_snapshot(modes_ref, t1, t2, 0.5)
         for name in OneMatrixSnapshot._fields:
@@ -904,6 +904,61 @@ class TestOneMatrixSnapshot:
                               x[:, None], x[None, :])
             quad = np.trapezoid(np.trapezoid(g**2, x, axis=1), x)
             assert quad == pytest.approx(closed, abs=1e-9)
+
+    def test_kernel_matches_quadrature_of_the_wavefunction_over_the_domain(self):
+        # 8 draws of _domain_draws, every fourth at (1 - 1e-9) of the bound,
+        # each read before, twice in and after the pulse.  Gamma_1(x1, x2) is
+        # the y quadrature of Psi(x1, y) Psi*(x2, y), Psi the product of the
+        # mode Gaussians (o/pi)^(1/4) exp(-(o - i r) q^2 / 2), o = Omega0/B^2 and
+        # r = B'/B from state_at, in q = (x1 +- y)/sqrt(2); its eigenvalues are
+        # the occupations (1 - Z) Z^k.  The worst of either reads 2.5e-14.
+        for m, _, p in _domain_draws(random.Random(2036), 8, edge_every=4):
+            t1, t2 = (integrate_mode(om, p) for om in (m.omega1, m.omega2))
+            t_free = _FREE / (2.0 * p.beta)
+            for t in (-t_free, p.t0 - 0.3 / p.beta, p.t0 + 0.3 / p.beta, min(t1.t_end, t2.t_end)):
+                snap = onematrix_snapshot(m, t1, t2, t)
+                width = snap.omega_d_t**-0.5
+                x = np.linspace(-9.0 * width, 9.0 * width, 161)
+                y = np.linspace(-14.4 * width, 14.4 * width, 644)
+                X, Y, psi = x[:, None] / math.sqrt(2.0), y / math.sqrt(2.0), 1.0
+                for traj, q in ((t1, X + Y), (t2, X - Y)):
+                    B, Bdot, _ = traj.state_at(t)
+                    o, r = traj.mode_frequency / B**2, Bdot / B
+                    psi = psi * (o / math.pi) ** 0.25 * np.exp(-0.5 * (o - 1j * r) * q * q)
+                quad = (y[1] - y[0]) * psi @ psi.conj().T
+                phase = np.exp(0.5j * snap.alpha_t * (x[:, None] ** 2 - x**2))
+                closed = gamma1_static(m._replace(omega_d=snap.omega_d_t, D=snap.D_t), x[:, None], x) * phase
+                assert np.max(np.abs(quad - closed)) <= 1e-12 * np.max(np.abs(closed)), (m, p, t)
+                occupations = np.linalg.eigvalsh((x[1] - x[0]) * quad)[::-1][:8]
+                np.testing.assert_allclose(occupations, (1.0 - snap.Z_t) * snap.Z_t ** np.arange(8),
+                                           rtol=0, atol=1e-12)
+
+    def test_kappa_matches_stencil_of_inverse_sqrt_omega_d(self):
+        # kappa_t = omega_d^2 - omega_d^(1/2) d^2/dt^2 omega_d^(-1/2), against a
+        # 5-point stencil over one array read of 601 times around the pulse, on
+        # 8 draws of _domain_draws, every fourth at (1 - 1e-9) of the bound.
+        # The stencil steps at half the series spacing: at the spacing itself
+        # its h^4 truncation reaches 2.7e-6 near the bound.  The worst reads 1.3e-8.
+        for m, _, p in _domain_draws(random.Random(2036), 8, edge_every=4):
+            t1, t2 = (integrate_mode(om, p, rtol=1e-11, atol=1e-13) for om in (m.omega1, m.omega2))
+            h = 0.5 * min(0.01 / m.omega1, 0.02 / p.beta)
+            snap = onematrix_snapshot(m, t1, t2, p.t0 + h * np.arange(-300.0, 301.0))
+            w = snap.omega_d_t**-0.5
+            d2 = (-w[:-4] + 16.0 * w[1:-3] - 30.0 * w[2:-2] + 16.0 * w[3:-1] - w[4:]) / (12.0 * h**2)
+            od, kappa = snap.omega_d_t[2:-2], snap.kappa_t[2:-2]
+            stencil = od**2 - np.sqrt(od) * d2
+            assert np.max(np.abs(kappa - stencil)) <= 1e-7 * np.max(np.abs(kappa)), (m, p)
+
+    @pytest.mark.parametrize("Lambda", [LAMBDA, -(1.0 - 1e-9)])
+    def test_kappa_without_interaction_is_the_drive(self, Lambda):
+        # at lam = 0 every mode is omega0, and the inverted potential is the drive itself
+        m = derive_modes(ModelParams(3.0, 0.0))
+        p = Pulse(Lambda=Lambda, beta=BETA, omega0=3.0)
+        t1, t2 = (integrate_mode(om, p) for om in (m.omega1, m.omega2))
+        ts = np.linspace(t1.t_start, min(t1.t_end, t2.t_end), 997)
+        kappa = onematrix_snapshot(m, t1, t2, ts).kappa_t
+        drive = m.omega_d**2 + p.coupling * envelope(p, ts)
+        np.testing.assert_allclose(kappa, drive, rtol=0, atol=1e-12)
 
     def test_mismatched_pulses_rejected(self, modes_ref, traj_pair_ref):
         t1, _ = traj_pair_ref
@@ -1004,13 +1059,20 @@ class TestEffectivePotential:
         for t in (-0.6, 0.0, 0.9, 1.8):
             vi = effective_potential(series, x, t, "inverted")
             vp = effective_potential(series, x, t, "preoptimized")
-            np.testing.assert_allclose(vi, vp, atol=1e-7)
+            np.testing.assert_allclose(vi, vp, rtol=0, atol=1e-12)
 
-    def test_stencil_edges_rejected(self, series_ref):
-        with pytest.raises(ValueError):
-            effective_potential(series_ref, 1.0, series_ref.times[0], "inverted")
-        with pytest.raises(ValueError):
-            effective_potential(series_ref, 1.0, series_ref.times[-1], "inverted")
+    def test_readers_read_the_series_edges(self, modes_ref, traj_pair_ref, series_ref):
+        # each reader reads one snapshot, so the first two and last two grid
+        # times read like any other: as the rows of one array read
+        table = onematrix_snapshot(modes_ref, *traj_pair_ref, series_ref.times)
+        x = np.array([0.4, 1.2])
+        for i in (0, 1, len(series_ref.times) - 2, len(series_ref.times) - 1):
+            od, alpha, kappa = table.omega_d_t[i], table.alpha_t[i], table.kappa_t[i]
+            t = float(series_ref.times[i])
+            assert energy_expectation_ks(series_ref, t) == (
+                0.5 * od * (1.0 + alpha**2 / od**2) + 0.5 * kappa / od)
+            assert (effective_potential(series_ref, x, t, "inverted").tobytes()
+                    == (0.5 * x**2 * kappa).tobytes())
 
     def test_unknown_variant_rejected(self, series_ref):
         with pytest.raises(ValueError):
@@ -1019,15 +1081,13 @@ class TestEffectivePotential:
 
 class TestEnergyExpectation:
     def test_static_limit(self):
-        # stencil second derivative amplifies dense-output noise by 1/h^2,
-        # which sets the ~1e-7 floor here
         m = derive_modes(ModelParams(3.0, 0.0))
         p = Pulse(Lambda=1e-30, beta=BETA, omega0=3.0)
         t1 = integrate_mode(m.omega1, p, rtol=1e-12, atol=1e-14)
         t2 = integrate_mode(m.omega2, p, rtol=1e-12, atol=1e-14)
         series = snapshot_series(m, t1, t2, -1.0, 1.0)
         val = energy_expectation_ks(series, 0.0)
-        assert val == pytest.approx(m.E0, abs=1e-6)
+        assert val == pytest.approx(m.E0, abs=1e-12)
 
     def test_noninteracting_late_time_matches_mode_shift(self):
         # without mode mixing the description is exact: the late-time value
