@@ -18,18 +18,19 @@ observable.
 Because the equation is linear, ``integrate_mode`` propagates it exactly
 step by step with a 6th-order Magnus propagator, the closed-form
 exponential of a traceless 2 x 2 matrix (Blanes, Casas & Ros, BIT 40, 434
-(2000)).  A step that fails a half-step error check is split into as many
-equal substeps as its error estimate asks for, so the grid is fine only
-where the pulse acts, and each refinement level is one numpy pass (Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), section 5; Hairer, Norsett &
-Wanner, Solving ODEs I, section II.4).  The node states come from one
-prefix-product scan over the accepted steps' half-step products, with each
-midpoint from its step's first half.  The 2 x 2 products, the scan
-included, run entry by entry on (2, 2, n) stacks, never through BLAS, so a
-trajectory's bits do not depend on the BLAS kernel.  The module needs numpy
-alone.  ``Pulse`` and the closed-form ``analytic_reflection`` live in
-``closed_form``, which needs no numpy; the pulse's envelope ``F(t)``,
-evaluated on arrays, lives here.
+(2000)).  Its first grid resolves the pulse core and crosses the free
+oscillation on either side in steps of FREE_STEP_ANGLE radians, exact there
+to PULSE_OFF.  A step that fails a half-step error check is split into as
+many equal substeps as its error estimate asks for, and each refinement
+level is one numpy pass (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+(2009), section 5; Hairer, Norsett & Wanner, Solving ODEs I, section II.4).
+The node states come from one prefix-product scan over the accepted steps'
+half-step products, with each midpoint from its step's first half.  The
+2 x 2 products, the scan included, run entry by entry on (2, 2, n) stacks,
+never through BLAS, so a trajectory's bits do not depend on the BLAS
+kernel.  The module needs numpy alone.  ``Pulse`` and the closed-form
+``analytic_reflection`` live in ``closed_form``, which needs no numpy; the
+pulse's envelope ``F(t)``, evaluated on arrays, lives here.
 """
 
 from __future__ import annotations
@@ -82,20 +83,24 @@ PULSE_OFF = 1e-10
 WINDOW = 15.0
 SETTLE_PERIODS = 6.0
 
-# Magnus grids: the first one advances the phase at the peak frequency over
-# the window, and the pulse argument 2 beta (t - t0) over the pulse core, by
-# at most FIRST_STEP_ANGLE radians per step.  That keeps its steps inside the
-# convergence region of the Magnus series and stops them from stepping over
-# the pulse.  Refinement then splits only the steps that fail the error
-# check: a step of error err against the request tol becomes
-# max(2, ceil((SPLIT_MARGIN err / tol)^(1/7))) equal substeps, since the
-# 6th-order step's local error scales as h^7, so that its substeps aim at
+# Magnus grids: the first one has three uniform segments.  In the pulse core,
+# where the envelope exceeds PULSE_OFF, a step advances the phase at the peak
+# frequency, and the pulse argument 2 beta (t - t0), by at most
+# FIRST_STEP_ANGLE radians: inside the Magnus series' convergence region, and
+# never over the pulse.  Outside the core the coefficients are constant to
+# PULSE_OFF, so a step passes the error check at any length, and advances the
+# phase at the free frequency sqrt(Omega0^2 + max(coupling, 0) PULSE_OFF) by
+# at most FREE_STEP_ANGLE radians.  Refinement then splits only the steps
+# that fail the error check: a step of error err against the request tol
+# becomes max(2, ceil((SPLIT_MARGIN err / tol)^(1/7))) equal substeps, since
+# the 6th-order step's local error scales as h^7, so that its substeps aim at
 # tol / SPLIT_MARGIN.  No grid, the error check's half steps included, has
 # more than MAX_STEPS steps.
 #
 # By Sturm comparison the zeros of the real solution Re(xi exp(-i a)), where
 # the phase of xi passes a + pi/2 mod pi, lie at least pi / max Omega apart.
-# So while FIRST_STEP_ANGLE < pi every step advances the phase by less than
+# So while FIRST_STEP_ANGLE and FREE_STEP_ANGLE / 2 stay below pi, the advance
+# from a node (a step's start or midpoint) to the next node or a read is below
 # pi, and integrate_mode raises a RuntimeError on any advance outside (0, pi).
 #
 # The exponent is elliptic on every step, so _propagators needs no hyperbolic
@@ -104,14 +109,22 @@ SETTLE_PERIODS = 6.0
 # (5 x1 + 8 x2 + 5 x3) / 18 >= (5/18) max x_i, and the absolute coefficients
 # of all higher terms sum to 0.0423 (degree 2: 0.0340, degree 3: 0.0081,
 # degrees 4 and 5: 2.8e-4).  So on [0, 1]^3, q >= 0.235 max x_i, which is
-# above 0 unless every x_i is 0, as at a read on a node.  Every step lies in
-# that cube: integrate_mode rejects Omega0^2 + min(coupling, 0) <= 0, so
+# above 0 unless every x_i is 0, as at a read on a node.  Every core step lies
+# in that cube: integrate_mode rejects Omega0^2 + min(coupling, 0) <= 0, so
 # Omega^2 > 0 (in floats too: the computed F stays <= 1, and rounding is
-# monotone), and the first grid's steps are at most
+# monotone), and the core's first steps are at most
 # FIRST_STEP_ANGLE / sqrt(Omega0^2 + max(coupling, 0)), so
 # x_i <= FIRST_STEP_ANGLE^2, which is <= 1 while FIRST_STEP_ANGLE <= 1.
-# Refinement and reads only use parts of such steps.
+# A free step lies outside the core, so F < PULSE_OFF at its Gauss points: with
+# X = h^2 Omega0^2 and eps = |coupling| PULSE_OFF / Omega0^2, each x_i lies
+# between X and X (1 +- eps), by the coupling's sign, so |x3 - x1| <= eps X,
+# |x1 - 2 x2 + x3| <= 2 eps X and q = x2 + (5/18)(x1 - 2 x2 + x3) + r, each
+# term of r of degree >= 2 in those two.  While X <= FREE_STEP_ANGLE^2 and eps
+# <= 0.01, |r| <= 2.35 eps^2 X, so q >= X (1 - (14/9) eps - 2.35 eps^2) > 0
+# unless X = 0.  Admissible modes have eps < 1e-10; above 0.01 free steps take
+# FIRST_STEP_ANGLE (the cube).  Refinement and reads use parts of such steps.
 FIRST_STEP_ANGLE = 1.0
+FREE_STEP_ANGLE = 5.0
 SPLIT_MARGIN = 4.0
 MAX_STEPS = 2**17
 
@@ -335,10 +348,11 @@ def integrate_mode(
     PULSE_OFF) to ``t0 + WINDOW/beta + SETTLE_PERIODS`` width oscillation
     periods, so that it ends in free oscillation.
 
-    The first grid is the union of two uniform grids: the window in steps
-    of FIRST_STEP_ANGLE over the peak frequency, and the pulse core
+    The first grid has three uniform segments: the pulse core
     ``|t - t0| < acosh(PULSE_OFF^-1/2) / (2 beta)``, where the envelope
-    exceeds PULSE_OFF, in steps of FIRST_STEP_ANGLE over 2 beta.  Each
+    exceeds PULSE_OFF, in steps of FIRST_STEP_ANGLE over the larger of the
+    peak frequency and 2 beta, and the free oscillation before and after it
+    in steps of FREE_STEP_ANGLE over the free frequency.  Each
     step's 6th-order Magnus propagator, scaled to ``(xi, xi'/Omega0)``, is
     compared with the product of its two half steps.  A step that agrees
     within ``atol + rtol`` is kept as its two halves.  A step that fails,
@@ -395,14 +409,17 @@ def integrate_mode(
     # the envelope exceeds PULSE_OFF where the pulse argument 2 beta |t - t0| < edge
     edge = math.acosh(PULSE_OFF**-0.5)
     core = edge / (2.0 * pulse.beta)
-    n_window = (t_end - t_start) * math.sqrt(om**2 + max(pulse.coupling, 0.0)) / FIRST_STEP_ANGLE
-    n_core = 2.0 * edge / FIRST_STEP_ANGLE
-    _check_budget(om, pulse, n_window + n_core)  # before any array, and before ceil(inf)
-    nodes = np.sort(np.concatenate([
-        np.linspace(t_start, t_end, math.ceil(n_window) + 1),
-        np.linspace(pulse.t0 - core, pulse.t0 + core, math.ceil(n_core) + 1),
-    ]))
-    nodes = nodes[np.concatenate([[True], nodes[1:] > nodes[:-1]])]  # no zero-width steps
+    drive = max(pulse.coupling, 0.0)
+    # steps per unit time outside the core; of FIRST_STEP_ANGLE where eps > 0.01
+    angle = FREE_STEP_ANGLE if drive * PULSE_OFF <= 0.01 * om**2 else FIRST_STEP_ANGLE
+    free = math.sqrt(om**2 + drive * PULSE_OFF) / angle
+    ends = (t_start, pulse.t0 - core, pulse.t0 + core, t_end)
+    # steps per segment: free, core (the finer of peak phase and pulse argument), free
+    n_core = 2.0 * max(core * math.sqrt(om**2 + drive), edge) / FIRST_STEP_ANGLE
+    counts = ((ends[1] - t_start) * free, n_core, (t_end - ends[2]) * free)
+    _check_budget(om, pulse, sum(counts))  # before any array, and before ceil(inf)
+    grids = (np.linspace(a, b, math.ceil(n) + 1)[:-1] for a, b, n in zip(ends, ends[1:], counts))
+    nodes = np.concatenate([*grids, [t_end]])
 
     starts, U = _accepted_steps(om, pulse, nodes[:-1], nodes[1:], atol + rtol)
     order = np.argsort(starts)
@@ -437,7 +454,7 @@ def integrate_mode(
         raise RuntimeError(
             f"integrate_mode at beta = {pulse.beta}, Omega0 = {om}: a node-to-node "
             f"phase advance outside (0, pi); FIRST_STEP_ANGLE = {FIRST_STEP_ANGLE} "
-            "must stay below pi"
+            f"and FREE_STEP_ANGLE / 2 = {FREE_STEP_ANGLE / 2} must stay below pi"
         )
     B2 = x * x + y * y
     gamma = np.full(2 * m + 1, om * t_start)

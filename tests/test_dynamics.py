@@ -16,7 +16,9 @@ from pairpulse import (
 from pairpulse import dynamics
 from pairpulse.dynamics import (
     FIRST_STEP_ANGLE,
+    FREE_STEP_ANGLE,
     MAX_STEPS,
+    PULSE_OFF,
     _propagators,
     _read,
     OneMatrixSnapshot,
@@ -252,6 +254,37 @@ class TestIntegrateMode:
                     passes[om, beta, Lambda] = len(propagator_calls)
         assert {k: v for k, v in passes.items() if v > 3} == {}
 
+    @pytest.mark.parametrize("om", [3.0, 1.5])
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("Lambda", [0.225, -0.225])
+    def test_free_oscillation_keeps_its_first_steps(self, om, beta, Lambda):
+        # outside the pulse core the coefficients are constant to PULSE_OFF, so
+        # at the ode_reflect corners (default tolerances) no step there is
+        # split: each free segment keeps its ceil(length * frequency /
+        # FREE_STEP_ANGLE) first steps, with their starts and midpoints as
+        # nodes.  (At rtol 1e-11 the step next to the core is split in two.)
+        p = Pulse(Lambda, beta, 3.0)
+        traj = integrate_mode(om, p)
+        core = math.acosh(PULSE_OFF**-0.5) / (2.0 * beta)
+        free = math.sqrt(om**2 + max(p.coupling, 0.0) * PULSE_OFF)
+        for a, b in ((traj.t_start, -core), (core, traj.t_end)):
+            n = math.ceil((b - a) * free / FREE_STEP_ANGLE)
+            nodes = traj.t[(a <= traj.t) & (traj.t <= b)]
+            assert len(nodes) == 2 * n + 1
+            np.testing.assert_allclose(nodes, np.linspace(a, b, 2 * n + 1), rtol=0, atol=1e-13 * (b - a))
+
+    def test_free_steps_fall_to_first_step_angle_beyond_the_proof(self):
+        # at Omega0 = 1e-5 under coupling 1, far outside an admissible model,
+        # eps = coupling PULSE_OFF / Omega0^2 = 1 exceeds the 0.01 that the
+        # free-step proof needs, so the free segments step by FIRST_STEP_ANGLE
+        om, p = 1e-5, Pulse(1.0 / 9.0, 1.0, 3.0)
+        traj = integrate_mode(om, p)
+        core = math.acosh(PULSE_OFF**-0.5) / (2.0 * p.beta)
+        free = math.sqrt(om**2 + p.coupling * PULSE_OFF)
+        for nodes in (traj.t[traj.t <= -core], traj.t[traj.t >= core]):
+            assert np.max(np.diff(nodes)) * 2.0 * free <= FIRST_STEP_ANGLE * (1.0 + 1e-12)
+        assert abs(extract_reflection(traj).R - analytic_reflection(om, p).R) < 1e-9
+
     @pytest.mark.parametrize(
         "mode_frequency, Lambda, beta",
         [(3.0, 0.225, 0.1), (3.0, -0.225, 0.1), (OMEGA0, LAMBDA, 0.12)],
@@ -276,12 +309,10 @@ class TestIntegrateMode:
         assert len(traj.t) <= 1024
 
     def test_steps_advancing_past_pi_are_rejected(self, monkeypatch):
-        # free-oscillation steps are exact at any width, so with first steps of
+        # free-oscillation steps are exact at any width, so with free steps of
         # 7 rad the error check keeps halves of 3.5 rad; gamma would lose 2 pi
         # per such step, so the integrator must refuse the grid
-        import pairpulse.dynamics as dynamics
-
-        monkeypatch.setattr(dynamics, "FIRST_STEP_ANGLE", 7.0)
+        monkeypatch.setattr(dynamics, "FREE_STEP_ANGLE", 7.0)
         with pytest.raises(RuntimeError, match=r"phase advance outside \(0, pi\)"):
             integrate_mode(2.0, Pulse(0.0, 2.0, OMEGA0))
 
@@ -503,17 +534,32 @@ class TestDenseOutput:
 
     def test_state_at_matches_exact_over_the_domain(self):
         # 24 draws of _domain_draws, every fourth at (1 - 1e-9) of the bound,
-        # read at t_start, +-t1, t_end and 4 random times inside +-t1; the
-        # worst reads 9.9e-11.  Each grid meets the premise of the proof at
-        # FIRST_STEP_ANGLE that every step's exponent is elliptic.
-        assert FIRST_STEP_ANGLE <= 1.0
+        # read at t_start, +-t1, t_end, 4 random times inside +-t1, 4 in each
+        # free segment, and the last midpoint before the core and the time just
+        # below the core, read from that midpoint, the farthest a read gets from
+        # a node; the worst reads 6.5e-11.  Each grid meets the premises of the
+        # proof at FIRST_STEP_ANGLE that every step's exponent is elliptic: a
+        # step that reaches into the core advances the peak phase by at most
+        # FIRST_STEP_ANGLE, and every other step, both ends outside the core,
+        # the free phase by at most FREE_STEP_ANGLE, with eps <= 0.01.
+        assert FIRST_STEP_ANGLE <= 1.0 and FREE_STEP_ANGLE <= 5.0
         times_rng = np.random.default_rng(2033)
         for _, om, p in _domain_draws(random.Random(2033), 24, edge_every=4):
             traj = integrate_mode(om, p)
-            peak = math.sqrt(om**2 + max(p.coupling, 0.0))
-            assert np.max(np.diff(traj.t)) * peak <= FIRST_STEP_ANGLE * (1.0 + 1e-12)
+            drive = max(p.coupling, 0.0)
+            assert drive * PULSE_OFF <= 0.01 * om**2
+            core = math.acosh(PULSE_OFF**-0.5) / (2.0 * p.beta)
+            lo, hi = traj.t[:-1:2], traj.t[2::2]  # the accepted steps
+            in_core = (hi > -core) & (lo < core)
+            width = (hi - lo) * np.where(in_core, math.sqrt(om**2 + drive) / FIRST_STEP_ANGLE,
+                                         math.sqrt(om**2 + drive * PULSE_OFF) / FREE_STEP_ANGLE)
+            assert np.max(width) <= 1.0 + 1e-12
             t1 = _FREE / (2.0 * p.beta)
-            times = np.array([traj.t_start, -t1, t1, traj.t_end, *times_rng.uniform(-t1, t1, 4)])
+            k = np.searchsorted(traj.t, -core) - 1  # the last midpoint before the core
+            times = np.array([traj.t_start, -t1, t1, traj.t_end, *times_rng.uniform(-t1, t1, 4),
+                              *times_rng.uniform(traj.t_start, -core, 4),
+                              *times_rng.uniform(core, traj.t_end, 4),
+                              traj.t[k], np.nextafter(traj.t[k + 1], -np.inf)])
             _assert_exact(traj, times, traj.state_at(times))
 
     @pytest.mark.parametrize("om", [3.0, 1.5])

@@ -498,3 +498,34 @@ def test_reflection_and_shifts_stay_in_range_over_the_domain(point):
         assert total_shift(modes, pulse, kind) >= 0.0, kind
     flipped = Pulse(-pulse.Lambda, pulse.beta, pulse.omega0)
     assert born_shift(om, pulse) == born_shift(om, flipped)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_domain_points())
+def test_born_sudden_and_overlap_match_extended_precision_over_the_domain(point):
+    # against 50-digit mpmath forms at the same float inputs.  Each bound is
+    # the worst measured over 5,000 draws of this domain with a margin:
+    # - born_shift, 1e-12 relative (worst 1.3e-13, x8): it is exp of a sum of
+    #   logarithms up to ~745 in size, so its rounding reaches ~745 u;
+    # - sudden_shift, 32 u kappa relative (worst 6.0 u kappa, x5), kappa the
+    #   condition number of its two differences 1 - x^2/3 and 1 - e/2, which
+    #   cancel near x^2 = 3 and e = 2;
+    # - overlap, 1e-13 relative (worst 4.3e-15, x23);
+    # plus, for born_shift and sudden_shift, an absolute 2^-1074 and 1e-290
+    # where the value or the square of its drive ratio underflows.
+    mpmath = pytest.importorskip("mpmath")
+    modes, om, pulse = point
+    u = 2.0**-53
+    with mpmath.workdps(50):
+        Om, Lam, b, w0 = map(mpmath.mpf, (om, pulse.Lambda, pulse.beta, pulse.omega0))
+        e, x2 = Lam * (w0 / b) ** 2, (mpmath.pi * Om / (2 * b)) ** 2 / 3
+        born = (mpmath.pi * e / 4) ** 2 * Om / mpmath.sinh(mpmath.pi * Om / (2 * b)) ** 2
+        assert abs(born_shift(om, pulse) - born) <= 1e-12 * born + 2.0**-1074
+        sudden = Om * (e * b / (2 * Om)) ** 2 * (1 - x2) * (1 - e / 2)
+        kappa = 1 + abs(x2 / (1 - x2)) + abs(e / (2 - e))
+        assert abs(sudden_shift(om, pulse).value - sudden) <= 32 * u * kappa * abs(sudden) + 1e-290
+        for kind, frequencies in (("exact", (modes.omega1, modes.omega2)),
+                                  ("ks", (modes.omega_d, modes.omega_d))):
+            rho1, rho2 = (mp_rho(mpmath, f, pulse.Lambda, pulse.beta, pulse.omega0) for f in frequencies)
+            exact = 1 / mpmath.sqrt((1 + rho1) * (1 + rho2))
+            assert abs(overlap(modes, pulse, kind) - exact) <= 1e-13 * exact, kind
