@@ -25,12 +25,13 @@ many equal substeps as its error estimate asks for, and each refinement
 level is one numpy pass (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
 (2009), section 5; Hairer, Norsett & Wanner, Solving ODEs I, section II.4).
 The node states come from one prefix-product scan over the accepted steps'
-half-step products, with each midpoint from its step's first half.  The
-2 x 2 products, the scan included, run entry by entry on (2, 2, n) stacks,
-never through BLAS, so a trajectory's bits do not depend on the BLAS
-kernel.  The module needs numpy alone.  ``Pulse`` and the closed-form
-``analytic_reflection`` live in ``closed_form``, which needs no numpy; the
-pulse's envelope ``F(t)``, evaluated on arrays, lives here.
+half-step products, with each midpoint from its step's first half.  Every
+2 x 2 product, the scan included, is one ``_mul`` on (2, 2, n) stacks,
+entry by entry and never through BLAS, so a trajectory's bits do not
+depend on the BLAS kernel.  The module needs numpy alone.  ``Pulse`` and
+the closed-form ``analytic_reflection`` live in ``closed_form``, which
+needs no numpy; the pulse's envelope ``F(t)``, evaluated on arrays, lives
+here.
 """
 
 from __future__ import annotations
@@ -219,6 +220,14 @@ def _check_budget(om: float, pulse: Pulse, n: float) -> None:
         )
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The n products a[..., k] @ b[..., k] of two (2, 2, n) stacks, entry by entry.
+
+    Either stack may have n = 1, which broadcasts.
+    """
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
 def _accepted_steps(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray, tol: float):
     """Refine the steps [lo, hi] until every step passes the error check.
 
@@ -234,8 +243,7 @@ def _accepted_steps(om: float, pulse: Pulse, lo: np.ndarray, hi: np.ndarray, tol
     starts, kept, n_kept = [], [], 0  # accepted steps: starts, propagators, count
     while True:
         w, whole, first, second = _halves(om, pulse, lo, hi)
-        # second @ first, entry by entry: the two halves in sequence
-        both = second[:, :1] * first[:1] + second[:, 1:] * first[1:]
+        both = _mul(second, first)  # the two halves in sequence
         err = np.max(np.abs(whole - both) * scale, axis=(0, 1))
         ok = err <= tol  # NaN fails
         keep = np.flatnonzero(ok)
@@ -432,10 +440,10 @@ def integrate_mode(
     U = U.take(order, axis=2)  # C-contiguous, unlike [..., order]
     first, P = U[:2], U[2:]
     d = 1
-    # inclusive prefix product over the steps' half-step products, entry by
-    # entry: after it, P[..., k] = both_k @ ... @ both_0
+    # inclusive prefix product over the steps' half-step products: after it,
+    # P[..., k] = both_k @ ... @ both_0
     while d < m:
-        P[..., d:] = P[:, :1, d:] * P[:1, :, :-d] + P[:, 1:, d:] * P[1:, :, :-d]
+        P[..., d:] = _mul(P[..., d:], P[..., :-d])
         d *= 2
     c, s = math.cos(om * t_start), math.sin(om * t_start)
     x0 = np.array([[c, s], [-om * s, om * c]])[..., None]
@@ -443,9 +451,8 @@ def integrate_mode(
     # the scan, and each midpoint from its step's start by the first half
     X = np.empty((2, 2, 2 * m + 1))
     X[..., :1] = x0
-    X[..., 2::2] = P[:, :1] * x0[:1] + P[:, 1:] * x0[1:]
-    start = X[..., :-1:2]
-    X[..., 1::2] = first[:, :1] * start[:1] + first[:, 1:] * start[1:]
+    X[..., 2::2] = _mul(P, x0)
+    X[..., 1::2] = _mul(first, X[..., :-1:2])
     # Re xi, Im xi, Re xi', Im xi' at every node
     x, y, xd, yd = X.reshape(4, -1)
     # the angle of xi_{k+1} / xi_k, which is gamma's advance only inside (0, pi)
@@ -567,9 +574,8 @@ class SnapshotSeries:
 
     ``snapshots`` lists one scalar OneMatrixSnapshot per entry of ``times`` (its row
     of the array read) for ``effective_potential`` and ``energy_expectation_ks``,
-    which read one snapshot's kappa_t = omega_d^2 + alpha^2 - (omega_d/2) sum_i
-    [o_i + (r_i^2 - Omega_i^2)/o_i], closed by Ermakov's B_i'' (``OneMatrixSnapshot``).
-    ``snapshot_series`` makes ``times`` read-only.
+    which read one snapshot's kappa_t.  ``snapshot_series`` makes ``times``
+    read-only.
     """
 
     modes: ModeSet
@@ -598,9 +604,8 @@ def snapshot_series(
     """Build a uniformly spaced snapshot series on [t_min, t_max].
 
     The spacing min(0.01/omega1, 0.02/beta) only sets the grid the readers
-    snap to: each snapshot carries kappa_t = omega_d^2 + alpha^2 - (omega_d/2)
-    sum_i [o_i + (r_i^2 - Omega_i^2)/o_i], closed by Ermakov's B_i''
-    (``OneMatrixSnapshot``).  All times are evaluated by one array
+    snap to: each snapshot carries its own kappa_t (``OneMatrixSnapshot``),
+    closed by Ermakov's B_i''.  All times are evaluated by one array
     ``onematrix_snapshot`` call, one Magnus pass over both trajectories, whose
     rows become the float snapshots.  The window must lie inside the time
     range of both trajectories.
@@ -629,9 +634,8 @@ def snapshot_series(
 def effective_potential(series: SnapshotSeries, x, t: float, variant: str) -> np.ndarray:
     """Effective single-particle potential behind the density orbital.
 
-    ``inverted`` is (1/2) x^2 kappa_t, kappa_t = omega_d^2 - omega_d^(1/2)
-    d^2/dt^2 omega_d^(-1/2) of the mode-mixed omega_d(t) of the exact density,
-    closed by Ermakov's B_i'' (``OneMatrixSnapshot``): formally exact,
+    ``inverted`` is (1/2) x^2 kappa_t, the curvature of the mode-mixed
+    omega_d(t) of the exact density (``OneMatrixSnapshot``): formally exact,
     physically pathological at late times.  It reads the snapshot at the grid
     time nearest to ``t``, which must lie within half a spacing of the grid
     (``SnapshotSeries.index_at``).  ``preoptimized`` is the closed form
@@ -650,8 +654,7 @@ def energy_expectation_ks(series: SnapshotSeries, t: float) -> float:
     """Two-particle energy expectation of the density-orbital description.
 
     Kinetic part (1/2) omega_d(t) [1 + alpha^2/omega_d^2] plus potential
-    part (1/2) omega_d(t) [1 - omega_d^{-3/2} d^2/dt^2 omega_d^{-1/2}]
-    = (1/2) kappa_t / omega_d, kappa_t closed by Ermakov's B_i'' (``OneMatrixSnapshot``).
+    part (1/2) kappa_t / omega_d, with kappa_t of ``OneMatrixSnapshot``.
     Oscillates at late times when the modes differ.  Read from the snapshot at
     the grid time nearest to ``t``, which must lie within half a spacing of the
     grid (``SnapshotSeries.index_at``): an off-grid ``t`` gets that time's value.

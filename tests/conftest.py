@@ -34,9 +34,12 @@ def mp_rho(mpmath, mode_frequency, Lambda, beta, omega0):
 
     cos^2[(pi/2) sqrt(1 + e)] / sinh^2[(pi/2) Omega0 / beta], e = Lambda (omega0/beta)^2,
     from the exact values of the float inputs; cos of an imaginary root is cosh.
+    The cosine is taken as -sin((pi/2) t), t = sqrt(1 + e) - 1 = e / (1 + sqrt(1 + e)),
+    which keeps its relative precision at any e, however small.
     """
     om, Lam, b, w0 = map(mpmath.mpf, (mode_frequency, Lambda, beta, omega0))
-    c = mpmath.cos(mpmath.pi / 2 * mpmath.sqrt(1 + Lam * (w0 / b) ** 2))
+    e = Lam * (w0 / b) ** 2
+    c = mpmath.sin(mpmath.pi / 2 * e / (1 + mpmath.sqrt(1 + e)))
     return abs(c) ** 2 / mpmath.sinh(mpmath.pi / 2 * om / b) ** 2
 
 

@@ -21,6 +21,7 @@ from pairpulse import (
     total_shift,
 )
 from pairpulse import cli
+from pairpulse.closed_form import ZERO_COS_RTOL
 from pairpulse.dynamics import integrate_mode, omega_squared
 from pairpulse.observables import berry_connection, statistical_shift, transition_weights
 
@@ -529,3 +530,76 @@ def test_born_sudden_and_overlap_match_extended_precision_over_the_domain(point)
             rho1, rho2 = (mp_rho(mpmath, f, pulse.Lambda, pulse.beta, pulse.omega0) for f in frequencies)
             exact = 1 / mpmath.sqrt((1 + rho1) * (1 + rho2))
             assert abs(overlap(modes, pulse, kind) - exact) <= 1e-13 * exact, kind
+
+
+# analytic_reflection's stated accuracy: |Delta R / R| <= R_C u kappa
+R_C = 16
+
+
+def _mp_reflection_bound(mpmath, om, pulse):
+    """R of the sech^2 closed form at 50 digits, and the error that
+    ``analytic_reflection``'s docstring allows it.
+
+    That is R_C u kappa R, kappa = 1 + |d ln rho / d ln e| + 2 v coth v at the
+    exact float inputs, plus (ZERO_COS_RTOL arg / sinh v)^2 for a zero snapped
+    to R = 0 and 2^-1074 where R is subnormal.
+    """
+    with mpmath.workdps(50):
+        Om, Lam, b, w0 = map(mpmath.mpf, (om, pulse.Lambda, pulse.beta, pulse.omega0))
+        e, v = Lam * (w0 / b) ** 2, mpmath.pi / 2 * Om / b
+        if e >= -1:
+            s = mpmath.sqrt(1 + e)
+            arg = mpmath.pi / 2 * e / (1 + s)
+            # rho ~ e^2 as e -> 0
+            slope = 2 if e == 0 else mpmath.pi / 2 * abs(e) / s * abs(mpmath.cot(arg))
+            floor = (ZERO_COS_RTOL * arg / mpmath.sinh(v)) ** 2
+        else:
+            root = mpmath.sqrt(-1 - e)
+            slope, floor = mpmath.pi / 2 * -e / root * mpmath.tanh(mpmath.pi / 2 * root), 0
+        kappa = 1 + slope + 2 * v * mpmath.coth(v)
+        rho = mp_rho(mpmath, om, pulse.Lambda, pulse.beta, pulse.omega0)
+        R = rho / (1 + rho)
+        return R, R_C * 2.0**-53 * kappa * R + floor + 2.0**-1074
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_domain_points())
+def test_reflection_matches_extended_precision_at_its_stated_bound(point):
+    # R_C = 16: over 400,000 draws, half of this domain's distribution and
+    # half of _zero_points', the worst error was 4.1 u kappa (x3.9)
+    mpmath = pytest.importorskip("mpmath")
+    _, om, pulse = point
+    R_mp, allowed = _mp_reflection_bound(mpmath, om, pulse)
+    assert abs(analytic_reflection(om, pulse).R - R_mp) <= allowed
+
+
+@st.composite
+def _zero_points(draw):
+    """(Omega0, pulse) next to a shift zero 1 + e = (2n+1)^2, n log-uniform on
+    [1, 1000], so down to beta/omega0 ~ 5e-4, with 1 + e off the zero by a
+    relative 10^-17 to 10^-3 of either sign, or by the rounding of beta alone.
+    omega0, lam and the mode are drawn as in ``_domain_points``, and
+    0 < Lambda < (omega2/omega0)^2, near the bound in half the draws.  The
+    values come from a Python ``Random`` that hypothesis seeds: its own float
+    draws cling to their bounds, which put most draws on the zero itself."""
+    rng = draw(st.randoms(use_true_random=True))
+    omega0 = 10.0 ** rng.uniform(-3.0, 3.0)
+    modes = derive_modes(ModelParams(omega0, rng.uniform(0.0, 0.5)))
+    share = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0) if rng.random() < 0.5 else rng.uniform(1e-3, 1.0)
+    Lambda = share * (modes.omega2 / modes.omega1) ** 2
+    n = int(10.0 ** rng.uniform(0.0, 3.0))
+    off = rng.choice((1.0, -1.0, 0.0)) * 10.0 ** rng.uniform(-17.0, -3.0)
+    beta = omega0 * math.sqrt(Lambda / ((2 * n + 1) ** 2 * (1.0 + off) - 1.0))
+    fields = ("omega1", "omega2", "omega_e", "omega_w", "omega_d")
+    return getattr(modes, rng.choice(fields)), Pulse(Lambda, beta, omega0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_zero_points())
+def test_reflection_next_to_shift_zeros_matches_extended_precision(point):
+    # kappa grows like 1/|sin(arg)| next to a zero, and a snapped zero is
+    # R = 0 within (ZERO_COS_RTOL arg / sinh v)^2; the same R_C as above
+    mpmath = pytest.importorskip("mpmath")
+    om, pulse = point
+    R_mp, allowed = _mp_reflection_bound(mpmath, om, pulse)
+    assert abs(analytic_reflection(om, pulse).R - R_mp) <= allowed
